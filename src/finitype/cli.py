@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -22,21 +21,17 @@ from .closedforms import (
     x_max_location,
     x_min_location,
 )
-from .dimcalc import DimensionReport, ISOLATED, UNDECIDED, assemble_report, \
-    dim_at_zero
+from .dimcalc import DimensionReport, ISOLATED, UNDECIDED, assemble_report
 from .errors import (
     BudgetExceeded,
     CapExceeded,
     FinitypeError,
     InputDocumentError,
-    Mismatch,
     PathExplosion,
-    ValidationError,
 )
 from .exactfield import NumberField
 from .ifsmodel import (
     Ifs,
-    Model,
     binomial_convolution_probabilities,
     rescale,
     uniform_probabilities,
@@ -167,6 +162,7 @@ def report_to_document(report: DimensionReport, parameters: dict) -> dict:
             "max_cycle": list(cs.max_cycle) if cs.max_cycle else None,
             "cycle_len": cs.cycle_len,
             "bound_len": cs.bound_len,
+            "cycles_truncated": cs.cycles_truncated,
         })
     return {
         "tool": "finitype",
@@ -283,6 +279,9 @@ def _class_block(cs) -> list[str]:
                      f"from the loop {list(cs.max_cycle)}")
         lines.append(f"  giving local dimensions that include "
                      f"{_fmt_iv((cs.dim_inner[0], cs.dim_inner[1]))}.")
+    if cs.cycles_truncated:
+        lines.append("The cycle search stopped at its step budget; any "
+                     "inner range here comes from a truncated search.")
     if cs.spectral_outer:
         lines.append(f"Pseudo-norm products of length {cs.bound_len} confine "
                      f"the per-step spectral range to "
@@ -313,7 +312,10 @@ def _build_parser():
     an.add_argument("--bound-len", type=int, default=8)
     an.add_argument("--subset", default=None,
                     help="comma-separated 1-based column indices for the "
-                         "restricted lower norm (default: largest valid set)")
+                         "restricted lower norm (default: per class, the "
+                         "full index set plus every contiguous window of "
+                         "width 3 and 2; also used for a class where an "
+                         "index exceeds some member's neighbour count)")
     an.add_argument("--oracle-level", type=int, default=0,
                     help="cross-check the graph against brute enumeration "
                          "up to this level")

@@ -18,8 +18,6 @@ in final roots and logarithms.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -42,22 +40,22 @@ _EXACT_SQRT_SCALE = 10 ** 40
 # small exact matrix helpers
 # ----------------------------------------------------------------------------
 
+def _vec_mat(v, M):
+    """Row vector times matrix, exactly; the one product kernel."""
+    K = len(M[0])
+    acc = [0] * K
+    for j, x in enumerate(v):
+        if x:
+            row = M[j]
+            for k in range(K):
+                if row[k]:
+                    acc[k] += x * row[k]
+    return acc
+
+
 def mat_mul(A, B):
     """Product of two row-tuple matrices with exact entries."""
-    K = len(B[0])
-    mid = len(B)
-    out = []
-    for row in A:
-        acc = [0] * K
-        for j in range(mid):
-            a = row[j]
-            if a:
-                brow = B[j]
-                for k in range(K):
-                    if brow[k]:
-                        acc[k] += a * brow[k]
-        out.append(tuple(acc))
-    return tuple(out)
+    return tuple([tuple(_vec_mat(row, B)) for row in A])
 
 
 def product_along(edges):
@@ -74,22 +72,9 @@ def product_along(edges):
     return P
 
 
-def _vec_mat(v, M):
-    K = len(M[0])
-    acc = [0] * K
-    for j, x in enumerate(v):
-        if x:
-            row = M[j]
-            for k in range(K):
-                if row[k]:
-                    acc[k] += x * row[k]
-    return acc
-
-
 def _flog(x) -> float:
-    """log of a positive int or Fraction without overflowing float."""
-    if isinstance(x, int):
-        return math.log(x)
+    """log of a positive int or Fraction without overflowing float (an int
+    has numerator itself and denominator 1, so it needs no branch)."""
     return math.log(x.numerator) - math.log(x.denominator)
 
 
@@ -116,25 +101,13 @@ def _iter_bounds(A, n, rel_tol, max_iter):
     lo = Fraction(0)
     hi = None
     for _ in range(max_iter):
-        w = _vec_mat_sq(v, A)
+        w = _vec_mat(v, A)
         ratios = [Fraction(w[i], v[i]) for i in range(n)]
         lo, hi = min(ratios), max(ratios)
         if hi - lo <= rel_tol * hi:
             return lo, hi
         v = _rescale_positive(w)
     return lo, hi
-
-
-def _vec_mat_sq(v, A):
-    n = len(A)
-    acc = [0] * n
-    for j, x in enumerate(v):
-        if x:
-            row = A[j]
-            for k in range(n):
-                if row[k]:
-                    acc[k] += x * row[k]
-    return acc
 
 
 def _rescale_positive(w):
@@ -229,16 +202,7 @@ def dim_at_zero(model: Model) -> float:
     """log p_0 / log rho: the dimension at the support's left endpoint,
     always the largest attainable value."""
     p0 = model.probabilities[0]
-    return _flog_frac(p0) / log_rho(model)
-
-
-def _flog_frac(q: Fraction) -> float:
-    return math.log(q.numerator) - math.log(q.denominator)
-
-
-def dim_from_per_step(model: Model, s: float) -> float:
-    """Dimension of a periodic point whose per-step spectral value is s."""
-    return (_flog_frac(model.probabilities[0]) + math.log(s)) / log_rho(model)
+    return _flog(p0) / log_rho(model)
 
 
 @dataclass(frozen=True)
@@ -277,7 +241,7 @@ def _cycle_dim_from_product(model, vertices, L, P) -> CycleDim:
     per_lo = sp_lo ** (1.0 / L)
     per_hi = sp_hi ** (1.0 / L)
     lr = log_rho(model)
-    lp0 = _flog_frac(model.probabilities[0])
+    lp0 = _flog(model.probabilities[0])
     dim_hi = (lp0 + math.log(per_lo)) / lr if per_lo > 0 else math.inf
     dim_lo = (lp0 + math.log(per_hi)) / lr
     return CycleDim(vertices=vertices, length=L, sp_lo=sp_lo, sp_hi=sp_hi,
@@ -309,14 +273,7 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     ms = sorted(set(members))
-    mset = set(ms)
-    out_internal = {}
-    for v in ms:
-        lst = []
-        for e in graph.out_edges(v):
-            if e.child in mset:
-                lst.append((graph.edges.index(e), e))
-        out_internal[v] = lst
+    out_internal = graph.internal_out(ms)
 
     model = graph.model
     seen_keys = set()
@@ -442,34 +399,46 @@ class NormBounds:
     functionals: dict | None = None   # per-functional aggregates, for inspection
 
 
-def _mat_vec(M, v):
-    out = []
-    for row in M:
-        acc = 0
-        for k, x in enumerate(v):
-            if x and row[k]:
-                acc += row[k] * x
-        out.append(acc)
-    return out
+def _norm_pass(steps, starts, depth, subsets, budget_state):
+    """Column-sum functionals of every product along a ``depth``-step walk.
 
-
-def _aggregate_products(starts, step_edges, depth, forward, apply_edge,
-                        finish, budget_state):
-    """DFS over all internal paths of ``depth`` edges, folding a carried vector."""
+    ``steps[v]`` lists the ``(next vertex, matrix)`` pairs leaving ``v``;
+    ``starts`` pairs each start vertex with its indicator row vectors (all
+    ones, then one per subset), which the walk multiplies by each matrix in
+    turn. Returns ``(walks, min, max, per-subset min)``: the smallest and
+    largest column sum, and for each subset the smallest of its restricted
+    column sums over its own columns. Row sums of P are the column sums of
+    P^T, so the row-sum functionals come from the same pass over the
+    reversed edges with transposed matrices. ``budget_state`` is
+    ``[steps taken, cap]``, shared by both passes; PathExplosion once the cap
+    is passed.
+    """
+    paths = 0
+    lo = hi = None
+    sub = [None] * len(subsets)
     for s, init in starts:
         stack = [(s, 0, init)]
         while stack:
             v, d, carried = stack.pop()
-            for e in step_edges(v):
+            for nxt, matrix in steps[v]:
                 budget_state[0] += 1
                 if budget_state[0] > budget_state[1]:
                     raise PathExplosion(budget_state[1])
-                nxt = apply_edge(carried, e)
-                if d + 1 == depth:
-                    finish(nxt)
-                else:
-                    stack.append((e.child if forward else e.parent,
-                                  d + 1, nxt))
+                new = tuple(_vec_mat(vec, matrix) for vec in carried)
+                if d + 1 < depth:
+                    stack.append((nxt, d + 1, new))
+                    continue
+                paths += 1
+                top, bot = max(new[0]), min(new[0])
+                if hi is None or top > hi:
+                    hi = top
+                if lo is None or bot < lo:
+                    lo = bot
+                for i, idx in enumerate(subsets):
+                    val = min(new[1 + i][k - 1] for k in idx)
+                    if sub[i] is None or val < sub[i]:
+                        sub[i] = val
+    return paths, lo, hi, sub
 
 
 def norm_bounds(graph: TransitionGraph, members, depth: int, subset=None,
@@ -488,7 +457,6 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subset=None,
     if depth < 1:
         raise ValueError("depth must be >= 1")
     ms = sorted(set(members))
-    mset = set(ms)
     min_neigh = min(len(graph.cv(v).neighbours) for v in ms)
     subsets: list[tuple[int, ...]] = []
     if subset:
@@ -502,19 +470,15 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subset=None,
             if idx not in subsets:
                 subsets.append(idx)
 
-    out_internal = {v: [e for e in graph.out_edges(v) if e.child in mset]
-                    for v in ms}
-    in_internal = {v: [] for v in ms}
-    for v in ms:
-        for e in out_internal[v]:
-            in_internal[e.child].append(e)
-    if all(not es for es in out_internal.values()):
+    internal = graph.internal_out(ms)
+    if not any(internal.values()):
         raise ValueError("class has no internal edges")
-
-    budget_state = [0, path_budget]
-    agg = {"min_col": None, "max_col": None, "min_row": None, "max_row": None,
-           "sub_col": [None] * len(subsets), "sub_row": [None] * len(subsets),
-           "paths": 0}
+    forward = {v: [] for v in ms}
+    backward = {v: [] for v in ms}
+    for v in ms:
+        for _, e in internal[v]:
+            forward[v].append((e.child, e.matrix))
+            backward[e.child].append((v, tuple(zip(*e.matrix))))
 
     def indicator(v):
         n = len(graph.cv(v).neighbours)
@@ -523,68 +487,34 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subset=None,
                      for idx in subsets)
         return (full,) + subs
 
-    def fold(apply_one):
-        def apply_edge(carried, e):
-            return tuple(apply_one(vec, e) for vec in carried)
-        return apply_edge
+    starts = [(v, indicator(v)) for v in ms]
+    budget_state = [0, path_budget]
+    # forward: 1^T P (column sums); backward: 1^T P^T (row sums)
+    paths, min_col, max_col, sub_col = _norm_pass(
+        forward, starts, depth, subsets, budget_state)
+    _, min_row, max_row, sub_row = _norm_pass(
+        backward, starts, depth, subsets, budget_state)
 
-    # forward pass: carry (1^T P, 1_C^T P ...); column-sum functionals
-    def fwd_finish(carried):
-        c = carried[0]
-        agg["paths"] += 1
-        top, bot = max(c), min(c)
-        if agg["max_col"] is None or top > agg["max_col"]:
-            agg["max_col"] = top
-        if agg["min_col"] is None or bot < agg["min_col"]:
-            agg["min_col"] = bot
-        for i, idx in enumerate(subsets):
-            val = min(carried[1 + i][k - 1] for k in idx)
-            if agg["sub_col"][i] is None or val < agg["sub_col"][i]:
-                agg["sub_col"][i] = val
-
-    _aggregate_products([(v, indicator(v)) for v in ms],
-                        lambda v: out_internal[v], depth, True,
-                        fold(lambda vec, e: tuple(_vec_mat(vec, e.matrix))),
-                        fwd_finish, budget_state)
-
-    # backward pass: carry (P 1, P 1_C ...); row-sum functionals
-    def bwd_finish(carried):
-        c = carried[0]
-        top, bot = max(c), min(c)
-        if agg["max_row"] is None or top > agg["max_row"]:
-            agg["max_row"] = top
-        if agg["min_row"] is None or bot < agg["min_row"]:
-            agg["min_row"] = bot
-        for i, idx in enumerate(subsets):
-            val = min(carried[1 + i][j - 1] for j in idx)
-            if agg["sub_row"][i] is None or val < agg["sub_row"][i]:
-                agg["sub_row"][i] = val
-
-    _aggregate_products([(v, indicator(v)) for v in ms],
-                        lambda v: in_internal[v], depth, False,
-                        fold(lambda vec, e: tuple(_mat_vec(e.matrix, vec))),
-                        bwd_finish, budget_state)
-
-    lows = [x for x in [agg["min_col"], agg["min_row"]] +
-            agg["sub_col"] + agg["sub_row"] if x is not None]
+    lows = [x for x in [min_col, min_row] + sub_col + sub_row
+            if x is not None]
     lo_best = max(lows)
-    hi_best = min(agg["max_col"], agg["max_row"])
+    hi_best = min(max_col, max_row)
     g_lo = math.exp(_flog(lo_best) / depth) if lo_best > 0 else 0.0
     g_hi = math.exp(_flog(hi_best) / depth)
     lr = log_rho(graph.model)
-    lp0 = _flog_frac(graph.model.probabilities[0])
+    lp0 = _flog(graph.model.probabilities[0])
     dim_lo = (lp0 + math.log(g_hi)) / lr
     dim_hi = (lp0 + math.log(g_lo)) / lr if g_lo > 0 else math.inf
     functionals = {
-        "min_col": agg["min_col"], "max_col": agg["max_col"],
-        "min_row": agg["min_row"], "max_row": agg["max_row"],
-        "sub_col": dict(zip(subsets, agg["sub_col"])),
-        "sub_row": dict(zip(subsets, agg["sub_row"])),
+        "min_col": min_col, "max_col": max_col,
+        "min_row": min_row, "max_row": max_row,
+        "sub_col": dict(zip(subsets, sub_col)),
+        "sub_row": dict(zip(subsets, sub_row)),
     }
     return NormBounds(depth=depth, subset=subsets[0] if subsets else None,
                       min_norm=lo_best, max_norm=hi_best,
                       per_step_lo=g_lo, per_step_hi=g_hi,
-                      dim_lo=dim_lo, dim_hi=dim_hi, path_count=agg["paths"],
+                      dim_lo=dim_lo, dim_hi=dim_hi, path_count=paths,
                       functionals=functionals)
 
 
@@ -650,13 +580,6 @@ class DimensionReport:
         return [p.value for p in self.isolated if p.status == status]
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("FINITYPE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _merge_intervals(intervals, tol=1e-12):
     ivs = sorted((lo, hi) for lo, hi in intervals)
     out = []
@@ -670,14 +593,14 @@ def _merge_intervals(intervals, tol=1e-12):
 
 def _simple_loop_cycle(graph: TransitionGraph, members):
     """The unique internal cycle of a simple-loop class, as an edge list."""
-    ms = set(members)
+    internal = graph.internal_out(members)
     start = min(members)
     edges = []
     v = start
     while True:
-        internal = [e for e in graph.out_edges(v) if e.child in ms]
-        edges.append(internal[0])
-        v = internal[0].child
+        _, e = internal[v][0]
+        edges.append(e)
+        v = e.child
         if v == start:
             return edges
 
@@ -743,17 +666,8 @@ def assemble_report(model: Model, graph: TransitionGraph, classes=None,
     if classes is None:
         classes = classify_all(graph, state_cap=positivity_state_cap)
     dz = dim_at_zero(model)
-
-    def work(lc):
-        return analyze_class(graph, lc, cycle_len, bound_len, subset,
-                             cycle_budget, path_budget)
-
-    nworkers = _workers()
-    if nworkers > 1 and len(classes) > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            sets = list(pool.map(work, classes))
-    else:
-        sets = [work(lc) for lc in classes]
+    sets = [analyze_class(graph, lc, cycle_len, bound_len, subset,
+                          cycle_budget, path_budget) for lc in classes]
 
     tol = 1e-9
     # Exact point values (simple-loop classes) grouped by value; a point is

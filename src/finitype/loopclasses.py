@@ -132,16 +132,6 @@ def essential_class(graph: TransitionGraph) -> LoopClass:
     return LoopClass(members=c.members, is_essential=True)
 
 
-def _internal_edges(graph, members):
-    ms = set(members)
-    out = []
-    for v in members:
-        for e in graph.out_edges(v):
-            if e.child in ms:
-                out.append(e)
-    return out
-
-
 def positivity_certificate(graph: TransitionGraph, members,
                            max_len: int | None = None,
                            state_cap: int = 500_000,
@@ -164,7 +154,8 @@ def positivity_certificate(graph: TransitionGraph, members,
     """
     members = tuple(sorted(members))
     restricted = edges is not None
-    edges = list(edges) if restricted else _internal_edges(graph, members)
+    edges = list(edges) if restricted else [
+        e for out in graph.internal_out(members).values() for _, e in out]
     if not edges:
         return PositivityResult(Positivity.NOT_POSITIVE, exhausted_length=0)
 
@@ -257,16 +248,10 @@ def _witness(parent, state):
 
 def _simple_loop(graph, members) -> bool:
     """One directed cycle through the members; any parallel edge disqualifies."""
-    ms = set(members)
-    total = 0
-    for v in members:
-        internal = [e for e in graph.out_edges(v) if e.child in ms]
-        if len(internal) != 1 or internal[0].multiplicity != 1:
-            return False
-        total += 1
     # strong connectivity is given (members form an SCC); out-degree one
     # everywhere then forces a single cycle through all members
-    return total == len(members)
+    return all(len(out) == 1 and out[0][1].multiplicity == 1
+               for out in graph.internal_out(members).values())
 
 
 def classify_all(graph: TransitionGraph,

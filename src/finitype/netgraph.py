@@ -82,8 +82,12 @@ class TransitionGraph:
     def children_of(self, vid: int):
         return [e.child for e in self.out_edges(vid)]
 
-    def edge_index(self, edge: TransitionEdge) -> int:
-        return self.edges.index(edge)
+    def internal_out(self, members):
+        """Each member's out-edges that stay among ``members``, as
+        ``(edge index, edge)`` pairs in edge-index order."""
+        ms = set(members)
+        return {v: [(i, self.edges[i]) for i in self._out[v]
+                    if self.edges[i].child in ms] for v in members}
 
 
 def children(parent: CharacteristicVector, model: Model):

@@ -182,3 +182,22 @@ def test_text_report_mentions_not_certified(cantor5_binomial_model, capsys):
     report2 = dataclasses.replace(report, classes=classes)
     text = render_text(report2)
     assert "NOT CERTIFIED" in text
+
+
+def test_starved_budgets_are_reported(golden_model):
+    # one cycle-search step and four norm-bound steps: the search truncates
+    # and bound_len is halved until the products fit
+    graph = build_graph(golden_model)
+    report = assemble_report(golden_model, graph, cycle_budget=1,
+                             path_budget=4, bound_len=8)
+    starved = [cs for cs in report.classes
+               if 0 < cs.bound_len < 8 and cs.cycles_truncated]
+    assert starved
+    doc = report_to_document(report, {})
+    entries = [c for c in doc["classes"]
+               if c["members"] == list(starved[0].members)]
+    assert entries[0]["bound_len"] == starved[0].bound_len
+    assert entries[0]["cycles_truncated"] is True
+    text = render_text(report)
+    assert "truncated search" in text
+    assert f"products of length {starved[0].bound_len} " in text

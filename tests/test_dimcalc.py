@@ -298,6 +298,64 @@ def test_norm_bounds_flavors_recorded(plastic_bc_model):
     assert abs(nb.dim_lo - 0.8483019061) < 1e-8
 
 
+def _internal_paths(graph, members, depth):
+    """Every walk of ``depth`` edges that stays inside ``members``."""
+    ms = set(members)
+    paths = [[e] for v in sorted(ms) for e in graph.out_edges(v)
+             if e.child in ms]
+    for _ in range(depth - 1):
+        paths = [p + [e] for p in paths for e in graph.out_edges(p[-1].child)
+                 if e.child in ms]
+    return paths
+
+
+def _brute_norm_functionals(graph, members, depth, subsets):
+    products = [product_along(p) for p in _internal_paths(graph, members,
+                                                          depth)]
+    transposed = [tuple(zip(*P)) for P in products]
+
+    def least(kind, mats, subset=None):
+        return min(pseudo_norm(P, kind, subset) for P in mats)
+
+    functionals = {
+        "min_col": least(NormKind.MIN_COL, products),
+        "max_col": max(pseudo_norm(P, NormKind.MAX_COL) for P in products),
+        "min_row": least(NormKind.MIN_ROW, products),
+        "max_row": max(pseudo_norm(P, NormKind.MAX_ROW) for P in products),
+        "sub_col": {idx: least(NormKind.SUBSET_MIN, products, idx)
+                    for idx in subsets},
+        "sub_row": {idx: least(NormKind.SUBSET_MIN, transposed, idx)
+                    for idx in subsets},
+    }
+    return functionals, len(products)
+
+
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_golden_norm_bounds_match_brute_force(golden_graph, depth):
+    ess = essential_class(golden_graph)
+    nb = norm_bounds(golden_graph, ess.members, depth=depth)
+    ref, count = _brute_norm_functionals(golden_graph, ess.members, depth, [])
+    assert nb.functionals == ref
+    assert nb.path_count == count
+    assert nb.min_norm == max(ref["min_col"], ref["min_row"])
+    assert nb.max_norm == min(ref["max_col"], ref["max_row"])
+
+
+@pytest.mark.parametrize("depth", range(1, 4))
+def test_cantor5_subset_norm_bounds_match_brute_force(cantor5_graph, depth):
+    ess = essential_class(cantor5_graph)
+    subsets = [(1,), (1, 2)]
+    nb = norm_bounds(cantor5_graph, ess.members, depth=depth, subset=subsets)
+    ref, count = _brute_norm_functionals(cantor5_graph, ess.members, depth,
+                                         subsets)
+    assert nb.functionals == ref
+    assert nb.path_count == count
+    lows = [ref["min_col"], ref["min_row"], *ref["sub_col"].values(),
+            *ref["sub_row"].values()]
+    assert nb.min_norm == max(lows)
+    assert nb.max_norm == min(ref["max_col"], ref["max_row"])
+
+
 # ---------------------------------------------------------------- reports
 
 def test_golden_report(golden_model, golden_graph):
