@@ -351,6 +351,15 @@ def _load_json(path):
 
 
 def _cmd_analyze(args) -> int:
+    subset = "auto"
+    if args.subset:
+        try:
+            subset = tuple(int(s) for s in args.subset.split(","))
+        except ValueError:
+            raise InputDocumentError("--subset: expected integers like 2,3,4")
+        if min(subset) < 1:
+            raise InputDocumentError(
+                "--subset: column indices are 1-based and must be positive")
     doc = _load_json(args.input)
     ifs = parse_document(doc)
     model = validate(ifs, allow_irregular=args.allow_irregular)
@@ -363,12 +372,6 @@ def _cmd_analyze(args) -> int:
             count = check_graph_against_oracle(model, graph, level)
             print(f"oracle: level {level} matches exactly "
                   f"({count} net intervals)", file=sys.stderr)
-    subset = "auto"
-    if args.subset:
-        try:
-            subset = tuple(int(s) for s in args.subset.split(","))
-        except ValueError:
-            raise InputDocumentError("--subset: expected integers like 2,3,4")
     report = assemble_report(model, graph, classes=classes,
                              cycle_len=args.cycle_len,
                              bound_len=args.bound_len, subset=subset)

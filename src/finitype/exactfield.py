@@ -3,9 +3,10 @@
 A field is described by an integer polynomial (ascending coefficients) together
 with a rational interval isolating exactly one of its real roots. Elements are
 dense coefficient vectors modulo that polynomial, reduced eagerly, so an element
-is zero iff every coefficient is zero. All order decisions go through interval
-arithmetic on a refinable rational enclosure of the root; floating point is
-never consulted for a decision.
+is zero iff every coefficient is zero. Every order decision is an exact sign
+test by interval arithmetic on a refinable rational enclosure of the root.
+Floating point only proposes: ``sort_unique`` sorts by float approximations
+and then certifies the proposed order with exact sign tests.
 
 Irreducibility of the polynomial is the caller's responsibility (only
 square-freeness is verified). With a reducible square-free polynomial the
@@ -17,7 +18,6 @@ terminate; they abort with ArithmeticError after a bisection cap.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .errors import (
     MultipleRootsInInterval,
@@ -122,7 +122,7 @@ class NumberField:
 
     __slots__ = (
         "minpoly", "degree", "_lo", "_hi", "_orig", "_pow_table", "_inv_rho",
-        "_sign_cache", "zero", "one",
+        "_sign_cache", "zero", "one", "_rho_f",
     )
 
     def __init__(self, minpoly, isolating_interval):
@@ -176,6 +176,8 @@ class NumberField:
         self._inv_rho = None  # computed lazily
 
         self.refine(128)
+        # a float of rho, for the float proposal in sort_unique only
+        self._rho_f = float((self._lo + self._hi) / 2)
 
     # -- construction helpers ---------------------------------------------
 
@@ -237,10 +239,9 @@ class NumberField:
 
     def sign_of(self, coeffs):
         """Exact sign of the element with the given canonical coefficients."""
-        if all(c == 0 for c in coeffs):
-            return 0
-        if all(c == 0 for c in coeffs[1:]):
-            return 1 if coeffs[0] > 0 else -1
+        if not any(coeffs[1:]):
+            c = coeffs[0]
+            return (c > 0) - (c < 0)
         cached = self._sign_cache.get(coeffs)
         if cached is not None:
             return cached
@@ -324,7 +325,7 @@ class FieldElement:
         if oc is None:
             return NotImplemented
         return FieldElement(self.field,
-                            tuple(_norm_num(a + b) for a, b in zip(self.coeffs, oc)))
+                            tuple([_norm_num(a + b) for a, b in zip(self.coeffs, oc)]))
 
     __radd__ = __add__
 
@@ -333,7 +334,7 @@ class FieldElement:
         if oc is None:
             return NotImplemented
         return FieldElement(self.field,
-                            tuple(_norm_num(a - b) for a, b in zip(self.coeffs, oc)))
+                            tuple([_norm_num(a - b) for a, b in zip(self.coeffs, oc)]))
 
     def __rsub__(self, other):
         oc = self._coerce(other)
@@ -553,22 +554,57 @@ def to_decimal(a: FieldElement, digits: int) -> str:
     return f"{'-' if s < 0 else ''}{whole}.{frac:0{digits}d}"
 
 
-def sort_unique(elements):
-    """Sort distinct FieldElements ascending; duplicates (exact) are collapsed.
-
-    Ordering is resolved by disjoint rational enclosures, refining the field
-    enclosure until every pair separates; exactness comes from canonical-form
-    dedup, so distinct survivors always separate eventually.
-    """
-    if not elements:
-        return []
-    field = elements[0].field
+def _dedupe(elements):
+    """Distinct elements by canonical coefficients, first occurrence kept."""
     unique = {}
     for e in elements:
         unique.setdefault(e.coeffs, e)
-    elems = list(unique.values())
-    if len(elems) == 1:
+    return list(unique.values())
+
+
+def _approx(coeffs, rho_f):
+    """Float value of sum(coeffs[i] * rho**i) by Horner; a proposal only."""
+    x = 0.0
+    for c in reversed(coeffs):
+        x = x * rho_f + float(c)
+    return x
+
+
+def sort_unique(elements):
+    """Sort distinct FieldElements ascending; duplicates (exact) are collapsed.
+
+    A floating-point filter: after the canonical-form dedup, floats propose
+    the order (each element evaluated in double precision at a float of rho)
+    and the exact, cached sign of every adjacent difference certifies it.
+    Certified adjacent pairs make the whole list strictly increasing, so the
+    result is the exact order. If any pair fails (a float tie in the wrong
+    order, a misorder, values overflowing to inf) or a coefficient has no
+    float, the list goes to the exact enclosure sort instead.
+    """
+    elems = _dedupe(elements)
+    if len(elems) < 2:
         return elems
+    rho_f = elems[0].field._rho_f
+    try:
+        proposed = sorted(elems, key=lambda e: _approx(e.coeffs, rho_f))
+    except OverflowError:
+        return _enclosure_sort(elems)
+    if all((b - a).sign() > 0 for a, b in zip(proposed, proposed[1:])):
+        return proposed
+    return _enclosure_sort(elems)
+
+
+def _enclosure_sort(elements):
+    """``sort_unique`` without floats: sort by disjoint rational enclosures.
+
+    The field enclosure is refined until every adjacent pair of element
+    enclosures separates; canonical-form dedup makes the survivors distinct,
+    so they always separate eventually.
+    """
+    elems = _dedupe(elements)
+    if len(elems) < 2:
+        return elems
+    field = elems[0].field
     for _ in range(64):
         keyed = sorted(
             ((field.interval_eval(e.coeffs), e) for e in elems),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from .errors import (
@@ -62,6 +63,17 @@ class Model:
 
     def rho(self) -> FieldElement:
         return self.ifs.field.rho()
+
+    @cached_property
+    def step_constants(self):
+        """What every subdivision step of the graph closure uses, computed
+        once per model: (rho, 1/rho, each d_j / rho, the normalized weights
+        with the integral ones as int)."""
+        inv_rho = self.field.inv_rho()
+        return (self.rho(), inv_rho,
+                tuple(dl * inv_rho for dl in self.translations),
+                tuple(int(w) if w.denominator == 1 else w
+                      for w in self.normalized))
 
 
 def validate(ifs: Ifs, allow_irregular: bool = False) -> Model:

@@ -98,11 +98,8 @@ def children(parent: CharacteristicVector, model: Model):
     the row's covering interval onto the column's, else zero.
     """
     f = model.field
-    rho = model.rho()
-    inv_rho = f.inv_rho()
+    rho, inv_rho, d_scaled, weights = model.step_constants
     d = model.translations
-    d_scaled = [dl * inv_rho for dl in d]
-    weights = [int(w) if w.denominator == 1 else w for w in model.normalized]
 
     ell = parent.length
     cands = []

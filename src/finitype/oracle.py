@@ -4,6 +4,8 @@ Everything here is computed straight from the definitions by enumerating all
 words of a given length in exact field arithmetic: level endpoints, net
 intervals, neighbour sets, and the normalized weight vectors. None of it
 touches the graph code, so exact agreement between the two is meaningful.
+Points and neighbour offsets are ordered by the exact enclosure sort, never
+by the float proposal that the graph closure's ``sort_unique`` tries first.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded, Mismatch
-from .exactfield import FieldElement, sort_unique
+from .exactfield import FieldElement, _enclosure_sort
 from .ifsmodel import Model
 from .netgraph import TransitionGraph
 
@@ -66,7 +68,7 @@ def brute_level(model: Model, n: int, budget: int = 10 ** 6) -> LevelSnapshot:
 
     endpoints = [v[0] for v in starts.values()] + \
                 [v[0] + rho_n for v in starts.values()]
-    points = sort_unique(endpoints)
+    points = _enclosure_sort(endpoints)
 
     inv_rho_n = rho_n.inverse()
     p0n = p[0] ** n
@@ -84,7 +86,7 @@ def brute_level(model: Model, n: int, budget: int = 10 ** 6) -> LevelSnapshot:
         if not cover:
             raise Mismatch(path=(n, str(a)), expected="covered interval",
                            actual="no covering word")
-        neigh = sort_unique([c[0] for c in cover])
+        neigh = _enclosure_sort([c[0] for c in cover])
         weights = []
         for v in neigh:
             total = sum((w for o, w in cover if o.coeffs == v.coeffs),

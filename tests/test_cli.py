@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from finitype import cli
 from finitype.catalog import build_documents, example_names, load_document
 from finitype.cli import (
     document_from_ifs,
@@ -117,6 +118,18 @@ def test_exit_code_validation_error(tmp_path, capsys):
 def test_exit_code_cap_exceeded(golden_path, capsys):
     assert run(["analyze", "--input", golden_path, "--max-cvs", "3"]) == 2
     assert "CapExceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subset", ["0", "-1,2", "2,x"])
+def test_bad_subset_rejected_before_graph(golden_path, monkeypatch, capsys,
+                                         subset):
+    def no_build(*args, **kwargs):
+        raise AssertionError("graph built before --subset was checked")
+
+    monkeypatch.setattr(cli, "build_graph", no_build)
+    assert run(["analyze", "--input", golden_path, f"--subset={subset}"]) == 1
+    err = capsys.readouterr().err
+    assert "InputDocumentError" in err and "--subset" in err
 
 
 def test_exit_code_missing_file(capsys):

@@ -12,6 +12,7 @@ from finitype.errors import (
     NotSquareFree,
     RootNotInUnitInterval,
 )
+from finitype import exactfield
 from finitype.exactfield import (
     EQ, GT, LT,
     FieldElement, NumberField, compare, make_field, sort_unique, to_decimal,
@@ -104,6 +105,63 @@ def test_sort_unique_dedupes_exactly():
     r = f.rho()
     out = sort_unique([r * r, 1 - r, f.zero, r])  # r*r == 1-r
     assert out == [f.zero, r * r, r]
+
+
+def _float_defeating_pair(kind):
+    """Two elements, larger first, whose float proposal cannot order them."""
+    f = golden_field()
+    r = f.rho()
+    if kind == "tie":      # differ far below a double's resolution
+        return [r + Fraction(1, 2 ** 70), r]
+    big = 17 * 10 ** 307
+    if kind == "inf":      # both Horner values overflow to +inf
+        return [f.element([big + 1, big]), f.element([big, big])]
+    return [f.element([10 ** 400, 1]), f.element([10 ** 400])]  # no float
+
+
+@pytest.mark.parametrize("kind", ["tie", "inf", "overflow"])
+def test_sort_unique_falls_back_when_floats_fail(kind, monkeypatch):
+    calls = []
+    exact = exactfield._enclosure_sort
+
+    def counting(elements):
+        calls.append(len(elements))
+        return exact(elements)
+
+    monkeypatch.setattr(exactfield, "_enclosure_sort", counting)
+    hi, lo = _float_defeating_pair(kind)
+    assert sort_unique([hi, lo, hi]) == [lo, hi]
+    assert calls == [2]
+
+
+def test_sort_unique_certified_without_fallback(monkeypatch):
+    def fail(elements):
+        raise AssertionError("fallback reached")
+
+    monkeypatch.setattr(exactfield, "_enclosure_sort", fail)
+    f = golden_field()
+    r = f.rho()
+    assert sort_unique([f.one, r, 2 * r - 1, f.zero, r * r]) == \
+        [f.zero, 2 * r - 1, r * r, r, f.one]
+
+
+_SORT_FIELDS = {
+    "golden": golden_field(),
+    "cubic": make_field([-1, 0, 1, 1], (Fraction(7, 10), Fraction(4, 5))),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(_SORT_FIELDS)))
+def test_sort_unique_matches_enclosure_sort(data, name):
+    f = _SORT_FIELDS[name]
+    coeffs = st.lists(st.integers(-6, 6), min_size=f.degree,
+                      max_size=f.degree)
+    elems = [f.element(c) for c in data.draw(st.lists(coeffs, max_size=12))]
+    out = sort_unique(elems)
+    assert [e.coeffs for e in out] == \
+        [e.coeffs for e in exactfield._enclosure_sort(elems)]
+    assert all(compare(a, b) == LT for a, b in zip(out, out[1:]))
 
 
 # ------------------------------------------------------------------ rendering

@@ -1,0 +1,74 @@
+"""Graph fingerprints: the closed transition graph pinned bit for bit.
+
+For every catalog example whose graph builds in a couple of seconds, the
+fixture ``tests/golden/graph_fingerprints.json`` holds the SHA-256 of the
+characteristic-vector keys in id order and of every edge (parent, child,
+matrix, multiplicity, offsets). Changes to the exact arithmetic or to the
+graph closure must leave them unchanged. After a deliberate change of the
+graph, regenerate the fixture with
+
+    PYTHONPATH=src python tests/test_graph_fingerprints.py
+"""
+
+import hashlib
+import json
+import pathlib
+import sys
+
+import pytest
+
+from finitype.catalog import load_document
+from finitype.cli import parse_document
+from finitype.ifsmodel import validate
+from finitype.netgraph import build_graph
+
+FIXTURE = pathlib.Path(__file__).parent / "golden" / "graph_fingerprints.json"
+
+FINGERPRINT_NAMES = (
+    "golden",
+    "golden_square",
+    "bc_x3_plus_x_minus_1",
+    "bc_x3_minus_x2_plus_2x_minus_1",
+    "bc_x3_plus_x2_plus_x_minus_1",
+    "bc_x4_minus_2x2_minus_x_plus_1",
+    "bc_x4_minus_x3_plus_2x_minus_1",
+    "bc_x4_plus_x3_plus_x2_plus_x_minus_1",
+    "cantor_r3_m3_binomial",
+    "cantor_r3_m3_uniform",
+    "cantor_r3_m4_binomial",
+    "cantor_r3_m4_uniform",
+    "cantor_r3_m5_binomial",
+    "cantor_r3_m5_uniform",
+    "cantor_r3_m6_binomial",
+    "cantor_r3_m7_binomial",
+    "cantor_r3_m8_binomial",
+    "cantor_r3_m9_binomial",
+    "cantor_r3_m10_binomial",
+)
+
+
+def graph_fingerprint(name: str) -> str:
+    """SHA-256 of the keys and edges of a catalog example's graph."""
+    graph = build_graph(validate(parse_document(load_document(name))))
+    h = hashlib.sha256()
+    for cv in graph.cvs:
+        h.update(repr(cv.key()).encode())
+        h.update(b"\n")
+    for e in graph.edges:
+        h.update(repr((e.parent, e.child, e.matrix, e.multiplicity,
+                       tuple(o.coeffs for o in e.offsets))).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", FINGERPRINT_NAMES)
+def test_graph_fingerprint_unchanged(name):
+    expected = json.loads(FIXTURE.read_text())
+    assert graph_fingerprint(name) == expected[name]
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text(json.dumps(
+        {name: graph_fingerprint(name) for name in FINGERPRINT_NAMES},
+        indent=2) + "\n")
+    print(f"wrote {FIXTURE}", file=sys.stderr)
