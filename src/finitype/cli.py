@@ -1,8 +1,9 @@
 """Command-line entry point: analyze / rescale / formulas.
 
 Exit codes: 0 success, 1 validation or input error (including an oracle
-mismatch), 2 when a cap or enumeration budget is exceeded. Rationals travel
-through JSON as strings so nothing is ever contaminated by floating point.
+mismatch and a command-line usage error), 2 when a cap or enumeration budget
+is exceeded. Rationals travel through JSON as strings so nothing is ever
+contaminated by floating point.
 """
 
 from __future__ import annotations
@@ -164,6 +165,8 @@ def report_to_document(report: DimensionReport, parameters: dict) -> dict:
             "bound_len": cs.bound_len,
             "cycles_truncated": cs.cycles_truncated,
         })
+        if cs.subset_fallback:
+            classes[-1]["subset_fallback"] = True
     return {
         "tool": "finitype",
         "version": __version__,
@@ -282,6 +285,9 @@ def _class_block(cs) -> list[str]:
     if cs.cycles_truncated:
         lines.append("The cycle search stopped at its step budget; any "
                      "inner range here comes from a truncated search.")
+    if cs.subset_fallback:
+        lines.append("The requested --subset exceeds some member's neighbour "
+                     "count; this class used the automatic subsets.")
     if cs.spectral_outer:
         lines.append(f"Pseudo-norm products of length {cs.bound_len} confine "
                      f"the per-step spectral range to "
@@ -297,8 +303,17 @@ def _class_block(cs) -> list[str]:
 # commands
 # ----------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the input-error code; argparse's own 2 is taken
+    by cap and budget overflows."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="finitype",
         description="Exact transition-graph analysis of finite-type "
                     "self-similar measures")

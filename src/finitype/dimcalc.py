@@ -11,13 +11,17 @@ smaller dimensions.
 Spectral radii come with certified rational enclosures: Collatz-Wielandt
 quotients of an exactly-computed iteration on each irreducible diagonal block,
 with a unit shift to kill periodicity, and repeated squaring as a fallback
-accelerator. Norm products are evaluated exactly; floating point only enters
-in final roots and logarithms.
+accelerator. Norm products are evaluated exactly; floating point enters the
+reported numbers only in final roots and logarithms. Floats also screen which
+cycles the search certifies (row and column sums of the exact products, with
+a margin wider than the enclosures' width), but a screened value never
+becomes a reported one.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -255,7 +259,7 @@ def _cycle_dim_from_product(model, vertices, L, P) -> CycleDim:
 
 @dataclass(frozen=True)
 class CycleEnumeration:
-    cycles: tuple[CycleDim, ...]
+    cycles: Sequence[CycleDim]    # generation order, certified on access
     max_len: int
     truncated: bool
     per_step_min: float | None
@@ -266,85 +270,187 @@ class CycleEnumeration:
     max_cycle: tuple[int, ...] | None
 
 
+class _CycleList(Sequence):
+    """The closed walks of one search, in generation order. A walk is
+    certified the first time it is read, and only then, so ``len`` costs no
+    spectral enclosure."""
+
+    def __init__(self, model, found):
+        self._model = model
+        self._found = found           # (vertices, L, product)
+        self._dims = [None] * len(found)
+
+    def __len__(self):
+        return len(self._found)
+
+    def __getitem__(self, i):
+        if self._dims[i] is None:
+            self._dims[i] = _cycle_dim_from_product(self._model,
+                                                    *self._found[i])
+        return self._dims[i]
+
+    def certified(self):
+        """The walks certified so far, in generation order."""
+        return [d for d in self._dims if d is not None]
+
+
+# Relative margin of the cycle screen in enumerate_cycles: wider than the
+# spectral enclosure's 1e-10 relative width plus float rounding.
+_SCREEN_MARGIN = 1e-9
+
+
+def _screen(L, P):
+    """Cheap enclosure of sp(P)^(1/L) from row and column sums, or None
+    when it is unusable (a zero row, or a sum no float can hold)."""
+    rows = [sum(r) for r in P]
+    if not min(rows):
+        return None
+    cols = [sum(c) for c in zip(*P)]
+    lo = max(min(rows), min(cols))
+    hi = min(max(rows), max(cols))
+    try:
+        lo_f, hi_f = float(lo) ** (1.0 / L), float(hi) ** (1.0 / L)
+    except OverflowError:
+        return None
+    return (lo_f, hi_f) if math.isfinite(hi_f) else None
+
+
+def _steps_home(s, into):
+    """Fewest steps from each vertex back to ``s`` through vertices > s,
+    keyed by vertex; ``into[v]`` holds the vertices with an edge into v."""
+    home = {s: 0}
+    frontier = [s]
+    while frontier:
+        ahead = []
+        for w in frontier:
+            for u in into[w]:
+                if u > s and u not in home:
+                    home[u] = home[w] + 1
+                    ahead.append(u)
+        frontier = ahead
+    return home
+
+
 def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
                      budget: int = 2_000_000) -> CycleEnumeration:
     """All closed edge walks of length <= max_len inside the class, counting
-    parallel edges as distinct steps, deduplicated up to cyclic rotation."""
+    parallel edges as distinct steps, one per class of cyclic rotations.
+
+    The search from each member ``s`` walks through members ``>= s`` only,
+    so ``s`` is the smallest vertex of every walk it finds, and it generates
+    each walk as a necklace: the lexicographically smallest, by edge index,
+    of its rotations that start at a return to ``s``. A prefix is dropped as
+    soon as, for some earlier return to ``s`` at position ``a``, the slice
+    ``path[a:]`` is less than ``path[:len(path) - a]``: every completion
+    then has a smaller rotation starting at ``a``. A walk that closes at
+    ``s`` is kept when no anchored rotation is smaller. Every necklace
+    survives, because each prefix of a smallest rotation passes the test.
+    A step is also dropped when the walk cannot get back to ``s`` within
+    ``max_len`` steps (fewest steps home by a breadth-first search per
+    ``s``). ``budget`` caps the number of surviving prefixes expanded; past
+    it the search stops with ``truncated`` set.
+
+    Each walk's exact product bounds its spectral radius between the larger
+    of its smallest row and column sums and the smaller of its largest row
+    and column sums: its screen. The minimum is found by branch and bound
+    (Gripenberg 1996): walks are certified in increasing order of their
+    per-step lower screen, starting from the smallest per-step upper screen
+    as the best value, until a lower screen exceeds the best value so far
+    times ``1 + _SCREEN_MARGIN``; the maximum mirrors this. The margin is
+    wider than the certified enclosure's 1e-10 relative width plus float
+    rounding, so every walk left out is strictly beaten by a certified one
+    and every walk tied with an extreme is certified. (That width holds
+    when the enclosure converges; one cut off by the squaring cap in
+    ``_block_spectral_bounds`` can be wider.) A walk the screen cannot rank
+    (a zero row, a sum that overflows a float) is always certified. The
+    extremes are taken over the certified walks in generation order, which
+    gives what certifying every walk would. The rest are certified when
+    ``cycles`` is read, so ``len(cycles)`` certifies nothing.
+    """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     ms = sorted(set(members))
     out_internal = graph.internal_out(ms)
 
-    model = graph.model
-    seen_keys = set()
     found = []  # (vertices, L, product)
     steps = 0
     truncated = False
 
+    into = {v: set() for v in ms}
+    for v in ms:
+        for _, e in out_internal[v]:
+            into[e.child].add(v)
+
     for s in ms:
-        # walks from s through vertices >= s only, so s is the walk minimum
-        stack = [(s, 0, (), None)]
-        while stack:
-            v, depth, epath, prod = stack.pop()
-            if depth >= max_len:
-                continue
+        home = _steps_home(s, into)
+        # (vertex, edge path, returns to s still tied with the path's start,
+        # product); a return at position a is tied while path[a:] equals
+        # path[:len(path) - a]
+        stack = [(s, (), (), None)]
+        while stack and not truncated:
+            v, path, tied, prod = stack.pop()
+            n = len(path)
             for eidx, e in out_internal[v]:
-                if e.child < s:
-                    continue
+                if n + 1 + home.get(e.child, max_len) > max_len:
+                    continue  # cannot close at s within max_len steps
+                if any(eidx < path[n - a] for a in tied):
+                    continue  # the rotation from return a would be smaller
                 steps += 1
                 if steps > budget:
                     truncated = True
-                    stack = []
                     break
+                still = [a for a in tied if eidx == path[n - a]]
                 new_prod = e.matrix if prod is None else mat_mul(prod, e.matrix)
-                new_path = epath + (eidx,)
+                new_path = path + (eidx,)
                 if e.child == s:
-                    key = _canonical_rotation(new_path, graph, s)
-                    if key not in seen_keys:
-                        seen_keys.add(key)
+                    if all(new_path <= new_path[a:] + new_path[:a]
+                           for a in still):
                         verts = [s]
                         for ei in new_path:
                             verts.append(graph.edges[ei].child)
-                        found.append((tuple(verts), depth + 1, new_prod))
-                if depth + 1 < max_len:
-                    stack.append((e.child, depth + 1, new_path, new_prod))
+                        found.append((tuple(verts), n + 1, new_prod))
+                    still.append(n + 1)
+                if n + 1 < max_len:
+                    stack.append((e.child, new_path, tuple(still), new_prod))
         if truncated:
             break
 
-    dims = []
-    for verts, L, P in found:
-        dims.append(_cycle_dim_from_product(model, verts, L, P))
-    if dims:
-        lo = min(dims, key=lambda c: c.per_step_lo)
-        hi = max(dims, key=lambda c: c.per_step_hi)
+    cycles = _CycleList(graph.model, found)
+    screens = [_screen(L, P) for _, L, P in found]
+    ranked = []
+    for i, b in enumerate(screens):
+        if b is None:
+            cycles[i]   # the screen cannot rank it: certify it
+        else:
+            ranked.append(i)
+    # most promising first; stop at the first screen that cannot come
+    # within the margin of the best value so far (screened or certified)
+    low = min((screens[i][1] for i in ranked), default=math.inf)
+    for i in sorted(ranked, key=lambda i: screens[i][0]):
+        if screens[i][0] > low * (1 + _SCREEN_MARGIN):
+            break
+        low = min(low, cycles[i].per_step_lo)
+    high = max((screens[i][0] for i in ranked), default=0.0)
+    for i in sorted(ranked, key=lambda i: screens[i][1], reverse=True):
+        if screens[i][1] * (1 + _SCREEN_MARGIN) < high:
+            break
+        high = max(high, cycles[i].per_step_hi)
+    certified = cycles.certified()
+    if certified:
+        lo = min(certified, key=lambda c: c.per_step_lo)
+        hi = max(certified, key=lambda c: c.per_step_hi)
         per_min, per_max = lo.per_step_lo, hi.per_step_hi
-        dim_min = min(c.dim_lo for c in dims)
-        dim_max = max(c.dim_hi for c in dims)
+        dim_min = min(c.dim_lo for c in certified)
+        dim_max = max(c.dim_hi for c in certified)
         min_c, max_c = lo.vertices, hi.vertices
     else:
         per_min = per_max = dim_min = dim_max = None
         min_c = max_c = None
-    return CycleEnumeration(cycles=tuple(dims), max_len=max_len,
+    return CycleEnumeration(cycles=cycles, max_len=max_len,
                             truncated=truncated,
                             per_step_min=per_min, per_step_max=per_max,
                             dim_min=dim_min, dim_max=dim_max,
                             min_cycle=min_c, max_cycle=max_c)
-
-
-def _canonical_rotation(edge_path, graph, start):
-    """Smallest rotation of the edge-index tuple among rotations anchored at
-    returns to the start vertex."""
-    # positions where the walk sits at `start`: after edges whose child == start
-    anchors = [0]
-    for i, eidx in enumerate(edge_path[:-1]):
-        if graph.edges[eidx].child == start:
-            anchors.append(i + 1)
-    best = None
-    for a in anchors:
-        rot = edge_path[a:] + edge_path[:a]
-        if best is None or rot < best:
-            best = rot
-    return best
 
 
 # ----------------------------------------------------------------------------
@@ -537,6 +643,7 @@ class ClassDimSet:
     cycle_len: int
     bound_len: int
     cycles_truncated: bool = False
+    subset_fallback: bool = False   # an explicit subset was invalid here
 
     @property
     def members(self):
@@ -611,8 +718,10 @@ def analyze_class(graph: TransitionGraph, lc: LoopClass, cycle_len: int,
     model = graph.model
     members = lc.members
     min_neigh = min(len(graph.cv(v).neighbours) for v in members)
+    explicit = bool(subset) and subset != "auto"
+    fallback = explicit and max(subset) > min_neigh
     use_subset = None
-    if subset and subset != "auto" and max(subset) <= min_neigh:
+    if explicit and not fallback:
         use_subset = tuple(subset)
     elif subset:
         # automatic choice (also the fallback when an explicit subset is
@@ -626,8 +735,6 @@ def analyze_class(graph: TransitionGraph, lc: LoopClass, cycle_len: int,
                              for s in range(1, min_neigh - width + 2))
         use_subset = cands
 
-    enum = enumerate_cycles(graph, members, cycle_len, budget=cycle_budget)
-
     bl = bound_len
     nb = None
     while bl >= 1:
@@ -637,6 +744,9 @@ def analyze_class(graph: TransitionGraph, lc: LoopClass, cycle_len: int,
             break
         except PathExplosion:
             bl //= 2
+    # after the norm bounds, so that the cycle products the enumeration keeps
+    # for lazy certification are not alive during the norm pass
+    enum = enumerate_cycles(graph, members, cycle_len, budget=cycle_budget)
     exact = exact_per = None
     if lc.is_simple_loop:
         cd = periodic_dimension(model, _simple_loop_cycle(graph, members))
@@ -654,7 +764,8 @@ def analyze_class(graph: TransitionGraph, lc: LoopClass, cycle_len: int,
         certified_interval=lc.positive,
         min_cycle=enum.min_cycle, max_cycle=enum.max_cycle,
         cycle_len=cycle_len, bound_len=bl if nb else 0,
-        cycles_truncated=enum.truncated)
+        cycles_truncated=enum.truncated,
+        subset_fallback=fallback)
 
 
 def assemble_report(model: Model, graph: TransitionGraph, classes=None,

@@ -1,8 +1,14 @@
 """CLI subcommands, document schema, exit codes, round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import finitype
 
 from finitype import cli
 from finitype.catalog import build_documents, example_names, load_document
@@ -130,6 +136,57 @@ def test_bad_subset_rejected_before_graph(golden_path, monkeypatch, capsys,
     assert run(["analyze", "--input", golden_path, f"--subset={subset}"]) == 1
     err = capsys.readouterr().err
     assert "InputDocumentError" in err and "--subset" in err
+
+
+def test_usage_error_exits_1(golden_path, capsys):
+    # argparse reads -1,2 as an option; the error is the input-error code,
+    # not the 2 that cap and budget overflows use
+    with pytest.raises(SystemExit) as ei:
+        run(["analyze", "--input", golden_path, "--subset", "-1,2"])
+    assert ei.value.code == 1
+    assert "expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                  ["analyze", "--help"]])
+def test_help_and_version_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as ei:
+        run(argv)
+    assert ei.value.code == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("extra,code", [
+    (["--subset", "-1,2"], 1),
+    (["--max-cvs", "3"], 2),
+    (["--cycle-len", "2", "--bound-len", "2"], 0),
+])
+def test_process_exit_codes(golden_path, extra, code):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(finitype.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "finitype.cli", "analyze", "--input",
+         golden_path, *extra], env=env, capture_output=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+
+
+def test_subset_fallback_is_reported(golden_path, tmp_path, capsys):
+    out_path = tmp_path / "report.json"
+    assert run(["analyze", "--input", golden_path, "--subset=9",
+                "--json", str(out_path), "--text"]) == 0
+    text = capsys.readouterr().out
+    doc = json.loads(out_path.read_text())
+    assert doc["parameters"]["subset"] == [9]
+    # no golden class has nine neighbours, so every class fell back
+    assert [c.get("subset_fallback") for c in doc["classes"]] == \
+        [True] * len(doc["classes"])
+    assert text.count("used the automatic subsets") == len(doc["classes"])
+    # a subset valid for every class leaves no trace
+    assert run(["analyze", "--input", golden_path, "--subset=1",
+                "--json", str(out_path), "--text"]) == 0
+    assert "automatic subsets" not in capsys.readouterr().out
+    doc = json.loads(out_path.read_text())
+    assert not any("subset_fallback" in c for c in doc["classes"])
 
 
 def test_exit_code_missing_file(capsys):

@@ -1,0 +1,192 @@
+"""Cycle search: necklace generation and the screen against the exhaustive
+search it replaced.
+
+``_reference_enumerate`` is the exhaustive algorithm, kept here only as a
+reference: it walks every closed edge path, drops rotations through a set of
+canonical keys, and certifies every cycle it keeps.
+"""
+
+from collections import Counter
+from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
+
+from finitype import dimcalc
+from finitype.dimcalc import CycleEnumeration, enumerate_cycles
+from finitype.errors import ZeroRow
+from finitype.ifsmodel import cantor_ifs, uniform_probabilities, validate
+from finitype.loopclasses import classify_all, essential_class
+from finitype.netgraph import build_graph
+
+
+def _canonical_rotation(edge_path, graph, start):
+    anchors = [0]
+    for i, eidx in enumerate(edge_path[:-1]):
+        if graph.edges[eidx].child == start:
+            anchors.append(i + 1)
+    return min(edge_path[a:] + edge_path[:a] for a in anchors)
+
+
+def _reference_enumerate(graph, members, max_len):
+    ms = sorted(set(members))
+    out_internal = graph.internal_out(ms)
+    seen_keys = set()
+    found = []
+    for s in ms:
+        stack = [(s, 0, (), None)]
+        while stack:
+            v, depth, epath, prod = stack.pop()
+            for eidx, e in out_internal[v]:
+                if e.child < s:
+                    continue
+                new_prod = (e.matrix if prod is None
+                            else dimcalc.mat_mul(prod, e.matrix))
+                new_path = epath + (eidx,)
+                if e.child == s:
+                    key = _canonical_rotation(new_path, graph, s)
+                    if key not in seen_keys:
+                        seen_keys.add(key)
+                        verts = [s] + [graph.edges[ei].child for ei in new_path]
+                        found.append((tuple(verts), depth + 1, new_prod))
+                if depth + 1 < max_len:
+                    stack.append((e.child, depth + 1, new_path, new_prod))
+    dims = [dimcalc._cycle_dim_from_product(graph.model, *f) for f in found]
+    if not dims:
+        return CycleEnumeration(dims, max_len, False, *[None] * 6)
+    lo = min(dims, key=lambda c: c.per_step_lo)
+    hi = max(dims, key=lambda c: c.per_step_hi)
+    return CycleEnumeration(
+        cycles=tuple(dims), max_len=max_len, truncated=False,
+        per_step_min=lo.per_step_lo, per_step_max=hi.per_step_hi,
+        dim_min=min(c.dim_lo for c in dims),
+        dim_max=max(c.dim_hi for c in dims),
+        min_cycle=lo.vertices, max_cycle=hi.vertices)
+
+
+def _necklace(vertices):
+    """A closed vertex sequence up to rotation."""
+    ring = vertices[:-1]
+    return min(ring[i:] + ring[:i] for i in range(len(ring)))
+
+
+@pytest.fixture(scope="module")
+def cantor3_uniform_model():
+    return validate(cantor_ifs(3, 3, uniform_probabilities(3),
+                               name="cantor-r3-m3-uniform"))
+
+
+MODELS = ("golden_model", "golden_square_model", "cantor3_binomial_model",
+          "cantor3_uniform_model", "cantor5_binomial_model",
+          "cantor5_uniform_model")
+
+
+@pytest.fixture(scope="module", params=MODELS)
+def graph(request):
+    return build_graph(request.getfixturevalue(request.param))
+
+
+@pytest.mark.parametrize("max_len", range(1, 7))
+def test_matches_exhaustive_search(graph, max_len):
+    for lc in classify_all(graph):
+        got = enumerate_cycles(graph, lc.members, max_len)
+        ref = _reference_enumerate(graph, lc.members, max_len)
+        assert len(got.cycles) == len(ref.cycles)
+        assert (Counter(_necklace(c.vertices) for c in got.cycles)
+                == Counter(_necklace(c.vertices) for c in ref.cycles))
+        for field in ("truncated", "per_step_min", "per_step_max", "dim_min",
+                      "dim_max", "min_cycle", "max_cycle"):
+            assert getattr(got, field) == getattr(ref, field), field
+
+
+@pytest.fixture()
+def spectral_calls(monkeypatch):
+    calls = []
+    real = dimcalc.spectral_radius
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(matrix)
+        return real(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(dimcalc, "spectral_radius", counted)
+    return calls
+
+
+def test_ties_are_all_certified(cantor5_uniform_model, spectral_calls):
+    # every cycle of this class has the same per-step value, so each one
+    # could be the extreme and none may be skipped
+    graph = build_graph(cantor5_uniform_model)
+    enum = enumerate_cycles(graph, essential_class(graph).members, max_len=6)
+    assert len(spectral_calls) == len(enum.cycles) == 118
+
+
+def test_len_certifies_nothing_and_iteration_certifies_once(
+        cantor5_binomial_model, spectral_calls):
+    graph = build_graph(cantor5_binomial_model)
+    enum = enumerate_cycles(graph, essential_class(graph).members, max_len=6)
+    eager = len(spectral_calls)
+    assert 0 < eager < len(enum.cycles)
+    assert len(enum.cycles) == 231
+    assert len(spectral_calls) == eager
+    first = list(enum.cycles)
+    assert len(spectral_calls) == len(enum.cycles)
+    assert list(enum.cycles) == first
+    assert len(spectral_calls) == len(enum.cycles)
+
+
+def _one_vertex_graph(model, matrices):
+    """A single vertex with one self-loop per matrix."""
+    loops = [SimpleNamespace(child=1, matrix=m) for m in matrices]
+    return SimpleNamespace(model=model, edges=loops,
+                           internal_out=lambda ms: {1: list(enumerate(loops))})
+
+
+@pytest.mark.parametrize("first,other", [
+    (3, 7), (3, 1),
+    (Fraction(3 * 10 ** 12 - 9, 10 ** 12), 7),
+    (Fraction(3 * 10 ** 12 + 9, 10 ** 12), 1),
+])
+def test_near_ties_are_certified(golden_model, first, other):
+    # the second loop has spectral radius 3 and screen [3, 3], but its
+    # enclosure is about 1e-11 wide where the 1x1 loops' are exact: beside a
+    # larger third loop it sets the minimum, beside a smaller one the
+    # maximum, even when the first loop's value sits a few 1e-12 closer to
+    # the extreme than the second loop's screen
+    graph = _one_vertex_graph(golden_model, (
+        ((first,),), ((1, 2), (1, 2)), ((other,),)))
+    got = enumerate_cycles(graph, (1,), max_len=1)
+    ref = _reference_enumerate(graph, (1,), max_len=1)
+    assert (got.per_step_min, got.per_step_max) == \
+        (ref.per_step_min, ref.per_step_max)
+
+
+def test_zero_row_product_is_certified(golden_model):
+    # the middle loop's sums alone would place it strictly between the other
+    # two, but its zero row must still reach the enclosure, which rejects it
+    # exactly as certifying every cycle would
+    graph = _one_vertex_graph(golden_model, (((1, 1), (1, 1)),
+                                             ((0, 0), (3, 3)),
+                                             ((5, 5), (5, 5))))
+    with pytest.raises(ZeroRow):
+        enumerate_cycles(graph, (1,), max_len=1)
+
+
+def test_overflowing_product_is_certified(golden_model, monkeypatch):
+    # one self-loop whose entry no float can hold: the screen cannot rank it,
+    # so it must reach the certified enclosure
+    huge = ((10 ** 400,),)
+    graph = _one_vertex_graph(golden_model, (((2,),), huge))
+    seen = []
+    real = dimcalc.spectral_radius
+
+    def fake(matrix, *args, **kwargs):
+        seen.append(matrix)
+        if matrix[0][0] > 10 ** 300:
+            return 1e300, 1e300
+        return real(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(dimcalc, "spectral_radius", fake)
+    enum = enumerate_cycles(graph, (1,), max_len=1)
+    assert huge in seen
+    assert enum.per_step_max == 1e300
+    assert enum.per_step_min == pytest.approx(2)
