@@ -366,6 +366,13 @@ def _load_json(path):
 
 
 def _cmd_analyze(args) -> int:
+    for flag, value, least in (("--max-cvs", args.max_cvs, 1),
+                               ("--cycle-len", args.cycle_len, 1),
+                               ("--bound-len", args.bound_len, 1),
+                               ("--oracle-level", args.oracle_level, 0)):
+        if value < least:
+            raise InputDocumentError(
+                f"{flag}: expected an integer >= {least}, got {value}")
     subset = "auto"
     if args.subset:
         try:

@@ -16,11 +16,21 @@ reported numbers only in final roots and logarithms. Floats also screen which
 cycles the search certifies (row and column sums of the exact products, with
 a margin wider than the enclosures' width), but a screened value never
 becomes a reported one.
+
+Norm bounds never walk every admissible path. Each row- or column-sum
+functional is monotone in the row vector carried along a walk, and every
+matrix is nonnegative, so a dynamic programme over layers and vertices keeps
+at each vertex only a frontier of carried vectors: a vector dominated by a
+kept one (from above for the max functional, from below for the min ones)
+cannot set the extreme and is dropped. This is the per-vertex multinorm view
+of a joint spectral radius under constrained switching (Philippe, Essick,
+Dullerud and Jungers 2016). The bounds equal those of full enumeration.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -505,46 +515,130 @@ class NormBounds:
     functionals: dict | None = None   # per-functional aggregates, for inspection
 
 
+# How many of the vectors already kept at a vertex each candidate is checked
+# against for dominance, in order of their sums. A full Pareto filter is
+# quadratic in the frontier, and the frontiers of most Cantor classes are
+# wide sets of incomparable vectors; the first few kept vectors catch nearly
+# every dominated one.
+_DOMINANCE_WINDOW = 4
+
+
+def _prune(candidates, upper):
+    """The candidates no earlier-kept vector dominates: from above (every
+    entry >=) when ``upper``, else from below (every entry <=). Exact
+    duplicates collapse. Candidates are taken in order of their sums, the
+    largest first when ``upper``, so a dominating vector comes before the
+    vectors it dominates, and each is checked against the first
+    ``_DOMINANCE_WINDOW`` kept vectors only."""
+    holds = operator.ge if upper else operator.le
+    kept = []
+    for u in sorted(dict.fromkeys(candidates), key=sum, reverse=upper):
+        if not any(all(map(holds, w, u))
+                   for w in kept[:_DOMINANCE_WINDOW]):
+            kept.append(u)
+    return kept
+
+
+def _frontier_extreme(steps, into, starts, depth, upper, value, budget_state):
+    """Extreme of ``value`` over the last vectors of every ``depth``-step
+    walk, for one family of carried vectors, and the products it took.
+
+    ``starts`` maps each start vertex to its initial vectors. Layer by layer,
+    each vertex keeps the frontier of the vectors carried into it: the
+    candidates gathered through ``into`` (the reversed adjacency), pruned by
+    ``_prune``. The last layer goes straight into the extreme, unstored.
+    The extreme is a maximum when ``upper`` and a minimum otherwise.
+    ``value`` is nondecreasing in every entry and every matrix is
+    nonnegative, so every value a dominated vector leads to is matched or
+    beaten by the vector dominating it, and dropping it leaves the extreme
+    unchanged. One unit is charged per (frontier vector, out-edge) pair;
+    PathExplosion as soon as the charge would take ``budget_state[0]`` past
+    ``budget_state[1]``.
+    """
+    frontier = {v: _prune(vecs, upper) for v, vecs in starts.items()}
+    spent, cap = budget_state
+    charge = 0
+    for _ in range(depth - 1):
+        layer = {}
+        for w, sources in into.items():
+            cands = []
+            for v, matrix in sources:
+                vecs = frontier.get(v)
+                if vecs:
+                    charge += len(vecs)
+                    if spent + charge > cap:
+                        raise PathExplosion(cap)
+                    cands.extend(tuple(_vec_mat(u, matrix)) for u in vecs)
+            if cands:
+                layer[w] = _prune(cands, upper)
+        frontier = layer
+    best = None
+    for v, vecs in frontier.items():
+        for _, matrix in steps[v]:
+            charge += len(vecs)
+            if spent + charge > cap:
+                raise PathExplosion(cap)
+            for u in vecs:
+                x = value(_vec_mat(u, matrix))
+                if best is None or (x > best if upper else x < best):
+                    best = x
+    return best, charge
+
+
 def _norm_pass(steps, starts, depth, subsets, budget_state):
     """Column-sum functionals of every product along a ``depth``-step walk.
 
-    ``steps[v]`` lists the ``(next vertex, matrix)`` pairs leaving ``v``;
-    ``starts`` pairs each start vertex with its indicator row vectors (all
-    ones, then one per subset), which the walk multiplies by each matrix in
-    turn. Returns ``(walks, min, max, per-subset min)``: the smallest and
-    largest column sum, and for each subset the smallest of its restricted
-    column sums over its own columns. Row sums of P are the column sums of
-    P^T, so the row-sum functionals come from the same pass over the
-    reversed edges with transposed matrices. ``budget_state`` is
-    ``[steps taken, cap]``, shared by both passes; PathExplosion once the cap
-    is passed.
+    ``steps[v]`` lists the ``(next vertex, matrix)`` pairs leaving ``v``,
+    with every vertex a key; ``starts`` pairs each start vertex with its
+    indicator row vectors (all ones, then one per subset), which a walk
+    multiplies by each matrix in turn. Returns ``(walks, min, max,
+    per-subset min)``: the number of walks, the smallest and largest column
+    sum, and for each subset the smallest of its restricted column sums over
+    its own columns (None where no walk exists). Row sums of P are the
+    column sums of P^T, so the row-sum functionals come from the same pass
+    over the reversed edges with transposed matrices.
+
+    Rather than walk every path, each functional family (max, min, and one
+    min per subset) runs a dynamic programme over layers and vertices that
+    keeps, per vertex, only vectors no other kept vector dominates: from
+    above for the max, from below for the mins (``_frontier_extreme``).
+    The extremes are those of the full enumeration. The walks are counted
+    by an integer walk-count programme. ``budget_state`` is ``[units
+    charged, cap]``, shared by both passes; a pass charges the largest of
+    its families' totals, one unit per (frontier vector, out-edge) pair. A
+    family's frontier holds at most one vector per walk, so this never
+    exceeds the number of walk prefixes, and on a simple loop it equals it.
     """
-    paths = 0
-    lo = hi = None
-    sub = [None] * len(subsets)
-    for s, init in starts:
-        stack = [(s, 0, init)]
-        while stack:
-            v, d, carried = stack.pop()
-            for nxt, matrix in steps[v]:
-                budget_state[0] += 1
-                if budget_state[0] > budget_state[1]:
-                    raise PathExplosion(budget_state[1])
-                new = tuple(_vec_mat(vec, matrix) for vec in carried)
-                if d + 1 < depth:
-                    stack.append((nxt, d + 1, new))
-                    continue
-                paths += 1
-                top, bot = max(new[0]), min(new[0])
-                if hi is None or top > hi:
-                    hi = top
-                if lo is None or bot < lo:
-                    lo = bot
-                for i, idx in enumerate(subsets):
-                    val = min(new[1 + i][k - 1] for k in idx)
-                    if sub[i] is None or val < sub[i]:
-                        sub[i] = val
-    return paths, lo, hi, sub
+    into = {v: [] for v in steps}
+    for v, outs in steps.items():
+        for w, matrix in outs:
+            into[w].append((v, matrix))
+    count = dict.fromkeys(steps, 0)
+    for s, _ in starts:
+        count[s] += 1
+    for _ in range(depth):
+        nxt = dict.fromkeys(steps, 0)
+        for v, c in count.items():
+            if c:
+                for w, _ in steps[v]:
+                    nxt[w] += c
+        count = nxt
+
+    def family(i):
+        init = {}
+        for s, vecs in starts:
+            init.setdefault(s, []).append(vecs[i])
+        return init
+
+    families = [(0, True, max), (0, False, min)] + [
+        (1 + i, False, lambda vec, idx=idx: min(vec[k - 1] for k in idx))
+        for i, idx in enumerate(subsets)]
+    results = [_frontier_extreme(steps, into, family(i), depth, upper, value,
+                                 budget_state)
+               for i, upper, value in families]
+    budget_state[0] += max(charge for _, charge in results)
+    hi, lo, *sub = [best for best, _ in results]
+    return sum(count.values()), lo, hi, sub
 
 
 def norm_bounds(graph: TransitionGraph, members, depth: int, subset=None,
@@ -559,6 +653,16 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subset=None,
     subset-restricted variants; the upper bound is the smaller of max-column
     and max-row. ``subset`` holds 1-based indices valid for every member, or
     a list of such index tuples to try in the same sweep.
+
+    Each functional family runs as a per-vertex frontier programme
+    (``_norm_pass``): at every layer a vertex keeps only the carried vectors
+    that no kept vector dominates, from above for the max family and from
+    below for the min and subset-min families. The functionals and
+    ``path_count`` are those of enumerating every walk. ``path_budget`` caps
+    the units charged, one per (frontier vector, out-edge) product, summed
+    over the column-sum and row-sum passes, each pass charging the largest
+    of its families' totals; past it, PathExplosion. The charge never
+    exceeds the number of walk prefixes, and equals it on a simple loop.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -712,6 +816,19 @@ def _simple_loop_cycle(graph: TransitionGraph, members):
             return edges
 
 
+def _auto_subsets(min_neigh):
+    """The automatic subsets for a class whose members have at least
+    ``min_neigh`` neighbours: the full index set plus every contiguous window
+    of width three and two. Weak outer columns often force the full-set
+    bound to one while some interior window does not."""
+    cands = [tuple(range(1, min_neigh + 1))]
+    for width in (3, 2):
+        if min_neigh >= width:
+            cands.extend(tuple(range(s, s + width))
+                         for s in range(1, min_neigh - width + 2))
+    return cands
+
+
 def analyze_class(graph: TransitionGraph, lc: LoopClass, cycle_len: int,
                   bound_len: int, subset, cycle_budget: int,
                   path_budget: int) -> ClassDimSet:
@@ -724,16 +841,8 @@ def analyze_class(graph: TransitionGraph, lc: LoopClass, cycle_len: int,
     if explicit and not fallback:
         use_subset = tuple(subset)
     elif subset:
-        # automatic choice (also the fallback when an explicit subset is
-        # invalid for this class): the full index set plus every contiguous
-        # window of width two and three; weak outer columns often force the
-        # full-set bound to one while some interior window does not
-        cands = [tuple(range(1, min_neigh + 1))]
-        for width in (3, 2):
-            if min_neigh >= width:
-                cands.extend(tuple(range(s, s + width))
-                             for s in range(1, min_neigh - width + 2))
-        use_subset = cands
+        # also the fallback when an explicit subset is invalid for this class
+        use_subset = _auto_subsets(min_neigh)
 
     bl = bound_len
     nb = None

@@ -109,7 +109,9 @@ class SubsetInvalidForClass(FinitypeError):
 class PathExplosion(FinitypeError):
     def __init__(self, budget):
         self.budget = budget
-        super().__init__(f"admissible path enumeration exceeded budget of {budget} steps")
+        super().__init__(
+            f"norm-bound products exceeded the budget of {budget} "
+            f"(frontier vector, edge) steps")
 
 
 # --- oracle -------------------------------------------------------------------

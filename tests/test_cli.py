@@ -138,6 +138,31 @@ def test_bad_subset_rejected_before_graph(golden_path, monkeypatch, capsys,
     assert "InputDocumentError" in err and "--subset" in err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--bound-len", "0"), ("--bound-len", "-3"), ("--cycle-len", "0"),
+    ("--cycle-len", "-1"), ("--max-cvs", "0"), ("--max-cvs", "-5"),
+    ("--oracle-level", "-1"),
+])
+def test_non_positive_sizes_rejected_before_graph(golden_path, monkeypatch,
+                                                  capsys, flag, value):
+    def no_build(*args, **kwargs):
+        raise AssertionError(f"graph built before {flag} was checked")
+
+    monkeypatch.setattr(cli, "build_graph", no_build)
+    assert run(["analyze", "--input", golden_path, f"{flag}={value}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert "InputDocumentError" in lines[0] and flag in lines[0]
+
+
+def test_smallest_sizes_accepted(golden_path, capsys):
+    assert run(["analyze", "--input", golden_path, "--bound-len", "1",
+                "--cycle-len", "1", "--oracle-level", "0"]) == 0
+    assert "6 reduced characteristic vectors" in capsys.readouterr().out
+
+
 def test_usage_error_exits_1(golden_path, capsys):
     # argparse reads -1,2 as an option; the error is the input-error code,
     # not the 2 that cap and budget overflows use

@@ -4,9 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from finitype.catalog import load_document
+from finitype.cli import parse_document
 from finitype.dimcalc import (
     NormKind,
+    _auto_subsets,
+    _norm_pass,
     assemble_report,
     dim_at_zero,
     enumerate_cycles,
@@ -20,9 +26,11 @@ from finitype.dimcalc import (
 from finitype.errors import (
     EdgesNotAdmissible,
     NotACycle,
+    PathExplosion,
     SubsetInvalidForClass,
     ZeroRow,
 )
+from finitype.ifsmodel import validate
 from finitype.loopclasses import essential_class
 from finitype.netgraph import build_graph
 
@@ -40,6 +48,19 @@ def cantor5_graph(cantor5_binomial_model):
 @pytest.fixture(scope="module")
 def sixmap_graph(cantor5_uniform_model):
     return build_graph(cantor5_uniform_model)
+
+
+@pytest.fixture(scope="module")
+def plastic_graph(plastic_bc_model):
+    return build_graph(plastic_bc_model)
+
+
+@pytest.fixture(scope="module")
+def cubic_pisot_graph():
+    # rho is the root of x^3 - x^2 + 2x - 1; every essential member has a
+    # single neighbour, so the automatic subsets are just (1,)
+    doc = load_document("bc_x3_minus_x2_plus_2x_minus_1")
+    return build_graph(validate(parse_document(doc)))
 
 
 def _numpy_sp(matrix):
@@ -281,10 +302,10 @@ def test_norm_bounds_subset_validation(golden_graph):
         # vertex 6 has a single neighbour, so index 2 is invalid
 
 
-def test_norm_bounds_flavors_recorded(plastic_bc_model):
+def test_norm_bounds_flavors_recorded(plastic_graph):
     # the two flavors genuinely differ here; the combined bound keeps the
     # tighter row-sum value while the functionals expose both
-    g = build_graph(plastic_bc_model)
+    g = plastic_graph
     ess = essential_class(g)
     nb = norm_bounds(g, ess.members, depth=10)
     assert nb.functionals["max_row"] == 40
@@ -354,6 +375,166 @@ def test_cantor5_subset_norm_bounds_match_brute_force(cantor5_graph, depth):
             *ref["sub_row"].values()]
     assert nb.min_norm == max(lows)
     assert nb.max_norm == min(ref["max_col"], ref["max_row"])
+
+
+@pytest.mark.parametrize("depth", range(1, 5))
+def test_pisot_auto_subset_norm_bounds_match_brute_force(cubic_pisot_graph,
+                                                         depth):
+    g = cubic_pisot_graph
+    ess = essential_class(g)
+    subsets = _auto_subsets(min(len(g.cv(v).neighbours) for v in ess.members))
+    nb = norm_bounds(g, ess.members, depth=depth, subset=subsets)
+    ref, count = _brute_norm_functionals(g, ess.members, depth, subsets)
+    assert nb.functionals == ref
+    assert nb.path_count == count
+    lows = [ref["min_col"], ref["min_row"], *ref["sub_col"].values(),
+            *ref["sub_row"].values()]
+    assert nb.min_norm == max(lows)
+    assert nb.max_norm == min(ref["max_col"], ref["max_row"])
+
+
+# ------------------------------------------------- frontier pass and budget
+
+def _times(vec, matrix):
+    return tuple(sum(x * row[k] for x, row in zip(vec, matrix))
+                 for k in range(len(matrix[0])))
+
+
+def _brute_norm_pass(steps, starts, depth, subsets):
+    """``_norm_pass`` by walking every path, and the number of walk prefixes
+    (every walk of 1 to ``depth`` steps) that the walk takes."""
+    paths, lo, hi, sub = 0, None, None, [None] * len(subsets)
+    prefixes = 0
+    for s, init in starts:
+        layer = [(s, init)]
+        for _ in range(depth):
+            layer = [(w, tuple(_times(vec, matrix) for vec in vecs))
+                     for v, vecs in layer for w, matrix in steps[v]]
+            prefixes += len(layer)
+        for _, (full, *restricted) in layer:
+            paths += 1
+            hi = max(full) if hi is None else max(hi, max(full))
+            lo = min(full) if lo is None else min(lo, min(full))
+            for i, (idx, vec) in enumerate(zip(subsets, restricted)):
+                val = min(vec[k - 1] for k in idx)
+                sub[i] = val if sub[i] is None else min(sub[i], val)
+    return (paths, lo, hi, sub), prefixes
+
+
+@st.composite
+def _step_graphs(draw):
+    """Small multigraphs with rectangular nonnegative integer matrices: zero
+    rows and columns, parallel edges and tied vectors all come up."""
+    n = draw(st.integers(1, 4))
+    dims = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+
+    def matrix(rows, cols):
+        entries = st.lists(st.integers(0, 2), min_size=cols, max_size=cols)
+        return tuple(tuple(r) for r in draw(
+            st.lists(entries, min_size=rows, max_size=rows)))
+
+    steps = {v: [] for v in range(n)}
+    for _ in range(draw(st.integers(0, 7))):
+        v, w = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        m = matrix(dims[v], dims[w])
+        steps[v].append((w, m))
+        if draw(st.booleans()):
+            steps[v].append((w, m if draw(st.booleans())
+                             else matrix(dims[v], dims[w])))
+    width = min(dims)
+    subsets = draw(st.lists(
+        st.lists(st.integers(1, width), min_size=1, max_size=width,
+                 unique=True).map(lambda c: tuple(sorted(c))),
+        max_size=3))
+    starts = [(v, (tuple([1] * dims[v]),) + tuple(
+        tuple(1 if j + 1 in idx else 0 for j in range(dims[v]))
+        for idx in subsets)) for v in range(n)]
+    return steps, starts, subsets, draw(st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_step_graphs())
+def test_norm_pass_matches_brute_force(case):
+    steps, starts, subsets, depth = case
+    ref, prefixes = _brute_norm_pass(steps, starts, depth, subsets)
+    budget = [5, 10 ** 9]
+    assert _norm_pass(steps, starts, depth, subsets, budget) == ref
+    charge = budget[0] - 5
+    assert charge <= prefixes
+    budget = [0, charge]
+    _norm_pass(steps, starts, depth, subsets, budget)
+    assert budget[0] == charge
+    if charge:
+        with pytest.raises(PathExplosion):
+            _norm_pass(steps, starts, depth, subsets, [0, charge - 1])
+
+
+def test_norm_pass_frontier_by_hand():
+    # one vertex with three self-loops: A and B scale one coordinate each,
+    # C is the identity. After one step the max family keeps (2,1) and
+    # (1,2), which dominate (1,1) from above; the min family keeps only
+    # (1,1), which dominates both from below. After two steps the max family
+    # keeps (4,1), (1,4) and (2,2): (2,1) and (1,2) are dominated, and the
+    # (2,2) reached twice collapses. Max family 3 + 2*3 + 3*3 = 18 units, min
+    # family 3 + 3 + 3 = 9; the pass charges the larger. Walking every path
+    # takes 3 + 9 + 27 = 39 steps.
+    a, b, c = ((2, 0), (0, 1)), ((1, 0), (0, 2)), ((1, 0), (0, 1))
+    steps = {0: [(0, a), (0, b), (0, c)]}
+    starts = [(0, ((1, 1),))]
+    budget = [0, 10 ** 9]
+    assert _norm_pass(steps, starts, 3, [], budget) == (27, 1, 8, [])
+    assert budget[0] == 18
+    assert _brute_norm_pass(steps, starts, 3, [])[1] == 39
+
+
+def _explodes(graph, members, depth, subset, cap):
+    try:
+        norm_bounds(graph, members, depth, subset=subset, path_budget=cap)
+    except PathExplosion:
+        return True
+    return False
+
+
+def _charge(graph, members, depth, subset=None):
+    """The smallest ``path_budget`` under which ``norm_bounds`` runs."""
+    hi = 1
+    while _explodes(graph, members, depth, subset, hi):
+        hi *= 2
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _explodes(graph, members, depth, subset, mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _walk_prefixes(graph, members, depth):
+    """What walking every path charges: each walk of 1 to ``depth`` steps,
+    once forward and once backward."""
+    return 2 * sum(len(_internal_paths(graph, members, d))
+                   for d in range(1, depth + 1))
+
+
+@pytest.mark.parametrize("depth", [1, 3, 6])
+def test_norm_budget_charge_at_most_walk_prefixes(golden_graph,
+                                                  cubic_pisot_graph, depth):
+    for graph, subset in ((golden_graph, None), (cubic_pisot_graph, [(1,)])):
+        members = essential_class(graph).members
+        charge = _charge(graph, members, depth, subset)
+        assert charge <= _walk_prefixes(graph, members, depth)
+        assert _explodes(graph, members, depth, subset, charge - 1)
+        assert not _explodes(graph, members, depth, subset, charge)
+
+
+@pytest.mark.parametrize("depth", [1, 4, 7])
+def test_norm_budget_charge_on_simple_loop(plastic_graph, depth):
+    members = (22, 30)  # a simple loop through two vertices
+    charge = _charge(plastic_graph, members, depth, [(1,)])
+    assert charge == _walk_prefixes(plastic_graph, members, depth)
+    assert charge == 2 * len(members) * depth
+    assert _explodes(plastic_graph, members, depth, [(1,)], charge - 1)
 
 
 # ---------------------------------------------------------------- reports
