@@ -1,66 +1,14 @@
 """Shipped example inputs: every analyzed configuration as an input document.
 
-The JSON files under ``finitype/data`` are generated from the builders here
-and shipped as package data so the CLI can be pointed straight at them; a
-test pins the two representations together.
+The JSON files under ``finitype/data`` are the catalog. They ship as package
+data so the CLI can be pointed straight at them, and an example's name is
+its file name without the ``.json`` suffix.
 """
 
 from __future__ import annotations
 
 import json
 from importlib import resources
-
-
-def _bc(name, minpoly, interval):
-    """Two-map uniform convolution with translations {0, 1 - rho}."""
-    return {
-        "name": name,
-        "rho": {"minpoly": list(minpoly), "interval": [interval[0], interval[1]]},
-        "translations": [["0"], ["1", "-1"]],
-        "probabilities": "uniform",
-    }
-
-
-def _cantor(m, probabilities, suffix):
-    return {
-        "name": f"cantor-r3-m{m}-{suffix}",
-        "rho": {"minpoly": [-1, 3], "interval": ["1/4", "1/2"]},
-        "translations": [[f"{2 * j}/{3 * m}"] for j in range(m + 1)],
-        "probabilities": probabilities,
-    }
-
-
-def build_documents() -> dict[str, dict]:
-    docs = {}
-    docs["golden"] = _bc("golden", [-1, 1, 1], ("1/2", "7/10"))
-    for m in range(3, 11):
-        docs[f"cantor_r3_m{m}_binomial"] = _cantor(
-            m, {"binomial_convolution": m}, "binomial")
-    docs["bc_x3_plus_x_minus_1"] = _bc(
-        "bc-x3+x-1", [-1, 1, 0, 1], ("3/5", "7/10"))
-    docs["bc_x3_plus_x2_minus_1"] = _bc(
-        "bc-x3+x2-1", [-1, 0, 1, 1], ("7/10", "4/5"))
-    docs["bc_x3_minus_x2_plus_2x_minus_1"] = _bc(
-        "bc-x3-x2+2x-1", [-1, 2, -1, 1], ("1/2", "3/5"))
-    docs["bc_x3_plus_x2_plus_x_minus_1"] = _bc(
-        "bc-x3+x2+x-1", [-1, 1, 1, 1], ("1/2", "3/5"))
-    docs["bc_x4_minus_2x2_minus_x_plus_1"] = _bc(
-        "bc-x4-2x2-x+1", [1, -1, -2, 0, 1], ("1/2", "11/20"))
-    docs["bc_x4_minus_x3_plus_2x_minus_1"] = _bc(
-        "bc-x4-x3+2x-1", [-1, 2, 0, -1, 1], ("1/2", "11/20"))
-    docs["bc_x4_plus_x3_plus_x2_plus_x_minus_1"] = _bc(
-        "bc-x4+x3+x2+x-1", [-1, 1, 1, 1, 1], ("1/2", "11/20"))
-    docs["bc_x4_plus_x_minus_1"] = _bc(
-        "bc-x4+x-1", [-1, 1, 0, 0, 1], ("7/10", "3/4"))
-    docs["golden_square"] = {
-        "name": "golden-convolution-square",
-        "rho": {"minpoly": [-1, 1, 1], "interval": ["1/2", "7/10"]},
-        "translations": [["0"], ["1/2", "-1/2"], ["1", "-1"]],
-        "probabilities": ["1/4", "1/2", "1/4"],
-    }
-    for m in (3, 4, 5):
-        docs[f"cantor_r3_m{m}_uniform"] = _cantor(m, "uniform", "uniform")
-    return docs
 
 
 # graphs too large for the default suite; analyzed only under the slow marker
@@ -88,7 +36,10 @@ CENSUS = {
 
 
 def example_names() -> list[str]:
-    return sorted(build_documents())
+    """Names of the shipped documents, sorted."""
+    return sorted(ref.name.removesuffix(".json")
+                  for ref in resources.files("finitype.data").iterdir()
+                  if ref.name.endswith(".json"))
 
 
 def load_document(name: str) -> dict:
@@ -97,16 +48,3 @@ def load_document(name: str) -> dict:
     with ref.open("r", encoding="utf-8") as fh:
         return json.load(fh)
 
-
-def write_all(directory) -> list[str]:
-    """Materialize every example document as JSON under ``directory``."""
-    import pathlib
-
-    out = []
-    root = pathlib.Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
-    for name, doc in sorted(build_documents().items()):
-        path = root / f"{name}.json"
-        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-        out.append(str(path))
-    return out

@@ -49,7 +49,8 @@ from .oracle import check_graph_against_oracle
 
 def _frac(value, where):
     try:
-        if isinstance(value, str) or isinstance(value, int):
+        # a JSON boolean parses as a bool, which Python counts as an int
+        if isinstance(value, str) or type(value) is int:
             return Fraction(value)
     except (ValueError, ZeroDivisionError):
         pass
@@ -67,7 +68,7 @@ def parse_document(doc: dict) -> Ifs:
     if not isinstance(rho, dict) or "minpoly" not in rho or "interval" not in rho:
         raise InputDocumentError("rho: need an object with minpoly and interval")
     minpoly = rho["minpoly"]
-    if not isinstance(minpoly, list) or not all(isinstance(c, int) for c in minpoly):
+    if not isinstance(minpoly, list) or not all(type(c) is int for c in minpoly):
         raise InputDocumentError("rho.minpoly: expected a list of integers")
     interval = rho["interval"]
     if not isinstance(interval, list) or len(interval) != 2:
@@ -97,10 +98,10 @@ def parse_document(doc: dict) -> Ifs:
         p = uniform_probabilities(m)
     elif isinstance(probs, dict) and set(probs) == {"binomial_convolution"}:
         k = probs["binomial_convolution"]
-        if not isinstance(k, int) or k != m:
+        if type(k) is not int or k != m:
             raise InputDocumentError(
-                f"probabilities.binomial_convolution: must equal the map "
-                f"count minus one ({m})")
+                f"probabilities.binomial_convolution: expected the integer "
+                f"{m}, the map count minus one, got {k!r}")
         p = binomial_convolution_probabilities(m)
     elif isinstance(probs, list):
         if len(probs) != m + 1:

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .ifsmodel import Model
 from .loopclasses import LoopClass, classify_all, strongly_connected_components
-from .netgraph import TransitionGraph
+from .netgraph import TransitionGraph, vec_mat
 
 _EXACT_SQRT_SCALE = 10 ** 40
 
@@ -54,22 +54,9 @@ _EXACT_SQRT_SCALE = 10 ** 40
 # small exact matrix helpers
 # ----------------------------------------------------------------------------
 
-def _vec_mat(v, M):
-    """Row vector times matrix, exactly; the one product kernel."""
-    K = len(M[0])
-    acc = [0] * K
-    for j, x in enumerate(v):
-        if x:
-            row = M[j]
-            for k in range(K):
-                if row[k]:
-                    acc[k] += x * row[k]
-    return acc
-
-
 def mat_mul(A, B):
     """Product of two row-tuple matrices with exact entries."""
-    return tuple([tuple(_vec_mat(row, B)) for row in A])
+    return tuple([tuple(vec_mat(row, B)) for row in A])
 
 
 def product_along(edges):
@@ -115,7 +102,7 @@ def _iter_bounds(A, n, rel_tol, max_iter):
     lo = Fraction(0)
     hi = None
     for _ in range(max_iter):
-        w = _vec_mat(v, A)
+        w = vec_mat(v, A)
         ratios = [Fraction(w[i], v[i]) for i in range(n)]
         lo, hi = min(ratios), max(ratios)
         if hi - lo <= rel_tol * hi:
@@ -219,6 +206,16 @@ def dim_at_zero(model: Model) -> float:
     return _flog(p0) / log_rho(model)
 
 
+def _dim_range(model: Model, per_lo: float, per_hi: float):
+    """(dim_lo, dim_hi) for per-step spectral values in [per_lo, per_hi];
+    the larger value gives the smaller dimension, and 0 gives infinity."""
+    lr = log_rho(model)
+    lp0 = _flog(model.probabilities[0])
+    dim_lo = (lp0 + math.log(per_hi)) / lr
+    dim_hi = (lp0 + math.log(per_lo)) / lr if per_lo > 0 else math.inf
+    return dim_lo, dim_hi
+
+
 @dataclass(frozen=True)
 class CycleDim:
     vertices: tuple[int, ...]     # closed: first == last
@@ -254,10 +251,7 @@ def _cycle_dim_from_product(model, vertices, L, P) -> CycleDim:
     sp_lo, sp_hi = spectral_radius(P)
     per_lo = sp_lo ** (1.0 / L)
     per_hi = sp_hi ** (1.0 / L)
-    lr = log_rho(model)
-    lp0 = _flog(model.probabilities[0])
-    dim_hi = (lp0 + math.log(per_lo)) / lr if per_lo > 0 else math.inf
-    dim_lo = (lp0 + math.log(per_hi)) / lr
+    dim_lo, dim_hi = _dim_range(model, per_lo, per_hi)
     return CycleDim(vertices=vertices, length=L, sp_lo=sp_lo, sp_hi=sp_hi,
                     per_step_lo=per_lo, per_step_hi=per_hi,
                     dim_lo=dim_lo, dim_hi=dim_hi)
@@ -568,7 +562,7 @@ def _frontier_extreme(steps, into, starts, depth, upper, value, budget_state):
                     charge += len(vecs)
                     if spent + charge > cap:
                         raise PathExplosion(cap)
-                    cands.extend(tuple(_vec_mat(u, matrix)) for u in vecs)
+                    cands.extend(tuple(vec_mat(u, matrix)) for u in vecs)
             if cands:
                 layer[w] = _prune(cands, upper)
         frontier = layer
@@ -579,7 +573,7 @@ def _frontier_extreme(steps, into, starts, depth, upper, value, budget_state):
             if spent + charge > cap:
                 raise PathExplosion(cap)
             for u in vecs:
-                x = value(_vec_mat(u, matrix))
+                x = value(vec_mat(u, matrix))
                 if best is None or (x > best if upper else x < best):
                     best = x
     return best, charge
@@ -711,10 +705,7 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subset=None,
     hi_best = min(max_col, max_row)
     g_lo = math.exp(_flog(lo_best) / depth) if lo_best > 0 else 0.0
     g_hi = math.exp(_flog(hi_best) / depth)
-    lr = log_rho(graph.model)
-    lp0 = _flog(graph.model.probabilities[0])
-    dim_lo = (lp0 + math.log(g_hi)) / lr
-    dim_hi = (lp0 + math.log(g_lo)) / lr if g_lo > 0 else math.inf
+    dim_lo, dim_hi = _dim_range(graph.model, g_lo, g_hi)
     functionals = {
         "min_col": min_col, "max_col": max_col,
         "min_row": min_row, "max_row": max_row,

@@ -117,10 +117,10 @@ def maximal_loop_classes(graph: TransitionGraph) -> list[LoopClass]:
     return classes
 
 
-def essential_class(graph: TransitionGraph) -> LoopClass:
-    """The unique maximal class closed under taking children."""
+def _child_closed(graph, classes) -> LoopClass:
+    """The one class among ``classes`` closed under taking children."""
     candidates = []
-    for c in maximal_loop_classes(graph):
+    for c in classes:
         members = set(c.members)
         if all(e.child in members for v in c.members for e in graph.out_edges(v)):
             candidates.append(c)
@@ -128,7 +128,12 @@ def essential_class(graph: TransitionGraph) -> LoopClass:
         raise EssentialClassNotUnique(
             f"{len(candidates)} child-closed loop classes found; the reduced "
             f"graph is malformed")
-    c = candidates[0]
+    return candidates[0]
+
+
+def essential_class(graph: TransitionGraph) -> LoopClass:
+    """The unique maximal class closed under taking children."""
+    c = _child_closed(graph, maximal_loop_classes(graph))
     return LoopClass(members=c.members, is_essential=True)
 
 
@@ -146,17 +151,26 @@ def positivity_certificate(graph: TransitionGraph, members,
     The pattern space is finite, so exhaustion proves NOT_POSITIVE; UNKNOWN
     only arises past ``max_len`` or ``state_cap``.
 
-    ``edges`` restricts the walk to an explicit edge subset; by default every
-    edge between members is allowed. Restricting is how sub-loops that differ
-    only in the choice among parallel edges can be probed. (The one-start
-    shortcut is then skipped, since a restricted edge set may break the
-    row/column structure the extension argument needs.)
+    ``edges`` restricts the walk to an explicit edge subset, each edge joining
+    two members (else ValueError); by default every edge between members is
+    allowed. Restricting is how sub-loops that differ only in the choice
+    among parallel edges can be probed. (The one-start shortcut is then
+    skipped, since a restricted edge set may break the row/column structure
+    the extension argument needs.)
     """
     members = tuple(sorted(members))
     restricted = edges is not None
-    edges = list(edges) if restricted else [
-        e for out in graph.internal_out(members).values() for _, e in out]
-    if not edges:
+    if restricted:
+        # the same (position, edge) pairs internal_out gives, grouped by parent
+        out_internal = {v: [] for v in members}
+        for i, e in enumerate(edges):
+            if e.parent not in out_internal or e.child not in out_internal:
+                raise ValueError(f"edge {e.parent} -> {e.child} leaves the "
+                                 f"class {list(members)}")
+            out_internal[e.parent].append((i, e))
+    else:
+        out_internal = graph.internal_out(members)
+    if not any(out_internal.values()):
         return PositivityResult(Positivity.NOT_POSITIVE, exhausted_length=0)
 
     # boolean row masks per edge matrix
@@ -168,19 +182,16 @@ def positivity_certificate(graph: TransitionGraph, members,
         want = (1 << K) - 1
         return all(r == want for r in rows)
 
-    out_internal = {v: [e for e in edges if e.parent == v] for v in members}
-    edge_masks = {}
-    for v in members:
-        for e in out_internal[v]:
-            edge_masks[id(e)] = masks(e.matrix)
+    edge_masks = {id(e): masks(e.matrix)
+                  for out in out_internal.values() for _, e in out}
 
     starts = members if restricted else (min(members),)
     seen = {}
     parent = {}
     layer = deque()
     for s in starts:
-        for e in out_internal[s]:
-            rows, K = masks(e.matrix)
+        for _, e in out_internal[s]:
+            rows, K = edge_masks[id(e)]
             state = (e.parent, e.child, rows)
             if full(rows, K):
                 return PositivityResult(Positivity.POSITIVE,
@@ -200,7 +211,7 @@ def positivity_certificate(graph: TransitionGraph, members,
         while layer:
             state = layer.popleft()
             s, mid, rows = state
-            for e in out_internal[mid]:
+            for _, e in out_internal[mid]:
                 emasks, K = edge_masks[id(e)]
                 new_rows = tuple(
                     _or_rows(r, emasks) for r in rows)
@@ -255,18 +266,13 @@ def _simple_loop(graph, members) -> bool:
 
 
 def classify_all(graph: TransitionGraph,
-                 state_cap: int = 500_000,
-                 positivity_max_len: int | None = None) -> list[LoopClass]:
+                 state_cap: int = 500_000) -> list[LoopClass]:
     """Maximal classes with essential, simple-loop and positivity flags set."""
-    essential = essential_class(graph)
-    out = []
-    for c in maximal_loop_classes(graph):
-        is_ess = c.members == essential.members
-        simple = _simple_loop(graph, c.members)
-        pos = positivity_certificate(graph, c.members,
-                                     max_len=positivity_max_len,
-                                     state_cap=state_cap)
-        out.append(LoopClass(members=c.members, is_maximal=True,
-                             is_essential=is_ess, is_simple_loop=simple,
-                             positivity=pos))
-    return out
+    classes = maximal_loop_classes(graph)
+    essential = _child_closed(graph, classes)
+    return [LoopClass(members=c.members, is_maximal=True,
+                      is_essential=c is essential,
+                      is_simple_loop=_simple_loop(graph, c.members),
+                      positivity=positivity_certificate(graph, c.members,
+                                                        state_cap=state_cap))
+            for c in classes]

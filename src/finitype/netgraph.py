@@ -50,9 +50,18 @@ class TransitionEdge:
     multiplicity: int
     offsets: tuple[FieldElement, ...]
 
-    @property
-    def child_offset(self) -> FieldElement:
-        return self.offsets[0]
+
+def vec_mat(v, M):
+    """Row vector times an edge matrix, exactly; the one product kernel."""
+    K = len(M[0])
+    acc = [0] * K
+    for j, x in enumerate(v):
+        if x:
+            row = M[j]
+            for k in range(K):
+                if row[k]:
+                    acc[k] += x * row[k]
+    return acc
 
 
 class TransitionGraph:
@@ -176,7 +185,6 @@ def build_graph(model: Model, cap_cvs: int = 10000) -> TransitionGraph:
         vid = queue.popleft()
         raw = children(cvs[vid - 1], model)
         merged: dict = {}
-        order = []
         for cv, matrix, t in raw:
             ck = cv.key()
             child_id = ids.get(ck)
@@ -187,14 +195,8 @@ def build_graph(model: Model, cap_cvs: int = 10000) -> TransitionGraph:
                 child_id = len(cvs)
                 ids[ck] = child_id
                 queue.append(child_id)
-            ek = (child_id, matrix)
-            if ek in merged:
-                merged[ek].append(t)
-            else:
-                merged[ek] = [t]
-                order.append(ek)
-        for (child_id, matrix) in order:
-            offs = merged[(child_id, matrix)]
+            merged.setdefault((child_id, matrix), []).append(t)
+        for (child_id, matrix), offs in merged.items():
             edges.append(TransitionEdge(
                 parent=vid, child=child_id, matrix=matrix,
                 multiplicity=len(offs), offsets=tuple(offs)))

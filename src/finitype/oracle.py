@@ -1,11 +1,14 @@
 """Independent brute-force check of the graph pipeline on small instances.
 
-Everything here is computed straight from the definitions by enumerating all
-words of a given length in exact field arithmetic: level endpoints, net
-intervals, neighbour sets, and the normalized weight vectors. None of it
-touches the graph code, so exact agreement between the two is meaningful.
-Points and neighbour offsets are ordered by the exact enclosure sort, never
-by the float proposal that the graph closure's ``sort_unique`` tries first.
+The brute-force side, ``brute_level``, is computed straight from the
+definitions by enumerating all words of a given length in exact field
+arithmetic: level endpoints, net intervals, neighbour sets, and the
+normalized weight vectors. None of it touches the graph code, so exact
+agreement between the two is meaningful. Points and neighbour offsets are
+ordered by the exact enclosure sort, never by the float proposal that the
+graph closure's ``sort_unique`` tries first. The graph side,
+``expand_graph``, multiplies edge matrices with ``netgraph.vec_mat``, the
+product kernel the dimension code uses too.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 from .errors import BudgetExceeded, Mismatch
 from .exactfield import FieldElement, _enclosure_sort
 from .ifsmodel import Model
-from .netgraph import TransitionGraph
+from .netgraph import TransitionGraph, vec_mat
 
 
 @dataclass(frozen=True)
@@ -113,24 +116,12 @@ def expand_graph(model: Model, graph: TransitionGraph, n: int):
         nxt = []
         for vid, left, q in level:
             for e in graph.out_edges(vid):
-                nq = _vec_times_matrix(q, e.matrix)
+                nq = vec_mat(q, e.matrix)
                 for off in e.offsets:
                     nxt.append((e.child, left + scale * off, nq))
         level = nxt
         scale = scale * rho
     return level
-
-
-def _vec_times_matrix(v, M):
-    K = len(M[0])
-    out = [Fraction(0)] * K
-    for j, x in enumerate(v):
-        if x:
-            row = M[j]
-            for k in range(K):
-                if row[k]:
-                    out[k] += x * row[k]
-    return tuple(out)
 
 
 def check_graph_against_oracle(model: Model, graph: TransitionGraph, n: int,

@@ -30,6 +30,15 @@ def golden_square_ifs():
                name="golden-convolution-square")
 
 
+def golden_square_skewed_ifs():
+    """golden_square's translations with weights 2/7, 3/7, 2/7: still regular
+    (first and last equal), but the edge matrices get Fraction entries."""
+    ifs = golden_square_ifs()
+    return Ifs(field=ifs.field, translations=ifs.translations,
+               probabilities=(Fraction(2, 7), Fraction(3, 7), Fraction(2, 7)),
+               name="golden-square-skewed")
+
+
 def bernoulli_ifs(minpoly, interval, name=None):
     f = make_field(minpoly, interval)
     return Ifs(field=f, translations=(f.zero, f.one - f.rho()),
@@ -44,6 +53,11 @@ def golden_model():
 @pytest.fixture(scope="session")
 def golden_square_model():
     return validate(golden_square_ifs())
+
+
+@pytest.fixture(scope="session")
+def golden_square_skewed_model():
+    return validate(golden_square_skewed_ifs())
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ import pytest
 import finitype
 
 from finitype import cli
-from finitype.catalog import build_documents, example_names, load_document
+from finitype.catalog import example_names, load_document
 from finitype.cli import (
     document_from_ifs,
     parse_document,
@@ -30,12 +30,6 @@ def golden_path(tmp_path):
     p = tmp_path / "golden.json"
     p.write_text(json.dumps(load_document("golden")))
     return str(p)
-
-
-def test_catalog_files_match_builders():
-    for name, doc in build_documents().items():
-        assert load_document(name) == doc, name
-    assert len(example_names()) == 21
 
 
 def test_parse_document_roundtrip():
@@ -64,6 +58,28 @@ def test_parse_document_field_errors(mutilate, field):
     with pytest.raises(InputDocumentError) as ei:
         parse_document(doc)
     assert field in str(ei.value)
+
+
+@pytest.mark.parametrize("mutilate,field", [
+    (lambda d: d["rho"].__setitem__("minpoly", [-1, True, True]),
+     "rho.minpoly"),
+    (lambda d: d["rho"].__setitem__("interval", [False, "7/10"]),
+     "rho.interval[0]"),
+    (lambda d: d.__setitem__("translations", [[False], ["1", "-1"]]),
+     "translations[0][0]"),
+    (lambda d: d.__setitem__("probabilities", {"binomial_convolution": True}),
+     "probabilities.binomial_convolution"),
+    (lambda d: d.__setitem__("probabilities", [True, "1/2"]),
+     "probabilities[0]"),
+])
+def test_json_booleans_are_not_integers(tmp_path, capsys, mutilate, field):
+    doc = load_document("golden")
+    mutilate(doc)
+    p = tmp_path / "bool.json"
+    p.write_text(json.dumps(doc))
+    assert run(["analyze", "--input", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "InputDocumentError" in err and field in err
 
 
 def test_analyze_text(golden_path, capsys):
@@ -258,6 +274,7 @@ def test_analyze_irregular_flag(tmp_path, capsys):
 
 
 def test_every_shipped_example_parses():
+    assert len(example_names()) == 21
     for name in example_names():
         ifs = parse_document(load_document(name))
         validate(ifs)

@@ -56,6 +56,11 @@ def plastic_graph(plastic_bc_model):
 
 
 @pytest.fixture(scope="module")
+def skewed_graph(golden_square_skewed_model):
+    return build_graph(golden_square_skewed_model)
+
+
+@pytest.fixture(scope="module")
 def cubic_pisot_graph():
     # rho is the root of x^3 - x^2 + 2x - 1; every essential member has a
     # single neighbour, so the automatic subsets are just (1,)
@@ -391,6 +396,17 @@ def test_pisot_auto_subset_norm_bounds_match_brute_force(cubic_pisot_graph,
             *ref["sub_row"].values()]
     assert nb.min_norm == max(lows)
     assert nb.max_norm == min(ref["max_col"], ref["max_row"])
+
+
+@pytest.mark.parametrize("depth", range(1, 4))
+def test_fractional_weight_norm_bounds_match_brute_force(skewed_graph, depth):
+    g = skewed_graph
+    ess = essential_class(g)
+    assert len(ess.members) == 11
+    nb = norm_bounds(g, ess.members, depth=depth)
+    ref, count = _brute_norm_functionals(g, ess.members, depth, [])
+    assert nb.functionals == ref
+    assert nb.path_count == count
 
 
 # ------------------------------------------------- frontier pass and budget

@@ -2,6 +2,7 @@
 
 import pytest
 
+from finitype import loopclasses
 from finitype.errors import EssentialClassNotUnique
 from finitype.loopclasses import (
     Positivity,
@@ -79,6 +80,16 @@ def test_golden_nonmaximal_subclass_not_positive(golden_graph):
     assert res2.verdict is Positivity.POSITIVE
 
 
+@pytest.mark.parametrize("ends", [[(3, 5), (5, 6)], [(3, 5), (6, 3)]])
+def test_restricted_positivity_rejects_edges_leaving_class(golden_graph, ends):
+    # 5 -> 6 leaves the class (3, 5) through its child, 6 -> 3 through its
+    # parent; neither may end up in a witness
+    g = golden_graph
+    edges = [next(e for e in g.out_edges(a) if e.child == b) for a, b in ends]
+    with pytest.raises(ValueError):
+        positivity_certificate(g, (3, 5), edges=edges)
+
+
 def test_trivial_selfloop_positive(golden_graph):
     res = positivity_certificate(golden_graph, (2,))
     assert res.verdict is Positivity.POSITIVE
@@ -114,6 +125,21 @@ def test_classify_all_sixmap(sixmap_graph):
     assert by_members[(4, 5)].is_essential
     assert by_members[(4, 5)].positive
     assert by_members[(2,)].is_simple_loop and by_members[(7,)].is_simple_loop
+
+
+def test_classify_all_runs_one_scc_pass(golden_graph, sixmap_graph,
+                                        monkeypatch):
+    calls = []
+    real = loopclasses.strongly_connected_components
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(loopclasses, "strongly_connected_components", counted)
+    for g in (golden_graph, sixmap_graph):
+        classify_all(g)
+    assert calls == [len(golden_graph), len(sixmap_graph)]
 
 
 def test_essential_is_terminal_scc(golden_graph, sixmap_graph):

@@ -76,6 +76,17 @@ def test_graph_matches_oracle_golden_square(golden_square_model):
     check_graph_against_oracle(golden_square_model, g, 3)
 
 
+def test_graph_matches_oracle_fractional_weights(golden_square_skewed_model):
+    # the only graph here whose edge matrices have non-integer entries
+    model = golden_square_skewed_model
+    g = build_graph(model)
+    assert len(g) == 40
+    assert any(type(x) is Fraction for e in g.edges for row in e.matrix
+               for x in row)
+    for n in range(1, 5):
+        check_graph_against_oracle(model, g, n)
+
+
 def test_fault_injection_detected(golden_model):
     g = build_graph(golden_model)
     # corrupt one entry of one primitive matrix
