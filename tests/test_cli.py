@@ -32,6 +32,31 @@ def golden_path(tmp_path):
     return str(p)
 
 
+def test_catalog_files_match_builders():
+    """Each shipped JSON file is the document of the family its name names."""
+    names = example_names()
+    assert len(names) == 21
+    for name in names:
+        doc = load_document(name)
+        if name.startswith("bc_"):
+            assert doc["name"] == name.replace("_plus_", "+").replace(
+                "_minus_", "-").replace("_", "-"), name
+            assert doc["translations"] == [["0"], ["1", "-1"]], name
+            assert doc["probabilities"] == "uniform", name
+        elif name.startswith("cantor_r3_m"):
+            m, kind = name.removeprefix("cantor_r3_m").split("_")
+            m = int(m)
+            assert doc == {
+                "name": f"cantor-r3-m{m}-{kind}",
+                "rho": {"minpoly": [-1, 3], "interval": ["1/4", "1/2"]},
+                "translations": [[f"{2 * j}/{3 * m}"] for j in range(m + 1)],
+                "probabilities": ({"binomial_convolution": m}
+                                  if kind == "binomial" else "uniform"),
+            }, name
+        else:
+            assert name in ("golden", "golden_square"), name
+
+
 def test_parse_document_roundtrip():
     ifs = parse_document(load_document("golden_square"))
     doc2 = document_from_ifs(ifs)
@@ -274,7 +299,6 @@ def test_analyze_irregular_flag(tmp_path, capsys):
 
 
 def test_every_shipped_example_parses():
-    assert len(example_names()) == 21
     for name in example_names():
         ifs = parse_document(load_document(name))
         validate(ifs)
