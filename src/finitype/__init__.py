@@ -3,7 +3,7 @@ local-dimension bounds."""
 
 __version__ = "0.1.0"
 
-from .exactfield import NumberField, FieldElement, make_field, compare, to_decimal
+from .exactfield import NumberField, FieldElement, compare, to_decimal
 from .ifsmodel import Ifs, Model, validate, uniform_probabilities, \
     binomial_convolution_probabilities, cantor_ifs, rescale
 from .netgraph import CharacteristicVector, TransitionEdge, TransitionGraph, \
@@ -18,7 +18,7 @@ from .closedforms import CantorParams, bhm_min_formula, bhm_max_formula, \
 from .oracle import brute_level, check_graph_against_oracle
 
 __all__ = [
-    "NumberField", "FieldElement", "make_field", "compare", "to_decimal",
+    "NumberField", "FieldElement", "compare", "to_decimal",
     "Ifs", "Model", "validate", "uniform_probabilities",
     "binomial_convolution_probabilities", "cantor_ifs", "rescale",
     "CharacteristicVector", "TransitionEdge", "TransitionGraph",

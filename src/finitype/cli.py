@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 from fractions import Fraction
 
 from . import __version__
@@ -153,7 +155,8 @@ def report_to_document(report: DimensionReport, parameters: dict) -> dict:
             "is_essential": lc.is_essential,
             "is_maximal": lc.is_maximal,
             "simple_loop": lc.is_simple_loop,
-            "positivity": lc.positivity.verdict.value if lc.positivity else None,
+            "positivity": (lc.positivity.verdict.value
+                           if lc.positivity is not None else None),
             "certified_interval": cs.certified_interval,
             "spectral_range_inner": _pair(cs.spectral_inner),
             "spectral_range_outer": _pair(cs.spectral_outer),
@@ -422,14 +425,15 @@ def _cmd_analyze(args) -> int:
 
 
 def _write_atomic(path, text):
-    import os
-    import tempfile
-
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".finitype-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -48,6 +48,7 @@ from .loopclasses import LoopClass, classify_all, strongly_connected_components
 from .netgraph import TransitionGraph, vec_mat
 
 _EXACT_SQRT_SCALE = 10 ** 40
+_REL_TOL = Fraction(1, 10 ** 10)   # relative width of a converged enclosure
 
 
 # ----------------------------------------------------------------------------
@@ -95,30 +96,22 @@ def _sqrt_bounds(f: Fraction, lower: bool) -> Fraction:
     return Fraction(root, _EXACT_SQRT_SCALE)
 
 
-def _iter_bounds(A, n, rel_tol, max_iter):
+def _iter_bounds(A):
     """Collatz-Wielandt enclosure of sp(A) for A nonnegative with positive
     diagonal (so aperiodic on each irreducible piece); A is used as given."""
-    v = [1] * n
-    lo = Fraction(0)
-    hi = None
-    for _ in range(max_iter):
+    v = [1] * len(A)
+    for _ in range(300):
         w = vec_mat(v, A)
-        ratios = [Fraction(w[i], v[i]) for i in range(n)]
+        ratios = [Fraction(x, y) for x, y in zip(w, v)]
         lo, hi = min(ratios), max(ratios)
-        if hi - lo <= rel_tol * hi:
-            return lo, hi
+        if hi - lo <= _REL_TOL / 4 * hi:
+            break
         v = _rescale_positive(w)
     return lo, hi
 
 
 def _rescale_positive(w):
     """Round a positive rational vector to bounded integers; keeps positivity."""
-    if all(isinstance(x, int) for x in w):
-        top = max(w)
-        if top.bit_length() > 512:
-            shift = top.bit_length() - 256
-            return [max(1, x >> shift) for x in w]
-        return list(w)
     scale = 1
     for x in w:
         if isinstance(x, Fraction):
@@ -131,32 +124,30 @@ def _rescale_positive(w):
     return ints
 
 
-def _block_spectral_bounds(block, rel_tol):
-    """Certified enclosure of sp(block) for an irreducible nonnegative block."""
+def _block_spectral_bounds(block):
+    """Certified enclosure of sp(block) for an irreducible nonnegative block;
+    repeated squaring accelerates a slowly mixing block, up to 2 ** 6."""
     n = len(block)
     if n == 1:
         x = Fraction(block[0][0])
         return x, x
     # unit shift removes periodicity; sp(block + I) = sp(block) + 1
-    shifted = tuple(tuple(block[i][j] + (1 if i == j else 0) for j in range(n))
-                    for i in range(n))
-    exponent = 0  # bounds computed for sp(shifted ** (2 ** exponent))
-    A = shifted
+    A = tuple(tuple(block[i][j] + (1 if i == j else 0) for j in range(n))
+              for i in range(n))
+    exponent = 0  # A is (block + I) ** (2 ** exponent)
     while True:
-        lo, hi = _iter_bounds(A, n, rel_tol / 4, max_iter=300)
+        lo, hi = _iter_bounds(A)
         for _ in range(exponent):
             lo = _sqrt_bounds(lo, lower=True)
             hi = _sqrt_bounds(hi, lower=False)
         lo, hi = lo - 1, hi - 1
-        if hi <= 0 or hi - lo <= rel_tol * hi:
-            return max(lo, Fraction(0)), max(hi, Fraction(0))
-        if exponent >= 6:
+        if hi <= 0 or hi - lo <= _REL_TOL * hi or exponent >= 6:
             return max(lo, Fraction(0)), max(hi, Fraction(0))
         A = mat_mul(A, A)
         exponent += 1
 
 
-def spectral_radius(matrix, rel_tol: Fraction = Fraction(1, 10 ** 10)):
+def spectral_radius(matrix):
     """Certified enclosure (lo, hi) of the largest eigenvalue modulus.
 
     The matrix must be square and nonnegative with no all-zero row. Reducible
@@ -183,7 +174,7 @@ def spectral_radius(matrix, rel_tol: Fraction = Fraction(1, 10 ** 10)):
         if len(idx) == 1 and not matrix[idx[0]][idx[0]]:
             continue  # transient vertex, contributes 0
         block = tuple(tuple(matrix[i][j] for j in idx) for i in idx)
-        lo, hi = _block_spectral_bounds(block, rel_tol)
+        lo, hi = _block_spectral_bounds(block)
         best_lo = max(best_lo, lo)
         best_hi = max(best_hi, hi)
     lo_f = math.nextafter(float(best_lo), -math.inf)
@@ -195,21 +186,16 @@ def spectral_radius(matrix, rel_tol: Fraction = Fraction(1, 10 ** 10)):
 # dimensions of periodic points
 # ----------------------------------------------------------------------------
 
-def log_rho(model: Model) -> float:
-    return math.log(float(model.rho()))
-
-
 def dim_at_zero(model: Model) -> float:
     """log p_0 / log rho: the dimension at the support's left endpoint,
     always the largest attainable value."""
-    p0 = model.probabilities[0]
-    return _flog(p0) / log_rho(model)
+    return _dim_range(model, 1.0, 1.0)[0]
 
 
 def _dim_range(model: Model, per_lo: float, per_hi: float):
     """(dim_lo, dim_hi) for per-step spectral values in [per_lo, per_hi];
     the larger value gives the smaller dimension, and 0 gives infinity."""
-    lr = log_rho(model)
+    lr = math.log(float(model.rho()))
     lp0 = _flog(model.probabilities[0])
     dim_lo = (lp0 + math.log(per_hi)) / lr
     dim_hi = (lp0 + math.log(per_lo)) / lr if per_lo > 0 else math.inf
@@ -409,10 +395,9 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
                 if e.child == s:
                     if all(new_path <= new_path[a:] + new_path[:a]
                            for a in still):
-                        verts = [s]
-                        for ei in new_path:
-                            verts.append(graph.edges[ei].child)
-                        found.append((tuple(verts), n + 1, new_prod))
+                        verts = (s,) + tuple(graph.edges[ei].child
+                                             for ei in new_path)
+                        found.append((verts, n + 1, new_prod))
                     still.append(n + 1)
                 if n + 1 < max_len:
                     stack.append((e.child, new_path, tuple(still), new_prod))
@@ -444,8 +429,8 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
         lo = min(certified, key=lambda c: c.per_step_lo)
         hi = max(certified, key=lambda c: c.per_step_hi)
         per_min, per_max = lo.per_step_lo, hi.per_step_hi
-        dim_min = min(c.dim_lo for c in certified)
-        dim_max = max(c.dim_hi for c in certified)
+        # dimension is non-increasing in the per-step value
+        dim_min, dim_max = hi.dim_lo, lo.dim_hi
         min_c, max_c = lo.vertices, hi.vertices
     else:
         per_min = per_max = dim_min = dim_max = None
@@ -498,7 +483,6 @@ def pseudo_norm(matrix, kind: NormKind, subset=None):
 @dataclass(frozen=True)
 class NormBounds:
     depth: int
-    subset: tuple[int, ...] | None
     min_norm: Fraction | int          # best lower functional over all products
     max_norm: Fraction | int          # best upper functional over all products
     per_step_lo: float
@@ -533,14 +517,15 @@ def _prune(candidates, upper):
     return kept
 
 
-def _frontier_extreme(steps, into, starts, depth, upper, value, budget_state):
+def _frontier_extreme(into, starts, depth, upper, value, budget_state):
     """Extreme of ``value`` over the last vectors of every ``depth``-step
     walk, for one family of carried vectors, and the products it took.
 
     ``starts`` maps each start vertex to its initial vectors. Layer by layer,
     each vertex keeps the frontier of the vectors carried into it: the
     candidates gathered through ``into`` (the reversed adjacency), pruned by
-    ``_prune``. The last layer goes straight into the extreme, unstored.
+    ``_prune``. At the last layer each vertex's candidates fold into the
+    extreme instead, unpruned and unstored.
     The extreme is a maximum when ``upper`` and a minimum otherwise.
     ``value`` is nondecreasing in every entry and every matrix is
     nonnegative, so every value a dominated vector leads to is matched or
@@ -552,7 +537,10 @@ def _frontier_extreme(steps, into, starts, depth, upper, value, budget_state):
     frontier = {v: _prune(vecs, upper) for v, vecs in starts.items()}
     spent, cap = budget_state
     charge = 0
-    for _ in range(depth - 1):
+    pick = max if upper else min
+    best = None
+    for step in range(depth):
+        last = step == depth - 1
         layer = {}
         for w, sources in into.items():
             cands = []
@@ -563,19 +551,14 @@ def _frontier_extreme(steps, into, starts, depth, upper, value, budget_state):
                     if spent + charge > cap:
                         raise PathExplosion(cap)
                     cands.extend(tuple(vec_mat(u, matrix)) for u in vecs)
-            if cands:
+            if not cands:
+                continue
+            if last:
+                x = pick(map(value, cands))
+                best = x if best is None else pick(best, x)
+            else:
                 layer[w] = _prune(cands, upper)
         frontier = layer
-    best = None
-    for v, vecs in frontier.items():
-        for _, matrix in steps[v]:
-            charge += len(vecs)
-            if spent + charge > cap:
-                raise PathExplosion(cap)
-            for u in vecs:
-                x = value(vec_mat(u, matrix))
-                if best is None or (x > best if upper else x < best):
-                    best = x
     return best, charge
 
 
@@ -627,7 +610,7 @@ def _norm_pass(steps, starts, depth, subsets, budget_state):
     families = [(0, True, max), (0, False, min)] + [
         (1 + i, False, lambda vec, idx=idx: min(vec[k - 1] for k in idx))
         for i, idx in enumerate(subsets)]
-    results = [_frontier_extreme(steps, into, family(i), depth, upper, value,
+    results = [_frontier_extreme(into, family(i), depth, upper, value,
                                  budget_state)
                for i, upper, value in families]
     budget_state[0] += max(charge for _, charge in results)
@@ -712,8 +695,7 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subset=None,
         "sub_col": dict(zip(subsets, sub_col)),
         "sub_row": dict(zip(subsets, sub_row)),
     }
-    return NormBounds(depth=depth, subset=subsets[0] if subsets else None,
-                      min_norm=lo_best, max_norm=hi_best,
+    return NormBounds(depth=depth, min_norm=lo_best, max_norm=hi_best,
                       per_step_lo=g_lo, per_step_hi=g_hi,
                       dim_lo=dim_lo, dim_hi=dim_hi, path_count=paths,
                       functionals=functionals)
@@ -845,8 +827,11 @@ def analyze_class(graph: TransitionGraph, lc: LoopClass, cycle_len: int,
         except PathExplosion:
             bl //= 2
     # after the norm bounds, so that the cycle products the enumeration keeps
-    # for lazy certification are not alive during the norm pass
-    enum = enumerate_cycles(graph, members, cycle_len, budget=cycle_budget)
+    # for lazy certification are not alive during the norm pass. A simple
+    # loop's longer walks are powers of its loop, which tie with it.
+    search_len = (min(cycle_len, len(members)) if lc.is_simple_loop
+                  else cycle_len)
+    enum = enumerate_cycles(graph, members, search_len, budget=cycle_budget)
     exact = exact_per = None
     if lc.is_simple_loop:
         cd = periodic_dimension(model, _simple_loop_cycle(graph, members))
@@ -871,16 +856,18 @@ def analyze_class(graph: TransitionGraph, lc: LoopClass, cycle_len: int,
 def assemble_report(model: Model, graph: TransitionGraph, classes=None,
                     cycle_len: int = 10, bound_len: int = 8, subset="auto",
                     cycle_budget: int = 2_000_000,
-                    path_budget: int = 20_000_000,
-                    positivity_state_cap: int = 500_000) -> DimensionReport:
+                    path_budget: int = 20_000_000) -> DimensionReport:
     """Full per-class and global dimension analysis of a closed graph."""
     if classes is None:
-        classes = classify_all(graph, state_cap=positivity_state_cap)
+        classes = classify_all(graph)
     dz = dim_at_zero(model)
     sets = [analyze_class(graph, lc, cycle_len, bound_len, subset,
                           cycle_budget, path_budget) for lc in classes]
 
     tol = 1e-9
+    # One (inner, outer) span per class; a point class's span is its point.
+    spans = [((p, p), (p, p)) if (p := cs.exact_point) is not None
+             else (cs.dim_inner, cs.dim_outer) for cs in sets]
     # Exact point values (simple-loop classes) grouped by value; a point is
     # isolated when it avoids the outer interval of every class that does not
     # itself sit exactly at that point, undecided when only inner intervals
@@ -892,13 +879,9 @@ def assemble_report(model: Model, graph: TransitionGraph, classes=None,
     iso = []
     for val, carriers in sorted(points.items()):
         inside_outer = inside_inner = False
-        for cs in sets:
-            if cs.exact_point is not None:
-                if abs(cs.exact_point - val) <= tol:
-                    continue  # same point value, cannot block isolation
-                o = i = (cs.exact_point, cs.exact_point)
-            else:
-                o, i = cs.dim_outer, cs.dim_inner
+        for cs, (i, o) in zip(sets, spans):
+            if cs.exact_point is not None and abs(cs.exact_point - val) <= tol:
+                continue  # same point value, cannot block isolation
             if o and o[0] - tol <= val <= o[1] + tol:
                 inside_outer = True
             if i and i[0] - tol <= val <= i[1] + tol:
@@ -909,20 +892,8 @@ def assemble_report(model: Model, graph: TransitionGraph, classes=None,
             value=val, status=status,
             classes=tuple(c.members for c in carriers)))
 
-    inner_ivs = []
-    outer_ivs = []
-    for cs in sets:
-        if cs.exact_point is not None:
-            inner_ivs.append((cs.exact_point, cs.exact_point))
-            outer_ivs.append((cs.exact_point, cs.exact_point))
-            continue
-        if cs.dim_inner:
-            inner_ivs.append(cs.dim_inner)
-        if cs.dim_outer:
-            outer_ivs.append(cs.dim_outer)
-
     return DimensionReport(
         model=model, cv_count=len(graph), classes=tuple(sets), dim_zero=dz,
         isolated=tuple(iso),
-        global_inner=_merge_intervals(inner_ivs),
-        global_outer=_merge_intervals(outer_ivs))
+        global_inner=_merge_intervals(i for i, _ in spans if i),
+        global_outer=_merge_intervals(o for _, o in spans if o))

@@ -13,6 +13,11 @@ square-freeness is verified). With a reducible square-free polynomial the
 coefficient representation is still unique but the zero test no longer matches
 evaluation at the root, and comparisons of such ghost-zero differences cannot
 terminate; they abort with ArithmeticError after a bisection cap.
+
+Square-freeness comes from the Sturm chain the field builds once for its root
+counts: the chain's last member is gcd(p, p') up to a constant. A sign, once
+decided, is exact, so the sign cache survives every refinement of the
+enclosure.
 """
 
 from __future__ import annotations
@@ -73,22 +78,14 @@ def _poly_divmod(a, b):
     return q, _poly_trim(r)
 
 
-def _poly_gcd(a, b):
-    a, b = _poly_trim(a), _poly_trim(b)
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    return a
-
-
 def _sturm_chain(poly):
+    """Sturm chain of a nonconstant polynomial; ends in gcd(poly, poly')."""
     chain = [_poly_trim(poly), _poly_trim(_poly_deriv(poly))]
-    while chain[-1]:
+    while True:
         _, r = _poly_divmod(chain[-2], chain[-1])
         if not r:
-            break
+            return chain
         chain.append([-x for x in r])
-    return [c for c in chain if c]
 
 
 def _eval_poly(c, x):
@@ -107,9 +104,9 @@ def _sign_changes(chain, x):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots(poly, lo, hi):
-    """Number of distinct real roots of poly in (lo, hi]; assumes poly(lo) != 0."""
-    chain = _sturm_chain(poly)
+def count_roots(chain, lo, hi):
+    """Number of distinct real roots in (lo, hi] of the polynomial whose
+    Sturm chain is ``chain``; assumes it does not vanish at lo."""
     return _sign_changes(chain, lo) - _sign_changes(chain, hi)
 
 
@@ -138,20 +135,20 @@ class NumberField:
             raise RootNotInUnitInterval(
                 f"isolating interval ({lo}, {hi}) must sit inside (0, 1]")
 
-        g = _poly_gcd(mp, _poly_deriv(mp))
-        if len(g) > 1:
+        chain = _sturm_chain(mp)
+        if len(chain[-1]) > 1:
             raise NotSquareFree("polynomial shares a factor with its derivative")
 
         if _eval_poly(mp, lo) == 0 or _eval_poly(mp, hi) == 0:
             raise MultipleRootsInInterval(
                 "an isolating-interval endpoint is itself a root; shrink the interval")
-        n = count_roots(mp, lo, hi)
+        n = count_roots(chain, lo, hi)
         if n == 0:
             raise NoRootInInterval(f"no root of {self._poly_str()} in ({lo}, {hi})")
         if n > 1:
             raise MultipleRootsInInterval(
                 f"{n} roots of {self._poly_str()} in ({lo}, {hi}); shrink the interval")
-        if hi > 1 and count_roots(mp, Fraction(0), Fraction(1)) == 0:
+        if hi > 1 and count_roots(chain, Fraction(0), Fraction(1)) == 0:
             raise RootNotInUnitInterval("isolated root does not lie in (0, 1)")
 
         self._lo, self._hi = lo, hi
@@ -225,7 +222,6 @@ class NumberField:
             else:
                 hi = mid
         self._lo, self._hi = lo, hi
-        self._sign_cache.clear()
 
     def interval_eval(self, coeffs):
         """Rigorous rational interval for sum(coeffs[i] * rho**i) via Horner."""
@@ -236,6 +232,15 @@ class NumberField:
             cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
             alo, ahi = min(cands) + c, max(cands) + c
         return alo, ahi
+
+    def _narrow(self, coeffs, width):
+        """``interval_eval`` of ``coeffs``, refining the root enclosure until
+        the interval is no wider than ``width`` or the root is exact."""
+        lo, hi = self.interval_eval(coeffs)
+        while hi - lo > width and self._lo != self._hi:
+            self.refine(64)
+            lo, hi = self.interval_eval(coeffs)
+        return lo, hi
 
     def sign_of(self, coeffs):
         """Exact sign of the element with the given canonical coefficients."""
@@ -288,11 +293,6 @@ class NumberField:
 
     def __hash__(self):
         return hash((self.minpoly, self._orig))
-
-
-def make_field(minpoly, isolating_interval) -> NumberField:
-    """Validate and build the field Q(rho)."""
-    return NumberField(minpoly, isolating_interval)
 
 
 # ----------------------------------------------------------------------------
@@ -355,8 +355,6 @@ class FieldElement:
             return NotImplemented
         k = self.field.degree
         a, b = self.coeffs, oc
-        if k == 1:
-            return FieldElement(self.field, (_norm_num(a[0] * b[0]),))
         conv = [0] * (2 * k - 1)
         for i, ai in enumerate(a):
             if ai == 0:
@@ -484,11 +482,7 @@ class FieldElement:
     def __float__(self):
         if self.is_rational():
             return float(Fraction(self.coeffs[0]))
-        f = self.field
-        lo, hi = f.interval_eval(self.coeffs)
-        while hi - lo > Fraction(1, 10**20) and f._lo != f._hi:
-            f.refine(64)
-            lo, hi = f.interval_eval(self.coeffs)
+        lo, hi = self.field._narrow(self.coeffs, Fraction(1, 10**20))
         return float((lo + hi) / 2)
 
     def __repr__(self):
@@ -515,9 +509,7 @@ class FieldElement:
 
 def compare(a: FieldElement, b: FieldElement) -> int:
     """Total order on one field: returns LT, EQ or GT (-1, 0, 1)."""
-    d = a - b
-    s = d.sign()
-    return EQ if s == 0 else (GT if s > 0 else LT)
+    return (a - b).sign()
 
 
 def to_decimal(a: FieldElement, digits: int) -> str:
@@ -539,11 +531,7 @@ def to_decimal(a: FieldElement, digits: int) -> str:
         q = Fraction(scaled.coeffs[0])
         n = (2 * q.numerator + q.denominator) // (2 * q.denominator)  # half-up
     else:
-        f = a.field
-        lo, hi = f.interval_eval(scaled.coeffs)
-        while hi - lo > Fraction(1, 8):
-            f.refine(32)
-            lo, hi = f.interval_eval(scaled.coeffs)
+        lo, hi = a.field._narrow(scaled.coeffs, Fraction(1, 8))
         n = int((lo + hi) / 2 + Fraction(1, 2))
         # certify n by exact sign tests against the two half-unit boundaries
         while (scaled - (Fraction(2 * n - 1, 2))).sign() < 0:

@@ -14,7 +14,6 @@ UNKNOWN instead of lying.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,9 +34,6 @@ class PositivityResult:
     explored_states: int = 0
     exhausted_length: int | None = None      # longest layer reached on NOT_POSITIVE
 
-    def __bool__(self):
-        return self.verdict is Positivity.POSITIVE
-
 
 @dataclass(frozen=True)
 class LoopClass:
@@ -49,7 +45,8 @@ class LoopClass:
 
     @property
     def positive(self) -> bool:
-        return self.positivity is not None and bool(self.positivity)
+        return (self.positivity is not None
+                and self.positivity.verdict is Positivity.POSITIVE)
 
     def label(self) -> str:
         return "[" + ", ".join(str(v) for v in self.members) + "]"
@@ -186,9 +183,8 @@ def positivity_certificate(graph: TransitionGraph, members,
                   for out in out_internal.values() for _, e in out}
 
     starts = members if restricted else (min(members),)
-    seen = {}
-    parent = {}
-    layer = deque()
+    parent = {}   # every state reached: (previous state, edge taken)
+    layer = []
     for s in starts:
         for _, e in out_internal[s]:
             rows, K = edge_masks[id(e)]
@@ -197,8 +193,7 @@ def positivity_certificate(graph: TransitionGraph, members,
                 return PositivityResult(Positivity.POSITIVE,
                                         witness=(e.parent, e.child),
                                         explored_states=1)
-            if state not in seen:
-                seen[state] = 1
+            if state not in parent:
                 parent[state] = (None, e)
                 layer.append(state)
 
@@ -206,33 +201,31 @@ def positivity_certificate(graph: TransitionGraph, members,
     while layer:
         if max_len is not None and length >= max_len:
             return PositivityResult(Positivity.UNKNOWN,
-                                    explored_states=len(seen))
-        nxt = deque()
-        while layer:
-            state = layer.popleft()
+                                    explored_states=len(parent))
+        nxt = []
+        for state in layer:
             s, mid, rows = state
             for _, e in out_internal[mid]:
                 emasks, K = edge_masks[id(e)]
                 new_rows = tuple(
                     _or_rows(r, emasks) for r in rows)
                 new_state = (s, e.child, new_rows)
-                if new_state in seen:
+                if new_state in parent:
                     continue
-                if len(seen) >= state_cap:
+                if len(parent) >= state_cap:
                     return PositivityResult(Positivity.UNKNOWN,
-                                            explored_states=len(seen))
-                seen[new_state] = 1
+                                            explored_states=len(parent))
                 parent[new_state] = (state, e)
                 if full(new_rows, K):
                     return PositivityResult(
                         Positivity.POSITIVE,
                         witness=_witness(parent, new_state),
-                        explored_states=len(seen))
+                        explored_states=len(parent))
                 nxt.append(new_state)
         layer = nxt
         length += 1
     return PositivityResult(Positivity.NOT_POSITIVE,
-                            explored_states=len(seen),
+                            explored_states=len(parent),
                             exhausted_length=length - 1)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from finitype.exactfield import make_field
+from finitype.exactfield import NumberField
 from finitype.ifsmodel import (
     Ifs,
     binomial_convolution_probabilities,
@@ -15,14 +15,14 @@ from finitype.ifsmodel import (
 
 
 def golden_ifs(name="golden"):
-    f = make_field([-1, 1, 1], (Fraction(1, 2), Fraction(7, 10)))
+    f = NumberField([-1, 1, 1], (Fraction(1, 2), Fraction(7, 10)))
     r = f.rho()
     return Ifs(field=f, translations=(f.zero, f.one - r),
                probabilities=uniform_probabilities(1), name=name)
 
 
 def golden_square_ifs():
-    f = make_field([-1, 1, 1], (Fraction(1, 2), Fraction(7, 10)))
+    f = NumberField([-1, 1, 1], (Fraction(1, 2), Fraction(7, 10)))
     r = f.rho()
     half = (f.one - r) * Fraction(1, 2)
     return Ifs(field=f, translations=(f.zero, half, f.one - r),
@@ -40,7 +40,7 @@ def golden_square_skewed_ifs():
 
 
 def bernoulli_ifs(minpoly, interval, name=None):
-    f = make_field(minpoly, interval)
+    f = NumberField(minpoly, interval)
     return Ifs(field=f, translations=(f.zero, f.one - f.rho()),
                probabilities=uniform_probabilities(1), name=name)
 

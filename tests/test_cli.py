@@ -147,6 +147,19 @@ def test_analyze_dot(golden_path, tmp_path, capsys):
     assert "lightsteelblue" in text  # essential class is styled
 
 
+def test_report_files_follow_the_umask(golden_path, tmp_path, capsys):
+    json_path, dot_path = tmp_path / "r.json", tmp_path / "g.dot"
+    old = os.umask(0o022)
+    try:
+        assert run(["analyze", "--input", golden_path, "--json",
+                    str(json_path), "--dot", str(dot_path)]) == 0
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    assert oct(json_path.stat().st_mode & 0o777) == oct(0o644)
+    assert oct(dot_path.stat().st_mode & 0o777) == oct(0o644)
+
+
 def test_analyze_oracle_flag(golden_path, capsys):
     assert run(["analyze", "--input", golden_path, "--oracle-level", "2"]) == 0
     err = capsys.readouterr().err
@@ -321,10 +334,10 @@ def test_text_report_mentions_not_certified(cantor5_binomial_model, capsys):
 
 
 def test_starved_budgets_are_reported(golden_model):
-    # one cycle-search step and four norm-bound steps: the search truncates
+    # no cycle-search step and four norm-bound steps: the search truncates
     # and bound_len is halved until the products fit
     graph = build_graph(golden_model)
-    report = assemble_report(golden_model, graph, cycle_budget=1,
+    report = assemble_report(golden_model, graph, cycle_budget=0,
                              path_budget=4, bound_len=8)
     starved = [cs for cs in report.classes
                if 0 < cs.bound_len < 8 and cs.cycles_truncated]

@@ -225,6 +225,14 @@ def test_self_loop_cycle(sixmap_graph):
     assert all(abs(c.per_step_lo - 1) < 1e-9 for c in enum.cycles)
 
 
+def test_simple_loop_search_stops_at_loop_length(golden_model, golden_graph):
+    # a one-vertex loop takes one search step; its powers are not searched
+    report = assemble_report(golden_model, golden_graph, cycle_budget=1)
+    loops = [cs for cs in report.classes if cs.loop_class.is_simple_loop]
+    assert [cs.members for cs in loops] == [(2,), (4,)]
+    assert not any(cs.cycles_truncated for cs in loops)
+
+
 # ------------------------------------------------------------- pseudo-norms
 
 def test_pseudo_norm_examples():

@@ -15,16 +15,16 @@ from finitype.errors import (
 from finitype import exactfield
 from finitype.exactfield import (
     EQ, GT, LT,
-    FieldElement, NumberField, compare, make_field, sort_unique, to_decimal,
+    FieldElement, NumberField, compare, sort_unique, to_decimal,
 )
 
 
 def golden_field():
-    return make_field([-1, 1, 1], (Fraction(1, 2), Fraction(7, 10)))
+    return NumberField([-1, 1, 1], (Fraction(1, 2), Fraction(7, 10)))
 
 
 def third_field():
-    return make_field([-1, 3], (Fraction(1, 4), Fraction(1, 2)))
+    return NumberField([-1, 3], (Fraction(1, 4), Fraction(1, 2)))
 
 
 # ---------------------------------------------------------------- construction
@@ -46,28 +46,30 @@ def test_make_field_rational_root():
 
 def test_make_field_no_root():
     with pytest.raises(NoRootInInterval):
-        make_field([-1, 2], (Fraction(3, 4), Fraction(1)))
+        NumberField([-1, 2], (Fraction(3, 4), Fraction(1)))
 
 
 def test_make_field_multiple_roots():
     # x^2 - x + 2/9 has roots 1/3 and 2/3; scale to integers: 9x^2-9x+2
     with pytest.raises(MultipleRootsInInterval):
-        make_field([2, -9, 9], (Fraction(1, 10), Fraction(9, 10)))
+        NumberField([2, -9, 9], (Fraction(1, 10), Fraction(9, 10)))
 
 
 def test_make_field_not_square_free():
     with pytest.raises(NotSquareFree):
-        make_field([1, -6, 9], (Fraction(1, 4), Fraction(1, 2)))  # (3x-1)^2
+        NumberField([1, -6, 9], (Fraction(1, 4), Fraction(1, 2)))  # (3x-1)^2
+    with pytest.raises(NotSquareFree):  # (x^2+x-1)^2: a quadratic gcd
+        NumberField([1, -2, -1, 2, 1], (Fraction(1, 2), Fraction(7, 10)))
 
 
 def test_make_field_interval_outside_unit():
     with pytest.raises(RootNotInUnitInterval):
-        make_field([-3, 2], (Fraction(5, 4), Fraction(2)))
+        NumberField([-3, 2], (Fraction(5, 4), Fraction(2)))
 
 
 def test_make_field_endpoint_root_rejected():
     with pytest.raises(MultipleRootsInInterval):
-        make_field([-1, 2], (Fraction(1, 2), Fraction(3, 4)))
+        NumberField([-1, 2], (Fraction(1, 2), Fraction(3, 4)))
 
 
 # ------------------------------------------------------------------- ordering
@@ -147,7 +149,7 @@ def test_sort_unique_certified_without_fallback(monkeypatch):
 
 _SORT_FIELDS = {
     "golden": golden_field(),
-    "cubic": make_field([-1, 0, 1, 1], (Fraction(7, 10), Fraction(4, 5))),
+    "cubic": NumberField([-1, 0, 1, 1], (Fraction(7, 10), Fraction(4, 5))),
 }
 
 
@@ -177,7 +179,7 @@ def test_to_decimal_rational():
 
 
 def test_to_decimal_plastic_like_root():
-    f = make_field([-1, 0, 1, 1], (Fraction(7, 10), Fraction(4, 5)))
+    f = NumberField([-1, 0, 1, 1], (Fraction(7, 10), Fraction(4, 5)))
     assert to_decimal(f.rho(), 6) == "0.754878"
 
 

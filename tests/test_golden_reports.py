@@ -16,7 +16,10 @@ import tempfile
 import pytest
 
 from finitype.catalog import load_document
-from finitype.cli import run
+from finitype.cli import parse_document, run
+from finitype.ifsmodel import validate
+from finitype.loopclasses import classify_all
+from finitype.netgraph import build_graph
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -48,6 +51,17 @@ def test_golden_report_unchanged(name, tmp_path, capsys):
     got = report_bytes(name, tmp_path)
     capsys.readouterr()
     assert got == (GOLDEN_DIR / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_golden_positivity_is_the_verdict(name):
+    """Every class's JSON ``positivity`` is its ``classify_all`` verdict,
+    NOT_POSITIVE included."""
+    doc = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    graph = build_graph(validate(parse_document(load_document(name))))
+    assert [(c["members"], c["positivity"]) for c in doc["classes"]] == [
+        (list(lc.members), lc.positivity.verdict.value)
+        for lc in classify_all(graph)]
 
 
 if __name__ == "__main__":

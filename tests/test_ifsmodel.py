@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from finitype.errors import ValidationError
-from finitype.exactfield import make_field
+from finitype.exactfield import NumberField
 from finitype.ifsmodel import (
     Ifs,
     binomial_convolution_probabilities,
@@ -35,7 +35,7 @@ def test_cantor_m5_valid():
 
 def test_cantor_set_rejected():
     # rho = 1/3 with translations {0, 2/3}: middle-thirds Cantor set, gap 2/3 > 1/3
-    f = make_field([-1, 3], (Fraction(1, 4), Fraction(1, 2)))
+    f = NumberField([-1, 3], (Fraction(1, 4), Fraction(1, 2)))
     ifs = Ifs(field=f, translations=(f.zero, f.rational(Fraction(2, 3))),
               probabilities=uniform_probabilities(1))
     with pytest.raises(ValidationError) as ei:
@@ -44,7 +44,7 @@ def test_cantor_set_rejected():
 
 
 def test_not_rescaled_rejected_and_rescue():
-    f = make_field([-1, 3], (Fraction(1, 4), Fraction(1, 2)))
+    f = NumberField([-1, 3], (Fraction(1, 4), Fraction(1, 2)))
     ifs = Ifs(field=f,
               translations=(f.zero, f.rational(Fraction(1, 6)),
                             f.rational(Fraction(1, 3))),
@@ -58,7 +58,7 @@ def test_not_rescaled_rejected_and_rescue():
 
 
 def test_irregular_probabilities():
-    f = make_field([-1, 3], (Fraction(1, 4), Fraction(1, 2)))
+    f = NumberField([-1, 3], (Fraction(1, 4), Fraction(1, 2)))
     ifs = Ifs(field=f,
               translations=tuple(f.rational(Fraction(j, 3)) for j in range(3)),
               probabilities=(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
@@ -71,7 +71,7 @@ def test_irregular_probabilities():
 
 
 def test_probabilities_must_normalize():
-    f = make_field([-1, 3], (Fraction(1, 4), Fraction(1, 2)))
+    f = NumberField([-1, 3], (Fraction(1, 4), Fraction(1, 2)))
     ifs = Ifs(field=f,
               translations=tuple(f.rational(Fraction(j, 3)) for j in range(3)),
               probabilities=(Fraction(1, 3), Fraction(1, 3), Fraction(1, 4)))

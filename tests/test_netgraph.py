@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from finitype.errors import CapExceeded
-from finitype.exactfield import make_field
+from finitype.exactfield import NumberField
 from finitype.ifsmodel import Ifs, cantor_ifs, uniform_probabilities, validate
 from finitype.netgraph import build_graph, children, export_dot
 
@@ -78,7 +78,7 @@ def test_golden_all_primitive_matrices(golden_model):
 
 def test_worked_sixmap_example():
     # rho = 1/3, translations 2j/15, normalized weights (1, 2, 3, 3, 2, 1)
-    f = make_field([-1, 3], (Fraction(1, 4), Fraction(1, 2)))
+    f = NumberField([-1, 3], (Fraction(1, 4), Fraction(1, 2)))
     probs = (Fraction(1, 12), Fraction(1, 6), Fraction(1, 4),
              Fraction(1, 4), Fraction(1, 6), Fraction(1, 12))
     ifs = Ifs(field=f,
