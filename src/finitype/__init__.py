@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .exactfield import NumberField, FieldElement, compare, to_decimal
 from .ifsmodel import Ifs, Model, validate, uniform_probabilities, \
-    binomial_convolution_probabilities, cantor_ifs, rescale
+    binomial_convolution_probabilities, rescale
 from .netgraph import CharacteristicVector, TransitionEdge, TransitionGraph, \
     children, build_graph, export_dot
 from .loopclasses import LoopClass, Positivity, maximal_loop_classes, \
@@ -20,7 +20,7 @@ from .oracle import brute_level, check_graph_against_oracle
 __all__ = [
     "NumberField", "FieldElement", "compare", "to_decimal",
     "Ifs", "Model", "validate", "uniform_probabilities",
-    "binomial_convolution_probabilities", "cantor_ifs", "rescale",
+    "binomial_convolution_probabilities", "rescale",
     "CharacteristicVector", "TransitionEdge", "TransitionGraph",
     "children", "build_graph", "export_dot",
     "LoopClass", "Positivity", "maximal_loop_classes", "essential_class",

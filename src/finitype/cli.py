@@ -365,7 +365,7 @@ def _load_json(path):
             return json.load(fh)
     except OSError as e:
         raise InputDocumentError(f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise InputDocumentError(f"{path} is not valid JSON: {e}")
 
 
@@ -425,9 +425,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _write_atomic(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".finitype-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".finitype-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         # mkstemp creates the file 0600; give it the mode open() would
@@ -435,11 +436,14 @@ def _write_atomic(path, text):
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as e:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(e, OSError):
+            raise FinitypeError(f"cannot write {path}: {e.strerror or e}")
         raise
 
 
@@ -452,6 +456,12 @@ def _cmd_rescale(args) -> int:
 
 
 def _cmd_formulas(args) -> int:
+    # the support is an interval only when m >= R - 1
+    for flag, value, least in (("--R", args.R, 2),
+                               ("--m", args.m, max(1, args.R - 1))):
+        if value < least:
+            raise InputDocumentError(
+                f"{flag}: expected an integer >= {least}, got {value}")
     params = CantorParams.binomial(args.R, args.m)
     print(f"R = {args.R}, m = {args.m}, binomial weights")
     print(f"predicted minimal dimension : {_fmt(bhm_min_formula(params))}")

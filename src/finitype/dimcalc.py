@@ -562,60 +562,38 @@ def _frontier_extreme(into, starts, depth, upper, value, budget_state):
     return best, charge
 
 
-def _norm_pass(steps, starts, depth, subsets, budget_state):
-    """Column-sum functionals of every product along a ``depth``-step walk.
-
-    ``steps[v]`` lists the ``(next vertex, matrix)`` pairs leaving ``v``,
-    with every vertex a key; ``starts`` pairs each start vertex with its
-    indicator row vectors (all ones, then one per subset), which a walk
-    multiplies by each matrix in turn. Returns ``(walks, min, max,
-    per-subset min)``: the number of walks, the smallest and largest column
-    sum, and for each subset the smallest of its restricted column sums over
-    its own columns (None where no walk exists). Row sums of P are the
-    column sums of P^T, so the row-sum functionals come from the same pass
-    over the reversed edges with transposed matrices.
-
-    Rather than walk every path, each functional family (max, min, and one
-    min per subset) runs a dynamic programme over layers and vertices that
-    keeps, per vertex, only vectors no other kept vector dominates: from
-    above for the max, from below for the mins (``_frontier_extreme``).
-    The extremes are those of the full enumeration. The walks are counted
-    by an integer walk-count programme. ``budget_state`` is ``[units
-    charged, cap]``, shared by both passes; a pass charges the largest of
-    its families' totals, one unit per (frontier vector, out-edge) pair. A
-    family's frontier holds at most one vector per walk, so this never
-    exceeds the number of walk prefixes, and on a simple loop it equals it.
-    """
-    into = {v: [] for v in steps}
-    for v, outs in steps.items():
-        for w, matrix in outs:
-            into[w].append((v, matrix))
-    count = dict.fromkeys(steps, 0)
-    for s, _ in starts:
-        count[s] += 1
+def _walk_count(into, depth):
+    """Number of ``depth``-step walks from every vertex, counted on the
+    reversed adjacency ``into``."""
+    count = dict.fromkeys(into, 1)
     for _ in range(depth):
-        nxt = dict.fromkeys(steps, 0)
-        for v, c in count.items():
-            if c:
-                for w, _ in steps[v]:
-                    nxt[w] += c
-        count = nxt
+        count = {w: sum(count[v] for v, _ in sources)
+                 for w, sources in into.items()}
+    return sum(count.values())
 
-    def family(i):
-        init = {}
-        for s, vecs in starts:
-            init.setdefault(s, []).append(vecs[i])
-        return init
 
-    families = [(0, True, max), (0, False, min)] + [
-        (1 + i, False, lambda vec, idx=idx: min(vec[k - 1] for k in idx))
-        for i, idx in enumerate(subsets)]
-    results = [_frontier_extreme(into, family(i), depth, upper, value,
+def _norm_pass(into, families, depth, budget_state):
+    """Extremes of each functional family over the products along every
+    ``depth``-step walk on one side.
+
+    ``into[w]`` lists ``(v, matrix)`` for each edge ``v -> w`` of the side,
+    with every vertex a key. A family ``(upper, value, starts)`` carries the
+    row vectors ``starts[v]`` along the walks from ``v``, multiplying by
+    each matrix in turn, and takes the maximum of ``value`` over the last
+    vectors when ``upper``, else the minimum (None where no walk exists).
+    Each family runs as the per-vertex frontier programme of
+    ``_frontier_extreme``, so its extreme is that of full enumeration.
+    ``budget_state`` is ``[units charged, cap]``, shared by both sides; a
+    side charges the largest of its families' totals, one unit per
+    (frontier vector, out-edge) pair. A family's frontier holds at most one
+    vector per walk, so this never exceeds the number of walk prefixes, and
+    on a simple loop it equals it.
+    """
+    results = [_frontier_extreme(into, starts, depth, upper, value,
                                  budget_state)
-               for i, upper, value in families]
+               for upper, value, starts in families]
     budget_state[0] += max(charge for _, charge in results)
-    hi, lo, *sub = [best for best, _ in results]
-    return sum(count.values()), lo, hi, sub
+    return [best for best, _ in results]
 
 
 def norm_bounds(graph: TransitionGraph, members, depth: int, subset=None,
@@ -631,20 +609,22 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subset=None,
     and max-row. ``subset`` holds 1-based indices valid for every member, or
     a list of such index tuples to try in the same sweep.
 
-    Each functional family runs as a per-vertex frontier programme
-    (``_norm_pass``): at every layer a vertex keeps only the carried vectors
-    that no kept vector dominates, from above for the max family and from
-    below for the min and subset-min families. The functionals and
-    ``path_count`` are those of enumerating every walk. ``path_budget`` caps
-    the units charged, one per (frontier vector, out-edge) product, summed
-    over the column-sum and row-sum passes, each pass charging the largest
-    of its families' totals; past it, PathExplosion. The charge never
-    exceeds the number of walk prefixes, and equals it on a simple loop.
+    Each side has one reversed adjacency: ``col_into[w]`` holds ``(v, M)``
+    for every internal edge ``v -> w`` and gives the column sums of the
+    products; ``row_into[v]`` holds ``(w, M^T)`` and gives the column sums
+    of the transposed products, which are the row sums. Both sides run the
+    same ``(upper, value, starts)`` families through ``_norm_pass``: the max
+    column sum, the min column sum, then one restricted min per subset. The
+    functionals, and ``path_count`` from ``_walk_count`` on ``col_into``,
+    are those of enumerating every walk. ``path_budget`` caps the units
+    charged by the column-sum side and then the row-sum side; past it,
+    PathExplosion.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     ms = sorted(set(members))
-    min_neigh = min(len(graph.cv(v).neighbours) for v in ms)
+    sizes = {v: len(graph.cv(v).neighbours) for v in ms}
+    min_neigh = min(sizes.values())
     subsets: list[tuple[int, ...]] = []
     if subset:
         raw = [subset] if subset and isinstance(subset[0], int) else list(subset)
@@ -660,27 +640,26 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subset=None,
     internal = graph.internal_out(ms)
     if not any(internal.values()):
         raise ValueError("class has no internal edges")
-    forward = {v: [] for v in ms}
-    backward = {v: [] for v in ms}
+    col_into = {v: [] for v in ms}
     for v in ms:
         for _, e in internal[v]:
-            forward[v].append((e.child, e.matrix))
-            backward[e.child].append((v, tuple(zip(*e.matrix))))
+            col_into[e.child].append((v, e.matrix))
+    row_into = {v: [] for v in ms}
+    for w, sources in col_into.items():
+        for v, matrix in sources:
+            row_into[v].append((w, tuple(zip(*matrix))))
 
-    def indicator(v):
-        n = len(graph.cv(v).neighbours)
-        full = tuple([1] * n)
-        subs = tuple(tuple(1 if (j + 1) in idx else 0 for j in range(n))
-                     for idx in subsets)
-        return (full,) + subs
-
-    starts = [(v, indicator(v)) for v in ms]
+    ones = {v: [(1,) * n] for v, n in sizes.items()}
+    families = [(True, max, ones), (False, min, ones)] + [
+        (False, lambda vec, idx=idx: min(vec[k - 1] for k in idx),
+         {v: [tuple(int(j in idx) for j in range(1, n + 1))]
+          for v, n in sizes.items()})
+        for idx in subsets]
     budget_state = [0, path_budget]
-    # forward: 1^T P (column sums); backward: 1^T P^T (row sums)
-    paths, min_col, max_col, sub_col = _norm_pass(
-        forward, starts, depth, subsets, budget_state)
-    _, min_row, max_row, sub_row = _norm_pass(
-        backward, starts, depth, subsets, budget_state)
+    max_col, min_col, *sub_col = _norm_pass(col_into, families, depth,
+                                            budget_state)
+    max_row, min_row, *sub_row = _norm_pass(row_into, families, depth,
+                                            budget_state)
 
     lows = [x for x in [min_col, min_row] + sub_col + sub_row
             if x is not None]
@@ -697,7 +676,8 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subset=None,
     }
     return NormBounds(depth=depth, min_norm=lo_best, max_norm=hi_best,
                       per_step_lo=g_lo, per_step_hi=g_hi,
-                      dim_lo=dim_lo, dim_hi=dim_hi, path_count=paths,
+                      dim_lo=dim_lo, dim_hi=dim_hi,
+                      path_count=_walk_count(col_into, depth),
                       functionals=functionals)
 
 

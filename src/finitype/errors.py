@@ -31,6 +31,10 @@ class RootNotInUnitInterval(FieldError):
     pass
 
 
+class NotIrreducible(FieldError):
+    """A nonzero element vanishes at rho: rho is a root of a proper factor."""
+
+
 # --- IFS validation -----------------------------------------------------------
 
 class ValidationIssue:

@@ -8,11 +8,13 @@ test by interval arithmetic on a refinable rational enclosure of the root.
 Floating point only proposes: ``sort_unique`` sorts by float approximations
 and then certifies the proposed order with exact sign tests.
 
-Irreducibility of the polynomial is the caller's responsibility (only
-square-freeness is verified). With a reducible square-free polynomial the
-coefficient representation is still unique but the zero test no longer matches
-evaluation at the root, and comparisons of such ghost-zero differences cannot
-terminate; they abort with ArithmeticError after a bisection cap.
+Irreducibility of the polynomial is not checked up front (only
+square-freeness is). With a reducible square-free polynomial the coefficient
+representation is still unique but the zero test no longer matches evaluation
+at the root. A sign the enclosure leaves undecided is therefore first checked
+exactly: gcd(minpoly, element) from the remainder sequence, and if that gcd
+changes sign across the enclosure, the element vanishes at rho and
+NotIrreducible is raised. Otherwise the value is nonzero and bisection ends.
 
 Square-freeness comes from the Sturm chain the field builds once for its root
 counts: the chain's last member is gcd(p, p') up to a constant. A sign, once
@@ -27,13 +29,12 @@ from fractions import Fraction
 from .errors import (
     MultipleRootsInInterval,
     NoRootInInterval,
+    NotIrreducible,
     NotSquareFree,
     RootNotInUnitInterval,
 )
 
 LT, EQ, GT = -1, 0, 1
-
-_COMPARE_BISECTION_CAP = 20000
 
 
 def _norm_num(q):
@@ -78,9 +79,12 @@ def _poly_divmod(a, b):
     return q, _poly_trim(r)
 
 
-def _sturm_chain(poly):
-    """Sturm chain of a nonconstant polynomial; ends in gcd(poly, poly')."""
-    chain = [_poly_trim(poly), _poly_trim(_poly_deriv(poly))]
+def _sturm_chain(poly, second=None):
+    """Sturm chain of a nonconstant polynomial; ends in gcd(poly, poly').
+    With ``second`` (nonzero) in place of poly', the remainder sequence of
+    poly and ``second``, which ends in their gcd."""
+    chain = [_poly_trim(poly),
+             _poly_trim(_poly_deriv(poly) if second is None else second)]
     while True:
         _, r = _poly_divmod(chain[-2], chain[-1])
         if not r:
@@ -250,23 +254,21 @@ class NumberField:
         cached = self._sign_cache.get(coeffs)
         if cached is not None:
             return cached
-        for _ in range(_COMPARE_BISECTION_CAP):
-            lo, hi = self.interval_eval(coeffs)
-            if lo > 0:
-                s = 1
-                break
-            if hi < 0:
-                s = -1
-                break
-            if self._lo == self._hi:
-                # exact rational root: the evaluation interval is a point
-                s = 0 if lo == 0 else (1 if lo > 0 else -1)
-                break
-            self.refine(32)
-        else:
-            raise ArithmeticError(
-                "sign determination did not terminate; the defining polynomial "
-                "is probably reducible and this value vanishes at the root")
+        lo, hi = self.interval_eval(coeffs)
+        if lo <= 0 <= hi and self._lo != self._hi:
+            # undecided: bisection ends unless the value vanishes at rho,
+            # that is unless rho is a root of gcd(minpoly, element)
+            g = _sturm_chain(self.minpoly, coeffs)[-1]
+            if len(g) > 1 and (_eval_poly(g, self._lo)
+                               * _eval_poly(g, self._hi) < 0):
+                raise NotIrreducible(
+                    f"{self._poly_str()} is reducible: the nonzero element "
+                    f"{FieldElement(self, coeffs)!r} vanishes at rho")
+            while lo <= 0 <= hi and self._lo != self._hi:
+                self.refine(32)
+                lo, hi = self.interval_eval(coeffs)
+        # a point enclosure of rho gives a point value, possibly 0
+        s = (lo > 0) - (hi < 0)
         self._sign_cache[coeffs] = s
         return s
 
@@ -402,7 +404,7 @@ class FieldElement:
                 s[i] -= c
             r0, r1, s0, s1 = r1, r, s1, _poly_trim(s) or [Fraction(0)]
         if len(r1) != 1:
-            raise ZeroDivisionError(
+            raise NotIrreducible(
                 "element is a zero divisor: the defining polynomial is reducible")
         inv_lead = 1 / r1[0]
         return self.field.element([c * inv_lead for c in s1])
@@ -417,18 +419,6 @@ class FieldElement:
         if oc is None:
             return NotImplemented
         return self * FieldElement(self.field, oc).inverse()
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
 
     # -- predicates and order ----------------------------------------------
 
@@ -456,23 +446,6 @@ class FieldElement:
 
     def __hash__(self):
         return hash((self.field.minpoly, self.coeffs))
-
-    def __lt__(self, other):
-        return compare(self, self._as_elem(other)) == LT
-
-    def __le__(self, other):
-        return compare(self, self._as_elem(other)) != GT
-
-    def __gt__(self, other):
-        return compare(self, self._as_elem(other)) == GT
-
-    def __ge__(self, other):
-        return compare(self, self._as_elem(other)) != LT
-
-    def _as_elem(self, other):
-        if isinstance(other, FieldElement):
-            return other
-        return FieldElement(self.field, self._coerce(other))
 
     # -- rendering -----------------------------------------------------------
 

@@ -162,17 +162,6 @@ def binomial_convolution_probabilities(m: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(comb(m, j), 2 ** m) for j in range(m + 1))
 
 
-def cantor_ifs(R: int, m: int, probabilities, name: str | None = None) -> Ifs:
-    """The system S_j(x) = x/R + j(R-1)/(mR) on the degree-one field Q(1/R)."""
-    if R < 2 or m < 1:
-        raise ValueError("need R >= 2 and m >= 1")
-    f = NumberField([-1, R], (Fraction(1, R + 1), Fraction(1, R - 1) if R > 2
-                              else Fraction(3, 4)))
-    d = tuple(f.rational(Fraction(j * (R - 1), m * R)) for j in range(m + 1))
-    return Ifs(field=f, translations=d, probabilities=tuple(probabilities),
-               name=name)
-
-
 def rescale(ifs: Ifs) -> Ifs:
     """Conjugate the system so its attractor becomes exactly [0, 1]."""
     d = ifs.translations

@@ -258,14 +258,12 @@ def _simple_loop(graph, members) -> bool:
                for out in graph.internal_out(members).values())
 
 
-def classify_all(graph: TransitionGraph,
-                 state_cap: int = 500_000) -> list[LoopClass]:
+def classify_all(graph: TransitionGraph) -> list[LoopClass]:
     """Maximal classes with essential, simple-loop and positivity flags set."""
     classes = maximal_loop_classes(graph)
     essential = _child_closed(graph, classes)
     return [LoopClass(members=c.members, is_maximal=True,
                       is_essential=c is essential,
                       is_simple_loop=_simple_loop(graph, c.members),
-                      positivity=positivity_certificate(graph, c.members,
-                                                        state_cap=state_cap))
+                      positivity=positivity_certificate(graph, c.members))
             for c in classes]

@@ -4,14 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from finitype.catalog import load_document
+from finitype.cli import parse_document
 from finitype.exactfield import NumberField
-from finitype.ifsmodel import (
-    Ifs,
-    binomial_convolution_probabilities,
-    cantor_ifs,
-    uniform_probabilities,
-    validate,
-)
+from finitype.ifsmodel import Ifs, uniform_probabilities, validate
 
 
 def golden_ifs(name="golden"):
@@ -60,23 +56,25 @@ def golden_square_skewed_model():
     return validate(golden_square_skewed_ifs())
 
 
+def catalog_model(name):
+    """The validated model of a shipped catalog document."""
+    return validate(parse_document(load_document(name)))
+
+
 @pytest.fixture(scope="session")
 def cantor5_binomial_model():
     # 5-fold convolution of the fair two-map measure at contraction 1/3
-    return validate(cantor_ifs(3, 5, binomial_convolution_probabilities(5),
-                               name="cantor-r3-m5-binomial"))
+    return catalog_model("cantor_r3_m5_binomial")
 
 
 @pytest.fixture(scope="session")
 def cantor5_uniform_model():
-    return validate(cantor_ifs(3, 5, uniform_probabilities(5),
-                               name="cantor-r3-m5-uniform"))
+    return catalog_model("cantor_r3_m5_uniform")
 
 
 @pytest.fixture(scope="session")
 def cantor3_binomial_model():
-    return validate(cantor_ifs(3, 3, binomial_convolution_probabilities(3),
-                               name="cantor-r3-m3-binomial"))
+    return catalog_model("cantor_r3_m3_binomial")
 
 
 @pytest.fixture(scope="session")

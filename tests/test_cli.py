@@ -241,12 +241,58 @@ def test_help_and_version_exit_0(argv, capsys):
     (["--cycle-len", "2", "--bound-len", "2"], 0),
 ])
 def test_process_exit_codes(golden_path, extra, code):
+    proc = _cli_process("analyze", "--input", golden_path, *extra)
+    assert proc.returncode == code, proc.stderr
+
+
+def _cli_process(*argv):
+    """Run ``python -m finitype.cli`` on ``argv`` in a child process."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(finitype.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "finitype.cli", "analyze", "--input",
-         golden_path, *extra], env=env, capture_output=True, timeout=60)
-    assert proc.returncode == code, proc.stderr
+    return subprocess.run([sys.executable, "-m", "finitype.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+def _one_error_line(stderr, name):
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and name in lines[0], stderr
+    return lines[0]
+
+
+@pytest.mark.parametrize("minpoly,interval,translations", [
+    # (3x - 1)(x + 1): rho = 1/3, and rho - 1/3 is not the zero vector
+    ([-1, 2, 3], ["1/4", "1/2"], [["0"], ["2/3"]]),
+    # (x^2 + x - 1)(x^2 + 1): rho is the golden ratio's reciprocal
+    ([-1, 1, 0, 1, 1], ["1/2", "7/10"], [["0"], ["1", "-1"]]),
+], ids=["rational-factor", "quadratic-factor"])
+def test_reducible_minpoly_exits_1(tmp_path, minpoly, interval, translations):
+    p = tmp_path / "reducible.json"
+    p.write_text(json.dumps({
+        "rho": {"minpoly": minpoly, "interval": interval},
+        "translations": translations, "probabilities": "uniform"}))
+    proc = _cli_process("analyze", "--input", str(p))
+    assert proc.returncode == 1
+    _one_error_line(proc.stderr, "NotIrreducible")
+
+
+@pytest.mark.parametrize("flag", ["--json", "--dot"])
+@pytest.mark.parametrize("target", ["missing/out", "directory"])
+def test_unwritable_report_path_exits_1(golden_path, tmp_path, flag, target):
+    (tmp_path / "directory").mkdir()
+    path = tmp_path / target
+    proc = _cli_process("analyze", "--input", golden_path, flag, str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert str(path) in _one_error_line(proc.stderr, "FinitypeError")
+    assert not list(tmp_path.rglob(".finitype-*"))
+
+
+@pytest.mark.parametrize("command", ["analyze", "rescale"])
+def test_non_utf8_input_exits_1(tmp_path, capsys, command):
+    p = tmp_path / "bytes.json"
+    p.write_bytes(b"\xff\xfe{")
+    assert run([command, "--input", str(p)]) == 1
+    _one_error_line(capsys.readouterr().err, "InputDocumentError")
 
 
 def test_subset_fallback_is_reported(golden_path, tmp_path, capsys):
@@ -293,6 +339,15 @@ def test_formulas_output(capsys):
     out = capsys.readouterr().out
     assert "1.058745" in out   # predicted minimum
     assert "1.014334" in out   # predicted maximum
+
+
+@pytest.mark.parametrize("R,m,flag", [(1, 3, "--R"), (3, 1, "--m"),
+                                      (3, 0, "--m")])
+def test_formulas_out_of_range_exits_1(capsys, R, m, flag):
+    assert run(["formulas", "--R", str(R), "--m", str(m)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in _one_error_line(captured.err, "InputDocumentError")
 
 
 def test_analyze_irregular_flag(tmp_path, capsys):

@@ -15,9 +15,10 @@ import pytest
 from finitype import dimcalc
 from finitype.dimcalc import CycleEnumeration, enumerate_cycles
 from finitype.errors import ZeroRow
-from finitype.ifsmodel import cantor_ifs, uniform_probabilities, validate
 from finitype.loopclasses import classify_all, essential_class
 from finitype.netgraph import build_graph
+
+from conftest import catalog_model
 
 
 def _canonical_rotation(edge_path, graph, start):
@@ -72,8 +73,7 @@ def _necklace(vertices):
 
 @pytest.fixture(scope="module")
 def cantor3_uniform_model():
-    return validate(cantor_ifs(3, 3, uniform_probabilities(3),
-                               name="cantor-r3-m3-uniform"))
+    return catalog_model("cantor_r3_m3_uniform")
 
 
 MODELS = ("golden_model", "golden_square_model", "cantor3_binomial_model",

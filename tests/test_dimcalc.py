@@ -13,6 +13,7 @@ from finitype.dimcalc import (
     NormKind,
     _auto_subsets,
     _norm_pass,
+    _walk_count,
     assemble_report,
     dim_at_zero,
     enumerate_cycles,
@@ -476,21 +477,44 @@ def _step_graphs(draw):
     return steps, starts, subsets, draw(st.integers(1, 4))
 
 
+def _pass(steps, starts, depth, subsets, budget_state):
+    """``_norm_pass`` and ``_walk_count`` on ``steps`` and ``starts``, in the
+    shape ``_brute_norm_pass`` returns: the adjacency reversed into
+    ``into``, and one ``(upper, value, starts)`` family per indicator (max
+    and min of the full one, then a restricted min per subset)."""
+    into = {v: [] for v in steps}
+    for v, outs in steps.items():
+        for w, matrix in outs:
+            into[w].append((v, matrix))
+
+    def family(i):
+        init = {}
+        for s, vecs in starts:
+            init.setdefault(s, []).append(vecs[i])
+        return init
+
+    families = [(True, max, family(0)), (False, min, family(0))] + [
+        (False, lambda vec, idx=idx: min(vec[k - 1] for k in idx),
+         family(1 + i)) for i, idx in enumerate(subsets)]
+    hi, lo, *sub = _norm_pass(into, families, depth, budget_state)
+    return _walk_count(into, depth), lo, hi, sub
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=_step_graphs())
 def test_norm_pass_matches_brute_force(case):
     steps, starts, subsets, depth = case
     ref, prefixes = _brute_norm_pass(steps, starts, depth, subsets)
     budget = [5, 10 ** 9]
-    assert _norm_pass(steps, starts, depth, subsets, budget) == ref
+    assert _pass(steps, starts, depth, subsets, budget) == ref
     charge = budget[0] - 5
     assert charge <= prefixes
     budget = [0, charge]
-    _norm_pass(steps, starts, depth, subsets, budget)
+    _pass(steps, starts, depth, subsets, budget)
     assert budget[0] == charge
     if charge:
         with pytest.raises(PathExplosion):
-            _norm_pass(steps, starts, depth, subsets, [0, charge - 1])
+            _pass(steps, starts, depth, subsets, [0, charge - 1])
 
 
 def test_norm_pass_frontier_by_hand():
@@ -506,7 +530,7 @@ def test_norm_pass_frontier_by_hand():
     steps = {0: [(0, a), (0, b), (0, c)]}
     starts = [(0, ((1, 1),))]
     budget = [0, 10 ** 9]
-    assert _norm_pass(steps, starts, 3, [], budget) == (27, 1, 8, [])
+    assert _pass(steps, starts, 3, [], budget) == (27, 1, 8, [])
     assert budget[0] == 18
     assert _brute_norm_pass(steps, starts, 3, [])[1] == 39
 

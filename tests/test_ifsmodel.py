@@ -9,13 +9,12 @@ from finitype.exactfield import NumberField
 from finitype.ifsmodel import (
     Ifs,
     binomial_convolution_probabilities,
-    cantor_ifs,
     rescale,
     uniform_probabilities,
     validate,
 )
 
-from conftest import golden_ifs
+from conftest import catalog_model, golden_ifs
 
 
 def test_golden_model_valid():
@@ -26,8 +25,7 @@ def test_golden_model_valid():
 
 
 def test_cantor_m5_valid():
-    ifs = cantor_ifs(3, 5, uniform_probabilities(5))
-    m = validate(ifs)
+    m = catalog_model("cantor_r3_m5_uniform")
     assert m.m == 5
     assert [t.as_fraction() for t in m.translations] == [
         Fraction(2 * j, 15) for j in range(6)]
@@ -103,6 +101,6 @@ def test_binomial_convolution_probabilities():
 
 
 def test_normalized_weights():
-    m = validate(cantor_ifs(3, 5, binomial_convolution_probabilities(5)))
+    m = catalog_model("cantor_r3_m5_binomial")
     assert m.normalized == (1, 5, 10, 10, 5, 1)
     assert min(m.normalized) == 1

@@ -6,7 +6,7 @@ import pytest
 
 from finitype.errors import CapExceeded
 from finitype.exactfield import NumberField
-from finitype.ifsmodel import Ifs, cantor_ifs, uniform_probabilities, validate
+from finitype.ifsmodel import Ifs, validate
 from finitype.netgraph import build_graph, children, export_dot
 
 from conftest import golden_ifs

@@ -10,25 +10,21 @@ import pytest
 from finitype.netgraph import build_graph
 
 import invariants as inv
-from conftest import bernoulli_ifs, golden_ifs, golden_square_ifs
+from conftest import bernoulli_ifs, catalog_model, golden_ifs, \
+    golden_square_ifs
 
 from fractions import Fraction
 
-from finitype.ifsmodel import (
-    binomial_convolution_probabilities,
-    cantor_ifs,
-    uniform_probabilities,
-    validate,
-)
+from finitype.ifsmodel import validate
 
 
 def _models():
     return [
         validate(golden_ifs()),
         validate(golden_square_ifs()),
-        validate(cantor_ifs(3, 3, binomial_convolution_probabilities(3))),
-        validate(cantor_ifs(3, 5, binomial_convolution_probabilities(5))),
-        validate(cantor_ifs(3, 5, uniform_probabilities(5))),
+        catalog_model("cantor_r3_m3_binomial"),
+        catalog_model("cantor_r3_m5_binomial"),
+        catalog_model("cantor_r3_m5_uniform"),
         validate(bernoulli_ifs([-1, 1, 0, 1],
                                (Fraction(3, 5), Fraction(7, 10)))),
     ]
