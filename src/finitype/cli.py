@@ -9,6 +9,7 @@ contaminated by floating point.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -391,6 +392,9 @@ def _cmd_analyze(args) -> int:
     model = validate(ifs, allow_irregular=args.allow_irregular)
     for w in model.warnings:
         print(f"warning: {w}", file=sys.stderr)
+    for path in (args.dot_out, args.json_out):
+        if path:
+            _check_writable(path)
     graph = build_graph(model, cap_cvs=args.max_cvs)
     classes = classify_all(graph)
     if args.oracle_level > 0:
@@ -424,11 +428,34 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _temp_beside(path):
+    """A new temporary file in ``path``'s directory, as (fd, name)."""
+    return tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                            prefix=".finitype-")
+
+
+def _cannot_write(path, e: OSError):
+    return FinitypeError(f"cannot write {path}: {e.strerror or e}")
+
+
+def _check_writable(path):
+    """Raise now the error ``_write_atomic`` would raise after the whole
+    analysis when ``path`` is a directory or its directory cannot take a new
+    file (missing, not a directory, not writable)."""
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        fd, tmp = _temp_beside(path)
+        os.close(fd)
+        os.unlink(tmp)
+    except OSError as e:
+        raise _cannot_write(path, e)
+
+
 def _write_atomic(path, text):
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                   prefix=".finitype-")
+        fd, tmp = _temp_beside(path)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         # mkstemp creates the file 0600; give it the mode open() would
@@ -443,7 +470,7 @@ def _write_atomic(path, text):
             except OSError:
                 pass
         if isinstance(e, OSError):
-            raise FinitypeError(f"cannot write {path}: {e.strerror or e}")
+            raise _cannot_write(path, e)
         raise
 
 

@@ -8,6 +8,12 @@ a per-step value s translates into the local dimension
 (log p_0 + log s) / log rho. Since log rho < 0, larger spectral values mean
 smaller dimensions.
 
+Products are taken with ``netgraph.vec_mat`` on compiled matrices
+(``netgraph.SparseMatrix``: per row, the ``(column, entry)`` pairs of the
+nonzero entries). An edge's compiled matrix is its ``sparse`` attribute,
+built once; a matrix formed here, such as a shifted block or its square, is
+compiled once where it is formed. Products come back dense, as row tuples.
+
 Spectral radii come with certified rational enclosures: Collatz-Wielandt
 quotients of an exactly-computed iteration on each irreducible diagonal block,
 with a unit shift to kill periodicity, and repeated squaring as a fallback
@@ -45,7 +51,7 @@ from .errors import (
 )
 from .ifsmodel import Model
 from .loopclasses import LoopClass, classify_all, strongly_connected_components
-from .netgraph import TransitionGraph, vec_mat
+from .netgraph import SparseMatrix, TransitionGraph, compile_matrix, vec_mat
 
 _EXACT_SQRT_SCALE = 10 ** 40
 _REL_TOL = Fraction(1, 10 ** 10)   # relative width of a converged enclosure
@@ -55,8 +61,8 @@ _REL_TOL = Fraction(1, 10 ** 10)   # relative width of a converged enclosure
 # small exact matrix helpers
 # ----------------------------------------------------------------------------
 
-def mat_mul(A, B):
-    """Product of two row-tuple matrices with exact entries."""
+def mat_mul(A, B: SparseMatrix):
+    """Product of a row-tuple matrix and a compiled matrix, as row tuples."""
     return tuple([tuple(vec_mat(row, B)) for row in A])
 
 
@@ -70,7 +76,7 @@ def product_along(edges):
                 f"edge into {e.child} followed by edge out of {f.parent}")
     P = edges[0].matrix
     for e in edges[1:]:
-        P = mat_mul(P, e.matrix)
+        P = mat_mul(P, e.sparse)
     return P
 
 
@@ -96,14 +102,27 @@ def _sqrt_bounds(f: Fraction, lower: bool) -> Fraction:
     return Fraction(root, _EXACT_SQRT_SCALE)
 
 
-def _iter_bounds(A):
+def _quotient_extremes(w, v):
+    """min and max of the quotients w_i / v_i, for positive integers v_i, as
+    Fractions; compared by cross-multiplication, so only the two extremes
+    become Fractions."""
+    lo_w = hi_w = w[0]
+    lo_v = hi_v = v[0]
+    for x, y in zip(w, v):
+        if x * lo_v < lo_w * y:
+            lo_w, lo_v = x, y
+        elif x * hi_v > hi_w * y:
+            hi_w, hi_v = x, y
+    return Fraction(lo_w, lo_v), Fraction(hi_w, hi_v)
+
+
+def _iter_bounds(A: SparseMatrix):
     """Collatz-Wielandt enclosure of sp(A) for A nonnegative with positive
     diagonal (so aperiodic on each irreducible piece); A is used as given."""
-    v = [1] * len(A)
+    v = [1] * len(A.rows)
     for _ in range(300):
         w = vec_mat(v, A)
-        ratios = [Fraction(x, y) for x, y in zip(w, v)]
-        lo, hi = min(ratios), max(ratios)
+        lo, hi = _quotient_extremes(w, v)
         if hi - lo <= _REL_TOL / 4 * hi:
             break
         v = _rescale_positive(w)
@@ -136,14 +155,15 @@ def _block_spectral_bounds(block):
               for i in range(n))
     exponent = 0  # A is (block + I) ** (2 ** exponent)
     while True:
-        lo, hi = _iter_bounds(A)
+        S = compile_matrix(A)
+        lo, hi = _iter_bounds(S)
         for _ in range(exponent):
             lo = _sqrt_bounds(lo, lower=True)
             hi = _sqrt_bounds(hi, lower=False)
         lo, hi = lo - 1, hi - 1
         if hi <= 0 or hi - lo <= _REL_TOL * hi or exponent >= 6:
             return max(lo, Fraction(0)), max(hi, Fraction(0))
-        A = mat_mul(A, A)
+        A = mat_mul(A, S)
         exponent += 1
 
 
@@ -195,7 +215,7 @@ def dim_at_zero(model: Model) -> float:
 def _dim_range(model: Model, per_lo: float, per_hi: float):
     """(dim_lo, dim_hi) for per-step spectral values in [per_lo, per_hi];
     the larger value gives the smaller dimension, and 0 gives infinity."""
-    lr = math.log(float(model.rho()))
+    lr = model.log_rho
     lp0 = _flog(model.probabilities[0])
     dim_lo = (lp0 + math.log(per_hi)) / lr
     dim_hi = (lp0 + math.log(per_lo)) / lr if per_lo > 0 else math.inf
@@ -390,7 +410,7 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
                     truncated = True
                     break
                 still = [a for a in tied if eidx == path[n - a]]
-                new_prod = e.matrix if prod is None else mat_mul(prod, e.matrix)
+                new_prod = e.matrix if prod is None else mat_mul(prod, e.sparse)
                 new_path = path + (eidx,)
                 if e.child == s:
                     if all(new_path <= new_path[a:] + new_path[:a]
@@ -577,10 +597,11 @@ def _norm_pass(into, families, depth, budget_state):
     ``depth``-step walk on one side.
 
     ``into[w]`` lists ``(v, matrix)`` for each edge ``v -> w`` of the side,
-    with every vertex a key. A family ``(upper, value, starts)`` carries the
-    row vectors ``starts[v]`` along the walks from ``v``, multiplying by
-    each matrix in turn, and takes the maximum of ``value`` over the last
-    vectors when ``upper``, else the minimum (None where no walk exists).
+    with every vertex a key and every matrix compiled. A family
+    ``(upper, value, starts)`` carries the row vectors ``starts[v]`` along
+    the walks from ``v``, multiplying by each matrix in turn, and takes the
+    maximum of ``value`` over the last vectors when ``upper``, else the
+    minimum (None where no walk exists).
     Each family runs as the per-vertex frontier programme of
     ``_frontier_extreme``, so its extreme is that of full enumeration.
     ``budget_state`` is ``[units charged, cap]``, shared by both sides; a
@@ -609,14 +630,15 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subset=None,
     and max-row. ``subset`` holds 1-based indices valid for every member, or
     a list of such index tuples to try in the same sweep.
 
-    Each side has one reversed adjacency: ``col_into[w]`` holds ``(v, M)``
-    for every internal edge ``v -> w`` and gives the column sums of the
-    products; ``row_into[v]`` holds ``(w, M^T)`` and gives the column sums
-    of the transposed products, which are the row sums. Both sides run the
-    same ``(upper, value, starts)`` families through ``_norm_pass``: the max
-    column sum, the min column sum, then one restricted min per subset. The
-    functionals, and ``path_count`` from ``_walk_count`` on ``col_into``,
-    are those of enumerating every walk. ``path_budget`` caps the units
+    Each side has one reversed adjacency of compiled matrices:
+    ``col_into[w]`` holds ``(v, M)`` for every internal edge ``v -> w`` and
+    gives the column sums of the products; ``row_into[v]`` holds
+    ``(w, M^T)``, transposed from the edge's compiled ``M``, and gives the
+    column sums of the transposed products, which are the row sums. Both
+    sides run the same ``(upper, value, starts)`` families through
+    ``_norm_pass``: the max column sum, the min column sum, then one
+    restricted min per subset. The functionals, and ``path_count`` from
+    ``_walk_count`` on ``col_into``, are those of enumerating every walk. ``path_budget`` caps the units
     charged by the column-sum side and then the row-sum side; past it,
     PathExplosion.
     """
@@ -643,11 +665,11 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subset=None,
     col_into = {v: [] for v in ms}
     for v in ms:
         for _, e in internal[v]:
-            col_into[e.child].append((v, e.matrix))
+            col_into[e.child].append((v, e.sparse))
     row_into = {v: [] for v in ms}
     for w, sources in col_into.items():
         for v, matrix in sources:
-            row_into[v].append((w, tuple(zip(*matrix))))
+            row_into[v].append((w, matrix.transposed()))
 
     ones = {v: [(1,) * n] for v, n in sizes.items()}
     families = [(True, max, ones), (False, min, ones)] + [

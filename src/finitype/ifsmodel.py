@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, log
 
 from .errors import (
     IRREGULAR_PROBABILITIES,
@@ -63,6 +63,12 @@ class Model:
 
     def rho(self) -> FieldElement:
         return self.ifs.field.rho()
+
+    @cached_property
+    def log_rho(self) -> float:
+        """log rho as a float, computed once per model: ``float(rho)``
+        narrows rho's enclosure each time it is taken."""
+        return log(float(self.rho()))
 
     @cached_property
     def step_constants(self):

@@ -8,6 +8,13 @@ rational matrix whose nonzero entries are weights divided by the smallest
 weight. Closure from the unit root interval yields the finite vertex set for
 a finite-type system; ids are assigned in breadth-first discovery order, so
 rebuilds are bit-identical.
+
+Products are taken on compiled matrices. ``compile_matrix`` turns a dense
+row-tuple matrix into a ``SparseMatrix``: its column count and, per row, the
+``(column, entry)`` pairs of the nonzero entries, columns ascending.
+``vec_mat``, the one product kernel, multiplies a row vector by one. Each
+edge compiles its matrix the first time ``TransitionEdge.sparse`` is read,
+so a graph that is only built and classified holds no compiled form.
 """
 
 from __future__ import annotations
@@ -15,6 +22,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 from .errors import CapExceeded, InternalInconsistency
 from .ifsmodel import Model
@@ -50,17 +59,43 @@ class TransitionEdge:
     multiplicity: int
     offsets: tuple[FieldElement, ...]
 
+    @cached_property
+    def sparse(self) -> SparseMatrix:
+        """``matrix`` compiled for ``vec_mat``, once per edge."""
+        return compile_matrix(self.matrix)
 
-def vec_mat(v, M):
-    """Row vector times an edge matrix, exactly; the one product kernel."""
-    K = len(M[0])
-    acc = [0] * K
-    for j, x in enumerate(v):
+
+class SparseMatrix(NamedTuple):
+    """A matrix compiled for ``vec_mat``: the column count, and per row the
+    ``(column, entry)`` pairs of its nonzero entries, columns ascending."""
+
+    ncols: int
+    rows: tuple[tuple[tuple[int, Fraction | int], ...], ...]
+
+    def transposed(self) -> SparseMatrix:
+        """The compiled transpose, built from the nonzero pairs alone."""
+        cols = [[] for _ in range(self.ncols)]
+        for j, row in enumerate(self.rows):
+            for k, x in row:
+                cols[k].append((j, x))
+        return SparseMatrix(len(self.rows), tuple(map(tuple, cols)))
+
+
+def compile_matrix(M) -> SparseMatrix:
+    """The ``SparseMatrix`` of a dense row-tuple matrix."""
+    return SparseMatrix(len(M[0]), tuple(
+        tuple((k, x) for k, x in enumerate(row) if x) for row in M))
+
+
+def vec_mat(v, S: SparseMatrix):
+    """Row vector times a compiled matrix, exactly; the one product kernel.
+    Terms are added in the order of a dense row-by-row product."""
+    ncols, rows = S
+    acc = [0] * ncols
+    for x, row in zip(v, rows):
         if x:
-            row = M[j]
-            for k in range(K):
-                if row[k]:
-                    acc[k] += x * row[k]
+            for k, a in row:
+                acc[k] += x * a
     return acc
 
 

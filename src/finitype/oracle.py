@@ -7,8 +7,8 @@ normalized weight vectors. None of it touches the graph code, so exact
 agreement between the two is meaningful. Points and neighbour offsets are
 ordered by the exact enclosure sort, never by the float proposal that the
 graph closure's ``sort_unique`` tries first. The graph side,
-``expand_graph``, multiplies edge matrices with ``netgraph.vec_mat``, the
-product kernel the dimension code uses too.
+``expand_graph``, multiplies by each edge's compiled matrix with
+``netgraph.vec_mat``, the product kernel the dimension code uses too.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def expand_graph(model: Model, graph: TransitionGraph, n: int):
         nxt = []
         for vid, left, q in level:
             for e in graph.out_edges(vid):
-                nq = vec_mat(q, e.matrix)
+                nq = vec_mat(q, e.sparse)
                 for off in e.offsets:
                     nxt.append((e.child, left + scale * off, nq))
         level = nxt

@@ -1,5 +1,6 @@
-"""Shared model fixtures built from exact data."""
+"""Shared model fixtures built from exact data, and a per-test time limit."""
 
+import signal
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,32 @@ from finitype.catalog import load_document
 from finitype.cli import parse_document
 from finitype.exactfield import NumberField
 from finitype.ifsmodel import Ifs, uniform_probabilities, validate
+
+
+# Wall-clock seconds a test may run before it fails; the slowest test takes
+# under 20 s, so only a test that does not terminate gets near it.
+TEST_TIME_LIMIT = 300
+
+
+@pytest.fixture(autouse=True)
+def _time_limit(request):
+    """Fail a test that runs past TEST_TIME_LIMIT seconds instead of hanging
+    the suite. It needs SIGALRM, so where that is missing it does nothing."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"{request.node.nodeid} ran past the per-test limit of "
+                    f"{TEST_TIME_LIMIT} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def golden_ifs(name="golden"):

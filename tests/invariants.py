@@ -18,6 +18,7 @@ from finitype.dimcalc import (
     spectral_radius,
 )
 from finitype.loopclasses import essential_class, positivity_certificate
+from finitype.netgraph import compile_matrix
 from finitype.oracle import brute_level
 
 
@@ -43,7 +44,7 @@ def check_norm_monotone(graph, rng, n_cases):
         pb = random_path(graph, rng, lb, start=pa[-1].child)
         A = product_along(pa)
         B = product_along(pb)
-        AB = mat_mul(A, B)
+        AB = mat_mul(A, compile_matrix(B))
         assert pseudo_norm(B, NormKind.TOTAL) <= pseudo_norm(AB, NormKind.TOTAL)
         assert pseudo_norm(A, NormKind.TOTAL) <= pseudo_norm(AB, NormKind.TOTAL)
         count += 2
@@ -72,7 +73,7 @@ def check_sandwich(graph, rng, n_cases):
                               start=wit[-1])
         A = product_along(A_edges)
         C = product_along(C_edges)
-        ABC = mat_mul(mat_mul(A, B), C)
+        ABC = mat_mul(mat_mul(A, compile_matrix(B)), compile_matrix(C))
         assert pseudo_norm(ABC, NormKind.TOTAL) >= \
             pseudo_norm(A, NormKind.TOTAL) * pseudo_norm(C, NormKind.TOTAL)
         count += 1
@@ -107,10 +108,11 @@ def check_gelfand(graph, rng, max_cycles=10):
         edges = _cycle_edges(graph, cd.vertices, rng)
         B = product_along(edges)
         P = B
+        B_sparse = compile_matrix(B)
         for _ in range(6):
             lo, hi = spectral_radius(P)
             assert lo <= float(pseudo_norm(P, NormKind.TOTAL)) * (1 + 1e-9)
-            P = mat_mul(P, B)
+            P = mat_mul(P, B_sparse)
             count += 1
     return count
 

@@ -287,6 +287,22 @@ def test_unwritable_report_path_exits_1(golden_path, tmp_path, flag, target):
     assert not list(tmp_path.rglob(".finitype-*"))
 
 
+@pytest.mark.parametrize("flag", ["--json", "--dot"])
+@pytest.mark.parametrize("target", ["missing/out", "directory"])
+def test_unwritable_report_path_fails_before_the_build(
+        golden_path, tmp_path, capsys, monkeypatch, flag, target):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the graph was built for an unwritable report")
+
+    monkeypatch.setattr(cli, "build_graph", no_build)
+    (tmp_path / "directory").mkdir()
+    path = tmp_path / target
+    assert run(["analyze", "--input", golden_path, flag, str(path)]) == 1
+    assert str(path) in _one_error_line(capsys.readouterr().err,
+                                        "FinitypeError")
+    assert not list(tmp_path.rglob(".finitype-*"))
+
+
 @pytest.mark.parametrize("command", ["analyze", "rescale"])
 def test_non_utf8_input_exits_1(tmp_path, capsys, command):
     p = tmp_path / "bytes.json"

@@ -42,7 +42,7 @@ def _reference_enumerate(graph, members, max_len):
                 if e.child < s:
                     continue
                 new_prod = (e.matrix if prod is None
-                            else dimcalc.mat_mul(prod, e.matrix))
+                            else dimcalc.mat_mul(prod, e.sparse))
                 new_path = epath + (eidx,)
                 if e.child == s:
                     key = _canonical_rotation(new_path, graph, s)

@@ -13,6 +13,7 @@ from finitype.dimcalc import (
     NormKind,
     _auto_subsets,
     _norm_pass,
+    _quotient_extremes,
     _walk_count,
     assemble_report,
     dim_at_zero,
@@ -33,7 +34,7 @@ from finitype.errors import (
 )
 from finitype.ifsmodel import validate
 from finitype.loopclasses import essential_class
-from finitype.netgraph import build_graph
+from finitype.netgraph import build_graph, compile_matrix
 
 
 @pytest.fixture(scope="module")
@@ -260,7 +261,7 @@ def test_pseudo_norm_subset_validation():
 
 def test_pseudo_norm_supermultiplicative_on_squares():
     m = ((1, 0), (1, 1))
-    sq = mat_mul(m, m)
+    sq = mat_mul(m, compile_matrix(m))
     for kind in (NormKind.MIN_ROW, NormKind.MIN_COL):
         assert pseudo_norm(sq, kind) >= pseudo_norm(m, kind) ** 2
     assert pseudo_norm(sq, NormKind.MAX_COL) <= pseudo_norm(m, NormKind.MAX_COL) ** 2
@@ -418,6 +419,22 @@ def test_fractional_weight_norm_bounds_match_brute_force(skewed_graph, depth):
     assert nb.path_count == count
 
 
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(
+    st.one_of(st.integers(1, 4), st.integers(1, 2 ** 520),
+              st.fractions(min_value=Fraction(1, 10 ** 6), max_value=10 ** 6)),
+    st.one_of(st.integers(1, 4), st.integers(1, 2 ** 520))),
+    min_size=1, max_size=30))
+def test_quotient_extremes_match_fraction_min_max(pairs):
+    # the integer cross-multiplication picks the same extremes as building
+    # every quotient w_i / v_i as a Fraction; small ranges force ties
+    w, v = zip(*pairs)
+    quotients = [Fraction(x, y) for x, y in pairs]
+    lo, hi = _quotient_extremes(w, v)
+    assert (lo, hi) == (min(quotients), max(quotients))
+    assert type(lo) is Fraction and type(hi) is Fraction
+
+
 # ------------------------------------------------- frontier pass and budget
 
 def _times(vec, matrix):
@@ -480,12 +497,13 @@ def _step_graphs(draw):
 def _pass(steps, starts, depth, subsets, budget_state):
     """``_norm_pass`` and ``_walk_count`` on ``steps`` and ``starts``, in the
     shape ``_brute_norm_pass`` returns: the adjacency reversed into
-    ``into``, and one ``(upper, value, starts)`` family per indicator (max
-    and min of the full one, then a restricted min per subset)."""
+    ``into`` with each matrix compiled, as ``norm_bounds`` does, and one
+    ``(upper, value, starts)`` family per indicator (max and min of the
+    full one, then a restricted min per subset)."""
     into = {v: [] for v in steps}
     for v, outs in steps.items():
         for w, matrix in outs:
-            into[w].append((v, matrix))
+            into[w].append((v, compile_matrix(matrix)))
 
     def family(i):
         init = {}
