@@ -2,6 +2,7 @@
 
 import signal
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -9,6 +10,7 @@ from finitype.catalog import load_document
 from finitype.cli import parse_document
 from finitype.exactfield import NumberField
 from finitype.ifsmodel import Ifs, uniform_probabilities, validate
+from finitype.netgraph import build_graph
 
 
 # Wall-clock seconds a test may run before it fails; the slowest test takes
@@ -86,6 +88,13 @@ def golden_square_skewed_model():
 def catalog_model(name):
     """The validated model of a shipped catalog document."""
     return validate(parse_document(load_document(name)))
+
+
+@lru_cache(maxsize=None)
+def catalog_graph(name):
+    """The transition graph of a shipped catalog document, built once per
+    session; callers must not change it."""
+    return build_graph(catalog_model(name))
 
 
 @pytest.fixture(scope="session")

@@ -38,6 +38,7 @@ from finitype.netgraph import TransitionGraph, build_graph
 from finitype.oracle import check_graph_against_oracle
 
 import invariants as inv
+from conftest import catalog_graph
 
 
 @contextmanager
@@ -116,7 +117,7 @@ SLOW_CENSUS = ["bc_x3_plus_x_minus_1", "bc_x4_minus_2x2_minus_x_plus_1",
 def test_criterion_3_census_fast():
     with criterion(3, "census counts, fast rows"):
         for name in FAST_CENSUS:
-            graph = _graph(name)
+            graph = catalog_graph(name)
             expected = CENSUS[name]
             assert (len(graph), len(essential_class(graph).members)) == expected, name
 
@@ -125,7 +126,7 @@ def test_criterion_3_census_fast():
 def test_criterion_3_census_slow():
     with criterion(3, "census counts, slow rows"):
         for name in SLOW_CENSUS:
-            graph = _graph(name)
+            graph = catalog_graph(name)
             expected = CENSUS[name]
             assert (len(graph), len(essential_class(graph).members)) == expected, name
             # the essential class is of positive type on every shipped model

@@ -1,9 +1,11 @@
 """Graph fingerprints: the closed transition graph pinned bit for bit.
 
-For every catalog example whose graph builds in a couple of seconds, the
-fixture ``tests/golden/graph_fingerprints.json`` holds the SHA-256 of the
+For every catalog example whose graph builds in a couple of seconds (the
+1809-vertex ``bc_x3_plus_x2_minus_1`` included), the fixture
+``tests/golden/graph_fingerprints.json`` holds the SHA-256 of the
 characteristic-vector keys in id order and of every edge (parent, child,
-matrix, multiplicity, offsets). Changes to the exact arithmetic or to the
+matrix, multiplicity, offsets). Each graph is built once per session and
+shared with the loop-class fixture. Changes to the exact arithmetic or to the
 graph closure must leave them unchanged. After a deliberate change of the
 graph, regenerate the fixture with
 
@@ -17,10 +19,7 @@ import sys
 
 import pytest
 
-from finitype.catalog import load_document
-from finitype.cli import parse_document
-from finitype.ifsmodel import validate
-from finitype.netgraph import build_graph
+from conftest import catalog_graph
 
 FIXTURE = pathlib.Path(__file__).parent / "golden" / "graph_fingerprints.json"
 
@@ -28,6 +27,7 @@ FINGERPRINT_NAMES = (
     "golden",
     "golden_square",
     "bc_x3_plus_x_minus_1",
+    "bc_x3_plus_x2_minus_1",
     "bc_x3_minus_x2_plus_2x_minus_1",
     "bc_x3_plus_x2_plus_x_minus_1",
     "bc_x4_minus_2x2_minus_x_plus_1",
@@ -49,7 +49,7 @@ FINGERPRINT_NAMES = (
 
 def graph_fingerprint(name: str) -> str:
     """SHA-256 of the keys and edges of a catalog example's graph."""
-    graph = build_graph(validate(parse_document(load_document(name))))
+    graph = catalog_graph(name)
     h = hashlib.sha256()
     for cv in graph.cvs:
         h.update(repr(cv.key()).encode())

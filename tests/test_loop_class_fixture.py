@@ -17,11 +17,9 @@ import sys
 
 import pytest
 
-from finitype.catalog import load_document
-from finitype.cli import parse_document
-from finitype.ifsmodel import validate
 from finitype.loopclasses import classify_all
-from finitype.netgraph import build_graph
+
+from conftest import catalog_graph
 from test_graph_fingerprints import FINGERPRINT_NAMES
 
 FIXTURE = pathlib.Path(__file__).parent / "golden" / "loop_classes.json"
@@ -29,7 +27,7 @@ FIXTURE = pathlib.Path(__file__).parent / "golden" / "loop_classes.json"
 
 def loop_class_records(name: str) -> list:
     """One JSON-ready record per maximal class of a catalog example."""
-    graph = build_graph(validate(parse_document(load_document(name))))
+    graph = catalog_graph(name)
     records = []
     for c in classify_all(graph):
         p = c.positivity
