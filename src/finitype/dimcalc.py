@@ -510,6 +510,7 @@ class NormBounds:
     dim_lo: float
     dim_hi: float
     path_count: int
+    charged: int                      # units charged against path_budget
     functionals: dict | None = None   # per-functional aggregates, for inspection
 
 
@@ -638,9 +639,9 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subset=None,
     sides run the same ``(upper, value, starts)`` families through
     ``_norm_pass``: the max column sum, the min column sum, then one
     restricted min per subset. The functionals, and ``path_count`` from
-    ``_walk_count`` on ``col_into``, are those of enumerating every walk. ``path_budget`` caps the units
-    charged by the column-sum side and then the row-sum side; past it,
-    PathExplosion.
+    ``_walk_count`` on ``col_into``, are those of enumerating every walk.
+    ``path_budget`` caps the units charged by the column-sum side and then
+    the row-sum side, whose total is ``charged``; past it, PathExplosion.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -700,6 +701,7 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subset=None,
                       per_step_lo=g_lo, per_step_hi=g_hi,
                       dim_lo=dim_lo, dim_hi=dim_hi,
                       path_count=_walk_count(col_into, depth),
+                      charged=budget_state[0],
                       functionals=functionals)
 
 

@@ -73,11 +73,9 @@ class Model:
     @cached_property
     def step_constants(self):
         """What every subdivision step of the graph closure uses, computed
-        once per model: (rho, 1/rho, each d_j / rho, the normalized weights
-        with the integral ones as int)."""
-        inv_rho = self.field.inv_rho()
-        return (self.rho(), inv_rho,
-                tuple(dl * inv_rho for dl in self.translations),
+        once per model: (rho, 1/rho, the normalized weights with the
+        integral ones as int)."""
+        return (self.rho(), self.field.inv_rho(),
                 tuple(int(w) if w.denominator == 1 else w
                       for w in self.normalized))
 

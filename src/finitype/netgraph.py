@@ -9,6 +9,11 @@ weight. Closure from the unit root interval yields the finite vertex set for
 a finite-type system; ids are assigned in breadth-first discovery order, so
 rebuilds are bit-identical.
 
+A vertex's cover tests go by ranks in one certified sort of 0, its length,
+and both ends of each image [x, x + rho], x = d_l - c for neighbour c and
+map l: the image covers child [t, u] iff rank(x) <= rank(t) and rank(x +
+rho) >= rank(u). That is exact: ``sort_unique`` certifies each adjacent pair.
+
 Products are taken on compiled matrices. ``compile_matrix`` turns a dense
 row-tuple matrix into a ``SparseMatrix``: its column count and, per row, the
 ``(column, entry)`` pairs of the nonzero entries, columns ascending.
@@ -140,56 +145,47 @@ def children(parent: CharacteristicVector, model: Model):
     The matrix has one row per parent neighbour and one column per child
     neighbour; the entry is the normalized weight of the unique map taking
     the row's covering interval onto the column's, else zero.
+
+    Map l's image from row neighbour c is [x, x + rho], x = d_l - c. It covers
+    child [t, u] iff rank(x) <= rank(t) and rank(x + rho) >= rank(u) in one
+    certified sort (exact; see the module docstring), giving (t - x) / rho.
     """
     f = model.field
-    rho, inv_rho, d_scaled, weights = model.step_constants
-    d = model.translations
-
+    rho, inv_rho, weights = model.step_constants
+    L = len(model.translations)
     ell = parent.length
-    cands = []
-    for dl in d:
-        for c in parent.neighbours:
-            base = dl - c
-            cands.append(base)
-            cands.append(base + rho)
-    inside = [x for x in {e.coeffs: e for e in cands}.values()
-              if x.sign() > 0 and (ell - x).sign() > 0]
-    cuts = [f.zero] + sort_unique(inside) + [ell]
+    # x = d_l - c for row j (neighbour c) and map l, at index j * L + l
+    xs = [dl - c for c in parent.neighbours for dl in model.translations]
+    ends = [x + rho for x in xs]
+    pool = sort_unique([f.zero, ell] + xs + ends)
+    rank = {e.coeffs: r for r, e in enumerate(pool)}
+    first = rank[f.zero.coeffs]
+    cuts = pool[first:rank[ell.coeffs] + 1]
+    spans = [(rank[x.coeffs], rank[e.coeffs]) for x, e in zip(xs, ends)]
 
     out = []
-    for i in range(len(cuts) - 1):
-        t = cuts[i]
-        child_len = (cuts[i + 1] - t) * inv_rho
-        len_bound = f.one - child_len
-        # gather neighbour values with their generating (row, map) pairs
-        seen: dict = {}
-        for j, c in enumerate(parent.neighbours):
-            base = (t + c) * inv_rho
-            for l in range(len(d)):
-                a = base - d_scaled[l]
-                if a.sign() < 0:
-                    continue
-                if (len_bound - a).sign() < 0:
-                    continue
-                k = a.coeffs
-                if k not in seen:
-                    seen[k] = (a, [])
-                seen[k][1].append((j, l))
-        if not seen:
+    for i, (t, u) in enumerate(zip(cuts, cuts[1:]), start=first):
+        # the (row, map) pairs covering the child [t, u], grouped by rank(x)
+        covering: dict = {}
+        for n, (rx, rend) in enumerate(spans):
+            if rx <= i < rend:
+                covering.setdefault(rx, []).append(divmod(n, L))
+        if not covering:
             raise InternalInconsistency(
                 "child interval covered by no map; invalid model or bug")
-        neigh = sort_unique([v[0] for v in seen.values()])
-        J, K = len(parent.neighbours), len(neigh)
-        rows = [[0] * K for _ in range(J)]
-        for k_idx, a in enumerate(neigh):
-            for (j, l) in seen[a.coeffs][1]:
-                rows[j][k_idx] = weights[l]
+        order = sorted(covering, reverse=True)
+        rows = [[0] * len(order) for _ in parent.neighbours]
+        for k, rx in enumerate(order):
+            for j, l in covering[rx]:
+                rows[j][k] = weights[l]
         matrix = tuple(tuple(r) for r in rows)
         for r in matrix:
             if not any(r):
                 raise InternalInconsistency(
                     "transition matrix has an all-zero row; invalid model or bug")
-        cv = CharacteristicVector(length=child_len, neighbours=tuple(neigh))
+        cv = CharacteristicVector(
+            length=(u - t) * inv_rho,
+            neighbours=tuple((t - pool[rx]) * inv_rho for rx in order))
         _check_cv(cv)
         out.append((cv, matrix, t))
     return out

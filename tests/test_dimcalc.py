@@ -603,6 +603,23 @@ def test_norm_budget_charge_on_simple_loop(plastic_graph, depth):
     assert _explodes(plastic_graph, members, depth, [(1,)], charge - 1)
 
 
+@pytest.mark.parametrize("depth", [1, 3, 6])
+def test_norm_bounds_report_units_charged(golden_graph, cubic_pisot_graph,
+                                          plastic_graph, depth):
+    # charged is path_budget minus the headroom left: the smallest budget
+    # that runs, found here by bisection on PathExplosion
+    for graph, members, subset in (
+            (golden_graph, essential_class(golden_graph).members, None),
+            (cubic_pisot_graph, essential_class(cubic_pisot_graph).members,
+             [(1,)]),
+            (plastic_graph, (22, 30), [(1,)])):
+        nb = norm_bounds(graph, members, depth, subset=subset)
+        assert nb.charged == _charge(graph, members, depth, subset)
+        assert _explodes(graph, members, depth, subset, nb.charged - 1)
+        assert norm_bounds(graph, members, depth, subset=subset,
+                           path_budget=nb.charged) == nb
+
+
 # ---------------------------------------------------------------- reports
 
 def test_golden_report(golden_model, golden_graph):

@@ -6,6 +6,7 @@ from finitype import loopclasses
 from finitype.errors import EssentialClassNotUnique
 from finitype.loopclasses import (
     Positivity,
+    PositivityResult,
     classify_all,
     essential_class,
     maximal_loop_classes,
@@ -13,6 +14,9 @@ from finitype.loopclasses import (
     strongly_connected_components,
 )
 from finitype.netgraph import build_graph
+
+from conftest import catalog_graph
+from test_graph_fingerprints import FINGERPRINT_NAMES
 
 
 @pytest.fixture(scope="module")
@@ -183,3 +187,106 @@ def test_essential_not_unique_error():
 
     with pytest.raises(EssentialClassNotUnique):
         essential_class(FakeGraph())
+
+
+# ----------------------------------------- positivity against the plain BFS
+
+def _reference_positivity(graph, members, max_len=None, state_cap=500_000,
+                          edges=None):
+    """``positivity_certificate`` without the row-image memo: every product
+    row is recomputed from the edge's row masks."""
+    members = tuple(sorted(members))
+    restricted = edges is not None
+    if restricted:
+        out_internal = {v: [] for v in members}
+        for e in edges:
+            out_internal[e.parent].append(e)
+    else:
+        out_internal = {v: [e for _, e in out]
+                        for v, out in graph.internal_out(members).items()}
+    if not any(out_internal.values()):
+        return PositivityResult(Positivity.NOT_POSITIVE, exhausted_length=0)
+
+    def masks(matrix):
+        return tuple(sum(1 << k for k, x in enumerate(row) if x)
+                     for row in matrix), len(matrix[0])
+
+    def full(rows, K):
+        return all(r == (1 << K) - 1 for r in rows)
+
+    def image(bits, next_masks):
+        return _or_all(next_masks[j] for j in range(len(next_masks))
+                       if bits >> j & 1)
+
+    parent = {}
+    layer = []
+    for s in (members if restricted else (members[0],)):
+        for e in out_internal[s]:
+            rows, K = masks(e.matrix)
+            if full(rows, K):
+                return PositivityResult(Positivity.POSITIVE,
+                                        witness=(e.parent, e.child),
+                                        explored_states=1)
+            state = (e.parent, e.child, rows)
+            if state not in parent:
+                parent[state] = (None, e)
+                layer.append(state)
+    length = 1
+    while layer:
+        if max_len is not None and length >= max_len:
+            return PositivityResult(Positivity.UNKNOWN,
+                                    explored_states=len(parent))
+        nxt = []
+        for state in layer:
+            s, mid, rows = state
+            for e in out_internal[mid]:
+                emasks, K = masks(e.matrix)
+                new_state = (s, e.child,
+                             tuple(image(r, emasks) for r in rows))
+                if new_state in parent:
+                    continue
+                if len(parent) >= state_cap:
+                    return PositivityResult(Positivity.UNKNOWN,
+                                            explored_states=len(parent))
+                parent[new_state] = (state, e)
+                if full(new_state[2], K):
+                    path, cur = [], new_state
+                    while cur is not None:
+                        cur, edge = parent[cur]
+                        path.append(edge)
+                    path.reverse()
+                    return PositivityResult(
+                        Positivity.POSITIVE,
+                        witness=tuple([path[0].parent]
+                                      + [e.child for e in path]),
+                        explored_states=len(parent))
+                nxt.append(new_state)
+        layer = nxt
+        length += 1
+    return PositivityResult(Positivity.NOT_POSITIVE,
+                            explored_states=len(parent),
+                            exhausted_length=length - 1)
+
+
+def _or_all(values):
+    acc = 0
+    for v in values:
+        acc |= v
+    return acc
+
+
+@pytest.mark.parametrize("name", [n for n in FINGERPRINT_NAMES
+                                  if n != "bc_x3_plus_x2_minus_1"])
+def test_positivity_matches_reference(name):
+    g = catalog_graph(name)
+    for c in maximal_loop_classes(g):
+        internal = [e for out in g.internal_out(c.members).values()
+                    for _, e in out]
+        # the whole class, a shallow search, every internal edge from every
+        # start, and only each member's first internal out-edge
+        runs = [{}, {"max_len": 3}, {"edges": internal},
+                {"edges": [out[0][1] for out in
+                           g.internal_out(c.members).values() if out]}]
+        for kw in runs:
+            assert positivity_certificate(g, c.members, **kw) == \
+                _reference_positivity(g, c.members, **kw), (name, c.members, kw)

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finitype import netgraph
 from finitype.dimcalc import mat_mul
 from finitype.errors import CapExceeded
-from finitype.exactfield import NumberField
+from finitype.exactfield import NumberField, sort_unique
 from finitype.ifsmodel import Ifs, validate
 from finitype.loopclasses import classify_all
 from finitype.netgraph import (
+    CharacteristicVector,
     build_graph,
     children,
     compile_matrix,
@@ -19,7 +21,8 @@ from finitype.netgraph import (
     vec_mat,
 )
 
-from conftest import golden_ifs
+from conftest import catalog_graph, catalog_model, golden_ifs
+from test_graph_fingerprints import FINGERPRINT_NAMES
 
 
 def _cv_tuple(graph, vid, digits=10):
@@ -248,3 +251,92 @@ def test_edges_compile_lazily_once(golden_square_skewed_model):
     for e in g.edges:
         assert e.sparse == compile_matrix(e.matrix)
         assert e.sparse is e.sparse
+
+
+# ------------------------------------------ children against the pair scan
+
+def _reference_children(parent, model):
+    """The closure step as it was before the cover tests went by rank: two
+    sign tests per candidate cut, two per (row, map) pair and child, and one
+    sort of the neighbour values per child."""
+    f = model.field
+    rho, inv_rho = model.rho(), model.field.inv_rho()
+    weights = tuple(int(w) if w.denominator == 1 else w
+                    for w in model.normalized)
+    d = model.translations
+    d_scaled = tuple(dl * inv_rho for dl in d)
+
+    ell = parent.length
+    cands = []
+    for dl in d:
+        for c in parent.neighbours:
+            base = dl - c
+            cands.append(base)
+            cands.append(base + rho)
+    inside = [x for x in {e.coeffs: e for e in cands}.values()
+              if x.sign() > 0 and (ell - x).sign() > 0]
+    cuts = [f.zero] + sort_unique(inside) + [ell]
+
+    out = []
+    for i in range(len(cuts) - 1):
+        t = cuts[i]
+        child_len = (cuts[i + 1] - t) * inv_rho
+        len_bound = f.one - child_len
+        seen: dict = {}
+        for j, c in enumerate(parent.neighbours):
+            base = (t + c) * inv_rho
+            for l in range(len(d)):
+                a = base - d_scaled[l]
+                if a.sign() < 0:
+                    continue
+                if (len_bound - a).sign() < 0:
+                    continue
+                k = a.coeffs
+                if k not in seen:
+                    seen[k] = (a, [])
+                seen[k][1].append((j, l))
+        assert seen
+        neigh = sort_unique([v[0] for v in seen.values()])
+        J, K = len(parent.neighbours), len(neigh)
+        rows = [[0] * K for _ in range(J)]
+        for k_idx, a in enumerate(neigh):
+            for (j, l) in seen[a.coeffs][1]:
+                rows[j][k_idx] = weights[l]
+        matrix = tuple(tuple(r) for r in rows)
+        out.append((CharacteristicVector(length=child_len,
+                                         neighbours=tuple(neigh)), matrix, t))
+    return out
+
+
+def _exact_repr(kids):
+    """Keys, matrices and offsets as text, so that 1 and Fraction(1) differ."""
+    return [repr((cv.key(), m, t.coeffs)) for cv, m, t in kids]
+
+
+# every fast catalog graph (the cantor_* ones have a degree-1 field); the
+# 1809-vertex graph is pinned by its fingerprint instead
+_CHILDREN_NAMES = [n for n in FINGERPRINT_NAMES if n != "bc_x3_plus_x2_minus_1"]
+
+
+@pytest.mark.parametrize("name", _CHILDREN_NAMES + ["golden_square_skewed"])
+def test_children_match_reference(name, golden_square_skewed_model,
+                                  monkeypatch):
+    if name == "golden_square_skewed":
+        model = golden_square_skewed_model   # Fraction weights
+        graph = build_graph(model)
+    else:
+        model, graph = catalog_model(name), catalog_graph(name)
+    calls = []
+
+    def counted(elements):
+        calls.append(len(elements))
+        return sort_unique(elements)
+
+    monkeypatch.setattr(netgraph, "sort_unique", counted)
+    for vid in range(1, len(graph) + 1):
+        parent = graph.cv(vid)
+        del calls[:]
+        kids = children(parent, model)
+        assert len(calls) == 1, (name, vid)   # one certified sort per vertex
+        assert _exact_repr(kids) == _exact_repr(
+            _reference_children(parent, model)), (name, vid)
