@@ -8,6 +8,16 @@ test by interval arithmetic on a refinable rational enclosure of the root.
 Floating point only proposes: ``sort_unique`` sorts by float approximations
 and then certifies the proposed order with exact sign tests.
 
+An element's coefficients are canonical: each is an int or a non-integral
+Fraction. The coefficient kernel (``plus``, ``minus``, ``canonical``) works
+on bare coefficient tuples with int and Fraction mixed as Python gives them,
+so a raw result may hold an integral Fraction. A raw tuple equals its
+canonical form with an equal hash (2 == Fraction(2)), so it serves as it is
+as a dict key, a sign-cache key and ``sort_unique`` input; ``canonical`` is
+applied once, to what becomes an element. The ring operations of
+``FieldElement`` are the same arithmetic followed by ``canonical``. A
+rational element equals its Fraction and hashes as it.
+
 Irreducibility of the polynomial is not checked up front (only
 square-freeness is). With a reducible square-free polynomial the coefficient
 representation is still unique but the zero test no longer matches evaluation
@@ -25,6 +35,7 @@ enclosure.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
 from .errors import (
     MultipleRootsInInterval,
@@ -44,6 +55,26 @@ def _norm_num(q):
     if q.denominator == 1:
         return q.numerator
     return q
+
+
+# ----------------------------------------------------------------------------
+# the coefficient kernel: raw coefficient tuples, int and Fraction mixed
+# ----------------------------------------------------------------------------
+
+def plus(a, b):
+    """Coefficientwise a + b of two coefficient tuples, not canonicalized."""
+    return tuple(map(add, a, b))
+
+
+def minus(a, b):
+    """Coefficientwise a - b of two coefficient tuples, not canonicalized."""
+    return tuple(map(sub, a, b))
+
+
+def canonical(coeffs):
+    """Canonical tuple of raw coefficients (any iterable): integral
+    Fractions become int."""
+    return tuple(map(_norm_num, coeffs))
 
 
 # ----------------------------------------------------------------------------
@@ -326,8 +357,7 @@ class FieldElement:
         oc = self._coerce(other)
         if oc is None:
             return NotImplemented
-        return FieldElement(self.field,
-                            tuple([_norm_num(a + b) for a, b in zip(self.coeffs, oc)]))
+        return FieldElement(self.field, canonical(map(add, self.coeffs, oc)))
 
     __radd__ = __add__
 
@@ -335,23 +365,21 @@ class FieldElement:
         oc = self._coerce(other)
         if oc is None:
             return NotImplemented
-        return FieldElement(self.field,
-                            tuple([_norm_num(a - b) for a, b in zip(self.coeffs, oc)]))
+        return FieldElement(self.field, canonical(map(sub, self.coeffs, oc)))
 
     def __rsub__(self, other):
         oc = self._coerce(other)
         if oc is None:
             return NotImplemented
-        return FieldElement(self.field,
-                            tuple(_norm_num(b - a) for a, b in zip(self.coeffs, oc)))
+        return FieldElement(self.field, canonical(map(sub, oc, self.coeffs)))
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(_norm_num(-a) for a in self.coeffs))
+        return FieldElement(self.field, canonical([-a for a in self.coeffs]))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = _norm_num(Fraction(other))
-            return FieldElement(self.field, tuple(_norm_num(a * q) for a in self.coeffs))
+            return FieldElement(self.field, canonical([a * q for a in self.coeffs]))
         oc = self._coerce(other)
         if oc is None:
             return NotImplemented
@@ -373,7 +401,7 @@ class FieldElement:
                 for i in range(k):
                     if row[i] != 0:
                         out[i] += c * row[i]
-        return FieldElement(self.field, tuple(_norm_num(x) for x in out))
+        return FieldElement(self.field, canonical(out))
 
     __rmul__ = __mul__
 
@@ -445,6 +473,9 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self):
+        # a rational element equals its Fraction, so it hashes as one
+        if self.is_rational():
+            return hash(self.coeffs[0])
         return hash((self.field.minpoly, self.coeffs))
 
     # -- rendering -----------------------------------------------------------
@@ -515,14 +546,6 @@ def to_decimal(a: FieldElement, digits: int) -> str:
     return f"{'-' if s < 0 else ''}{whole}.{frac:0{digits}d}"
 
 
-def _dedupe(elements):
-    """Distinct elements by canonical coefficients, first occurrence kept."""
-    unique = {}
-    for e in elements:
-        unique.setdefault(e.coeffs, e)
-    return list(unique.values())
-
-
 def _approx(coeffs, rho_f):
     """Float value of sum(coeffs[i] * rho**i) by Horner; a proposal only."""
     x = 0.0
@@ -531,28 +554,34 @@ def _approx(coeffs, rho_f):
     return x
 
 
-def sort_unique(elements):
-    """Sort distinct FieldElements ascending; duplicates (exact) are collapsed.
+def sort_unique(values, field):
+    """Sort distinct values of ``field``, given as coefficient tuples,
+    ascending; exact duplicates collapse to their first occurrence.
 
-    A floating-point filter: after the canonical-form dedup, floats propose
-    the order (each element evaluated in double precision at a float of rho)
-    and the exact, cached sign of every adjacent difference certifies it.
-    Certified adjacent pairs make the whole list strictly increasing, so the
-    result is the exact order. If any pair fails (a float tie in the wrong
-    order, a misorder, values overflowing to inf) or a coefficient has no
-    float, the list goes to the exact enclosure sort instead.
+    The coefficients may be raw (see ``canonical``): 2 == Fraction(2) with
+    equal hashes, so duplicates still collapse. A floating-point filter:
+    floats propose the order (each value evaluated in double precision at a
+    float of rho) and the exact, cached sign of every adjacent difference
+    certifies it. Certified adjacent pairs make the whole list strictly
+    increasing, so the result is the exact order. If any pair fails (a float
+    tie in the wrong order, a misorder, values overflowing to inf) or a
+    coefficient has no float, the list goes to the exact enclosure sort
+    instead.
     """
-    elems = _dedupe(elements)
-    if len(elems) < 2:
-        return elems
-    rho_f = elems[0].field._rho_f
+    vals = list(dict.fromkeys(values))
+    if len(vals) < 2:
+        return vals
+    rho_f = field._rho_f
     try:
-        proposed = sorted(elems, key=lambda e: _approx(e.coeffs, rho_f))
+        proposed = sorted(vals, key=lambda c: _approx(c, rho_f))
     except OverflowError:
-        return _enclosure_sort(elems)
-    if all((b - a).sign() > 0 for a, b in zip(proposed, proposed[1:])):
+        proposed = None
+    sign_of = field.sign_of
+    if proposed is not None and all(sign_of(minus(b, a)) > 0
+                                    for a, b in zip(proposed, proposed[1:])):
         return proposed
-    return _enclosure_sort(elems)
+    return [e.coeffs for e in
+            _enclosure_sort([FieldElement(field, c) for c in vals])]
 
 
 def _enclosure_sort(elements):
@@ -562,7 +591,7 @@ def _enclosure_sort(elements):
     enclosures separates; canonical-form dedup makes the survivors distinct,
     so they always separate eventually.
     """
-    elems = _dedupe(elements)
+    elems = list(dict.fromkeys(elements))
     if len(elems) < 2:
         return elems
     field = elems[0].field

@@ -73,9 +73,18 @@ class Model:
     @cached_property
     def step_constants(self):
         """What every subdivision step of the graph closure uses, computed
-        once per model: (rho, 1/rho, the normalized weights with the
-        integral ones as int)."""
-        return (self.rho(), self.field.inv_rho(),
+        once per model: rho's coefficients, division by rho as one k x k
+        matrix compiled for ``netgraph.vec_mat`` (row i holds the
+        coefficients of rho^i / rho), and the normalized weights with the
+        integral ones as int. The matrix takes raw coefficients and leaves
+        integral Fractions uncollapsed; the closure canonicalizes only what
+        it stores."""
+        from .netgraph import compile_matrix   # netgraph imports this module
+        f = self.field
+        inv_rho = f.inv_rho()
+        return (self.rho().coeffs,
+                compile_matrix([(f.element([0] * i + [1]) * inv_rho).coeffs
+                                for i in range(f.degree)]),
                 tuple(int(w) if w.denominator == 1 else w
                       for w in self.normalized))
 

@@ -14,6 +14,12 @@ and both ends of each image [x, x + rho], x = d_l - c for neighbour c and
 map l: the image covers child [t, u] iff rank(x) <= rank(t) and rank(x +
 rho) >= rank(u). That is exact: ``sort_unique`` certifies each adjacent pair.
 
+The step runs on coefficient tuples with ``exactfield``'s kernel: x, x + rho
+and the differences u - t and t - x are raw tuple arithmetic, and division
+by rho is ``vec_mat`` with the fixed 1/rho matrix of ``Model.step_constants``.
+Elements are built, canonical, only for what the graph stores: each child's
+length and neighbours, and each edge's offsets.
+
 Products are taken on compiled matrices. ``compile_matrix`` turns a dense
 row-tuple matrix into a ``SparseMatrix``: its column count and, per row, the
 ``(column, entry)`` pairs of the nonzero entries, columns ascending.
@@ -32,7 +38,7 @@ from typing import NamedTuple
 
 from .errors import CapExceeded, InternalInconsistency
 from .ifsmodel import Model
-from .exactfield import FieldElement, sort_unique
+from .exactfield import FieldElement, canonical, minus, plus, sort_unique
 
 
 @dataclass(frozen=True)
@@ -153,15 +159,20 @@ def children(parent: CharacteristicVector, model: Model):
     f = model.field
     rho, inv_rho, weights = model.step_constants
     L = len(model.translations)
-    ell = parent.length
+    ell = parent.length.coeffs
     # x = d_l - c for row j (neighbour c) and map l, at index j * L + l
-    xs = [dl - c for c in parent.neighbours for dl in model.translations]
-    ends = [x + rho for x in xs]
-    pool = sort_unique([f.zero, ell] + xs + ends)
-    rank = {e.coeffs: r for r, e in enumerate(pool)}
-    first = rank[f.zero.coeffs]
-    cuts = pool[first:rank[ell.coeffs] + 1]
-    spans = [(rank[x.coeffs], rank[e.coeffs]) for x, e in zip(xs, ends)]
+    xs = [minus(dl.coeffs, c.coeffs)
+          for c in parent.neighbours for dl in model.translations]
+    ends = [plus(x, rho) for x in xs]
+    zero = f.zero.coeffs
+    pool = sort_unique([zero, ell] + xs + ends, f)
+    rank = {c: r for r, c in enumerate(pool)}
+    first = rank[zero]
+    cuts = pool[first:rank[ell] + 1]
+    spans = [(rank[x], rank[e]) for x, e in zip(xs, ends)]
+
+    def stored(coeffs):
+        return FieldElement(f, canonical(coeffs))
 
     out = []
     for i, (t, u) in enumerate(zip(cuts, cuts[1:]), start=first):
@@ -184,10 +195,12 @@ def children(parent: CharacteristicVector, model: Model):
                 raise InternalInconsistency(
                     "transition matrix has an all-zero row; invalid model or bug")
         cv = CharacteristicVector(
-            length=(u - t) * inv_rho,
-            neighbours=tuple((t - pool[rx]) * inv_rho for rx in order))
+            length=stored(vec_mat(minus(u, t), inv_rho)),
+            neighbours=tuple(stored(vec_mat(minus(t, pool[rx]), inv_rho))
+                             for rx in order))
         _check_cv(cv)
-        out.append((cv, matrix, t))
+        # the first cut is 0: its offset shares the field's zero element
+        out.append((cv, matrix, stored(t) if i > first else f.zero))
     return out
 
 
@@ -203,7 +216,10 @@ def _check_cv(cv: CharacteristicVector):
 
 
 def build_graph(model: Model, cap_cvs: int = 10000) -> TransitionGraph:
-    """Breadth-first closure from the unit interval's vector (1, (0))."""
+    """Breadth-first closure from the unit interval's vector (1, (0)).
+
+    Every 1,000 new vertices it logs, at DEBUG on this module's logger, the
+    vertices found, the vertices still queued and the edges so far."""
     if cap_cvs < 1:
         raise ValueError("cap_cvs must be >= 1")
     f = model.field
@@ -226,6 +242,13 @@ def build_graph(model: Model, cap_cvs: int = 10000) -> TransitionGraph:
                 child_id = len(cvs)
                 ids[ck] = child_id
                 queue.append(child_id)
+                if child_id % 1000 == 0:
+                    # imported here: at start-up ``logging`` would cost
+                    # about 13 ms and 0.3 MB, and small closures never log
+                    import logging
+                    logging.getLogger(__name__).debug(
+                        "graph closure: %d vertices, %d queued, %d edges",
+                        child_id, len(queue), len(edges))
             merged.setdefault((child_id, matrix), []).append(t)
         for (child_id, matrix), offs in merged.items():
             edges.append(TransitionEdge(

@@ -109,11 +109,15 @@ def test_compare_reflexive():
     assert compare(x, x) == EQ
 
 
+def _coeffs(elements):
+    return [e.coeffs for e in elements]
+
+
 def test_sort_unique_dedupes_exactly():
     f = golden_field()
     r = f.rho()
-    out = sort_unique([r * r, 1 - r, f.zero, r])  # r*r == 1-r
-    assert out == [f.zero, r * r, r]
+    out = sort_unique(_coeffs([r * r, 1 - r, f.zero, r]), f)  # r*r == 1-r
+    assert out == _coeffs([f.zero, r * r, r])
 
 
 def _float_defeating_pair(kind):
@@ -139,7 +143,7 @@ def test_sort_unique_falls_back_when_floats_fail(kind, monkeypatch):
 
     monkeypatch.setattr(exactfield, "_enclosure_sort", counting)
     hi, lo = _float_defeating_pair(kind)
-    assert sort_unique([hi, lo, hi]) == [lo, hi]
+    assert sort_unique(_coeffs([hi, lo, hi]), hi.field) == _coeffs([lo, hi])
     assert calls == [2]
 
 
@@ -150,8 +154,8 @@ def test_sort_unique_certified_without_fallback(monkeypatch):
     monkeypatch.setattr(exactfield, "_enclosure_sort", fail)
     f = golden_field()
     r = f.rho()
-    assert sort_unique([f.one, r, 2 * r - 1, f.zero, r * r]) == \
-        [f.zero, 2 * r - 1, r * r, r, f.one]
+    assert sort_unique(_coeffs([f.one, r, 2 * r - 1, f.zero, r * r]), f) == \
+        _coeffs([f.zero, 2 * r - 1, r * r, r, f.one])
 
 
 _SORT_FIELDS = {
@@ -167,9 +171,9 @@ def test_sort_unique_matches_enclosure_sort(data, name):
     coeffs = st.lists(st.integers(-6, 6), min_size=f.degree,
                       max_size=f.degree)
     elems = [f.element(c) for c in data.draw(st.lists(coeffs, max_size=12))]
-    out = sort_unique(elems)
-    assert [e.coeffs for e in out] == \
-        [e.coeffs for e in exactfield._enclosure_sort(elems)]
+    out = sort_unique(_coeffs(elems), f)
+    assert out == _coeffs(exactfield._enclosure_sort(elems))
+    out = [FieldElement(f, c) for c in out]
     assert all(compare(a, b) == LT for a, b in zip(out, out[1:]))
 
 
@@ -249,6 +253,22 @@ def test_degree_one_matches_fractions(x, y):
     assert (a - b).as_fraction() == x - y
     cmp = compare(a, b)
     assert cmp == (0 if x == y else (1 if x > y else -1))
+
+
+_HASH_FIELDS = (golden_field(), third_field())
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=st.one_of(st.integers(-10 ** 30, 10 ** 30), st.integers().map(Fraction),
+                   st.fractions()))
+def test_rational_elements_hash_as_their_fraction(q):
+    for f in _HASH_FIELDS:
+        a = f.rational(q)
+        assert a == q and q == a
+        assert hash(a) == hash(q) == hash(Fraction(q))
+        assert len({a, q}) == 1
+    golden = _HASH_FIELDS[0]
+    assert golden.rational(q) + golden.rho() != q
 
 
 def test_inverse_of_rho():

@@ -1,5 +1,6 @@
 """Graph construction against hand-checked exact structure."""
 
+import logging
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitype import netgraph
+from finitype.catalog import example_names
 from finitype.dimcalc import mat_mul
 from finitype.errors import CapExceeded
-from finitype.exactfield import NumberField, sort_unique
-from finitype.ifsmodel import Ifs, validate
+from finitype.exactfield import FieldElement, NumberField, canonical, sort_unique
+from finitype.ifsmodel import Ifs, uniform_probabilities, validate
 from finitype.loopclasses import classify_all
 from finitype.netgraph import (
     CharacteristicVector,
@@ -21,7 +23,7 @@ from finitype.netgraph import (
     vec_mat,
 )
 
-from conftest import catalog_graph, catalog_model, golden_ifs
+from conftest import bernoulli_ifs, catalog_graph, catalog_model, golden_ifs
 from test_graph_fingerprints import FINGERPRINT_NAMES
 
 
@@ -161,6 +163,20 @@ def test_cap_exceeded():
         build_graph(model, cap_cvs=3)
 
 
+def test_build_graph_logs_progress(caplog):
+    model = catalog_model("bc_x4_plus_x_minus_1")
+    with caplog.at_level(logging.DEBUG, logger="finitype.netgraph"):
+        with pytest.raises(CapExceeded):
+            build_graph(model, cap_cvs=2500)
+    records = [r for r in caplog.records if r.name == "finitype.netgraph"]
+    assert [r.levelno for r in records] == [logging.DEBUG] * 2
+    counts = [[int(w) for w in r.getMessage().replace(",", "").split()
+               if w.isdigit()] for r in records]
+    assert [c[0] for c in counts] == [1000, 2000]
+    for vertices, queued, edges in counts:
+        assert 0 < queued < vertices < edges
+
+
 def test_golden_square_counts(golden_square_model):
     g = build_graph(golden_square_model)
     assert len(g) == 40
@@ -255,6 +271,11 @@ def test_edges_compile_lazily_once(golden_square_skewed_model):
 
 # ------------------------------------------ children against the pair scan
 
+def _sorted_elements(elements, f):
+    return [FieldElement(f, c)
+            for c in sort_unique([e.coeffs for e in elements], f)]
+
+
 def _reference_children(parent, model):
     """The closure step as it was before the cover tests went by rank: two
     sign tests per candidate cut, two per (row, map) pair and child, and one
@@ -275,7 +296,7 @@ def _reference_children(parent, model):
             cands.append(base + rho)
     inside = [x for x in {e.coeffs: e for e in cands}.values()
               if x.sign() > 0 and (ell - x).sign() > 0]
-    cuts = [f.zero] + sort_unique(inside) + [ell]
+    cuts = [f.zero] + _sorted_elements(inside, f) + [ell]
 
     out = []
     for i in range(len(cuts) - 1):
@@ -296,7 +317,7 @@ def _reference_children(parent, model):
                     seen[k] = (a, [])
                 seen[k][1].append((j, l))
         assert seen
-        neigh = sort_unique([v[0] for v in seen.values()])
+        neigh = _sorted_elements([v[0] for v in seen.values()], f)
         J, K = len(parent.neighbours), len(neigh)
         rows = [[0] * K for _ in range(J)]
         for k_idx, a in enumerate(neigh):
@@ -328,9 +349,9 @@ def test_children_match_reference(name, golden_square_skewed_model,
         model, graph = catalog_model(name), catalog_graph(name)
     calls = []
 
-    def counted(elements):
-        calls.append(len(elements))
-        return sort_unique(elements)
+    def counted(values, field):
+        calls.append(len(values))
+        return sort_unique(values, field)
 
     monkeypatch.setattr(netgraph, "sort_unique", counted)
     for vid in range(1, len(graph) + 1):
@@ -340,3 +361,71 @@ def test_children_match_reference(name, golden_square_skewed_model,
         assert len(calls) == 1, (name, vid)   # one certified sort per vertex
         assert _exact_repr(kids) == _exact_repr(
             _reference_children(parent, model)), (name, vid)
+
+
+# ------------------------------------ the kernel off the catalog's happy path
+
+def _two_fifths_model():
+    """rho = 2/5, translations 0, 3/10, 3/5: 1/rho = 5/2 is not integral, so
+    every step runs on Fraction coefficients. Not of finite type."""
+    f = NumberField([-2, 5], (Fraction(1, 4), Fraction(1, 2)))
+    return validate(Ifs(
+        field=f, probabilities=uniform_probabilities(2),
+        translations=tuple(f.rational(Fraction(k, 10)) for k in (0, 3, 6))))
+
+
+def _half_integral_model():
+    """rho the root of 2x^2 + x - 2 in (1/2, 1), translations 0 and 1 - rho:
+    1/rho = rho + 1/2. Not of finite type."""
+    return validate(bernoulli_ifs([-2, 1, 2], (Fraction(1, 2), Fraction(1))))
+
+
+def _check_first_vertices(model, n):
+    """Compare ``children`` with the reference on the first ``n`` vertices of
+    the breadth-first closure, which the reference step discovers."""
+    f = model.field
+    queue = [CharacteristicVector(length=f.one, neighbours=(f.zero,))]
+    seen = {queue[0].key()}
+    for i in range(n):
+        parent = queue[i]
+        expected = _reference_children(parent, model)
+        assert _exact_repr(children(parent, model)) == \
+            _exact_repr(expected), i + 1
+        for cv, _, _ in expected:
+            if cv.key() not in seen:
+                seen.add(cv.key())
+                queue.append(cv)
+
+
+@pytest.mark.parametrize("make", [_two_fifths_model, _half_integral_model])
+def test_children_match_reference_with_fraction_inverse(make):
+    model = make()
+    inv_rho = model.field.inv_rho()
+    assert any(type(c) is Fraction for c in inv_rho.coeffs)
+    _check_first_vertices(model, 150)
+
+
+def test_children_match_reference_on_cap_row():
+    # the degree-4 row whose closure exceeds the vertex cap
+    _check_first_vertices(catalog_model("bc_x4_plus_x_minus_1"), 300)
+
+
+_INV_RHO_MODELS = {name: catalog_model(name) for name in example_names()}
+_INV_RHO_MODELS.update(two_fifths=_two_fifths_model(),
+                       half_integral=_half_integral_model())
+_RAW_COORDS = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70),
+                        st.fractions(max_denominator=30),
+                        st.integers(-3, 3).map(Fraction))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(_INV_RHO_MODELS)))
+def test_inv_rho_matrix_matches_field_product(data, name):
+    model = _INV_RHO_MODELS[name]
+    f = model.field
+    _, inv_rho, _ = model.step_constants
+    v = data.draw(st.lists(_RAW_COORDS, min_size=f.degree, max_size=f.degree))
+    expected = (f.element(v) * f.inv_rho()).coeffs
+    raw = vec_mat(v, inv_rho)
+    assert raw == list(expected)
+    assert _typed(canonical(raw)) == _typed(expected)
