@@ -33,6 +33,8 @@ GOLDEN_NAMES = (
     "cantor_r3_m3_binomial",
     "cantor_r3_m3_uniform",
     "cantor_r3_m5_uniform",
+    "cantor_r3_m7_binomial",
+    "cantor_r3_m10_binomial",
 )
 
 
