@@ -19,9 +19,10 @@ quotients of an exactly-computed iteration on each irreducible diagonal block,
 with a unit shift to kill periodicity, and repeated squaring as a fallback
 accelerator. Norm products are evaluated exactly; floating point enters the
 reported numbers only in final roots and logarithms. Floats also screen which
-cycles the search certifies (row and column sums of the exact products, with
-a margin wider than the enclosures' width), but a screened value never
-becomes a reported one.
+cycles the search certifies (the smallest and largest column sums of each
+walk's product, which the search carries in place of the product, with a
+margin wider than the enclosures' width), but a screened value never becomes
+a reported one; a walk's exact product is built only when it is certified.
 
 Norm bounds never walk every admissible path. Each row- or column-sum
 functional is monotone in the row vector carried along a walk, and every
@@ -282,12 +283,13 @@ class CycleEnumeration:
 
 class _CycleList(Sequence):
     """The closed walks of one search, in generation order. A walk is
-    certified the first time it is read, and only then, so ``len`` costs no
-    spectral enclosure."""
+    certified the first time it is read, and only then: its exact product is
+    built along its edge path, left to right as the search walked it, and
+    enclosed. So ``len`` costs no product and no spectral enclosure."""
 
-    def __init__(self, model, found):
-        self._model = model
-        self._found = found           # (vertices, L, product)
+    def __init__(self, graph, found):
+        self._graph = graph
+        self._found = found           # (vertices, edge path)
         self._dims = [None] * len(found)
 
     def __len__(self):
@@ -295,8 +297,11 @@ class _CycleList(Sequence):
 
     def __getitem__(self, i):
         if self._dims[i] is None:
-            self._dims[i] = _cycle_dim_from_product(self._model,
-                                                    *self._found[i])
+            vertices, path = self._found[i]
+            edges = self._graph.edges
+            P = product_along([edges[j] for j in path])
+            self._dims[i] = _cycle_dim_from_product(self._graph.model,
+                                                    vertices, len(path), P)
         return self._dims[i]
 
     def certified(self):
@@ -309,20 +314,14 @@ class _CycleList(Sequence):
 _SCREEN_MARGIN = 1e-9
 
 
-def _screen(L, P):
-    """Cheap enclosure of sp(P)^(1/L) from row and column sums, or None
-    when it is unusable (a zero row, or a sum no float can hold)."""
-    rows = [sum(r) for r in P]
-    if not min(rows):
-        return None
-    cols = [sum(c) for c in zip(*P)]
-    lo = max(min(rows), min(cols))
-    hi = min(max(rows), max(cols))
+def _screen(L, cols):
+    """Collatz-Wielandt enclosure of sp(P)^(1/L) with x = 1, from the column
+    sums ``cols`` of P: the smallest and the largest sum, each to the power
+    1/L. None when it is unusable (a sum no float can hold)."""
     try:
-        lo_f, hi_f = float(lo) ** (1.0 / L), float(hi) ** (1.0 / L)
+        return float(min(cols)) ** (1.0 / L), float(max(cols)) ** (1.0 / L)
     except OverflowError:
         return None
-    return (lo_f, hi_f) if math.isfinite(hi_f) else None
 
 
 def _steps_home(s, into):
@@ -360,19 +359,24 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
     ``s``). ``budget`` caps the number of surviving prefixes expanded; past
     it the search stops with ``truncated`` set.
 
-    Each walk's exact product bounds its spectral radius between the larger
-    of its smallest row and column sums and the smaller of its largest row
-    and column sums: its screen. The minimum is found by branch and bound
-    (Gripenberg 1996): walks are certified in increasing order of their
-    per-step lower screen, starting from the smallest per-step upper screen
-    as the best value, until a lower screen exceeds the best value so far
-    times ``1 + _SCREEN_MARGIN``; the maximum mirrors this. The margin is
-    wider than the certified enclosure's 1e-10 relative width plus float
-    rounding, so every walk left out is strictly beaten by a certified one
-    and every walk tied with an extreme is certified. (That width holds
-    when the enclosure converges; one cut off by the squaring cap in
+    The search carries the column sums 1^T P of each prefix's product P,
+    one ``vec_mat`` per step, and no product. For a nonnegative P they bound
+    its spectral radius between the smallest and the largest column sum
+    (Collatz-Wielandt with x = 1); that enclosure of the per-step value is
+    the walk's screen. The minimum is found by branch and bound (Gripenberg
+    1996): walks are certified in increasing order of their per-step lower
+    screen, starting from the smallest per-step upper screen as the best
+    value, until a lower screen exceeds the best value so far times
+    ``1 + _SCREEN_MARGIN``; the maximum mirrors this. The margin is wider
+    than the certified enclosure's 1e-10 relative width plus float rounding,
+    so every walk left out is strictly beaten by a certified one and every
+    walk tied with an extreme is certified. (That width holds when the
+    enclosure converges; one cut off by the squaring cap in
     ``_block_spectral_bounds`` can be wider.) A walk the screen cannot rank
-    (a zero row, a sum that overflows a float) is always certified. The
+    is always certified: one with a sum that overflows a float, and every
+    walk of a class with an edge whose matrix has an all-zero row, since
+    only such a class can have a product with a zero row, which the
+    enclosure rejects. Certifying a walk builds its exact product. The
     extremes are taken over the certified walks in generation order, which
     gives what certifying every walk would. The rest are certified when
     ``cycles`` is read, so ``len(cycles)`` certifies nothing.
@@ -381,8 +385,12 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
         raise ValueError("max_len must be >= 1")
     ms = sorted(set(members))
     out_internal = graph.internal_out(ms)
+    # a product of nonnegative matrices without zero rows has none
+    unrankable = any(not any(row) for v in ms for _, e in out_internal[v]
+                     for row in e.matrix)
 
-    found = []  # (vertices, L, product)
+    found = []    # (vertices, edge path)
+    screens = []  # beside found: the walk's screen, or None
     steps = 0
     truncated = False
 
@@ -394,11 +402,11 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
     for s in ms:
         home = _steps_home(s, into)
         # (vertex, edge path, returns to s still tied with the path's start,
-        # product); a return at position a is tied while path[a:] equals
-        # path[:len(path) - a]
+        # column sums of the path's product); a return at position a is tied
+        # while path[a:] equals path[:len(path) - a]
         stack = [(s, (), (), None)]
         while stack and not truncated:
-            v, path, tied, prod = stack.pop()
+            v, path, tied, sums = stack.pop()
             n = len(path)
             for eidx, e in out_internal[v]:
                 if n + 1 + home.get(e.child, max_len) > max_len:
@@ -410,22 +418,24 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
                     truncated = True
                     break
                 still = [a for a in tied if eidx == path[n - a]]
-                new_prod = e.matrix if prod is None else mat_mul(prod, e.sparse)
+                new_sums = ([sum(c) for c in zip(*e.matrix)] if sums is None
+                            else vec_mat(sums, e.sparse))
                 new_path = path + (eidx,)
                 if e.child == s:
                     if all(new_path <= new_path[a:] + new_path[:a]
                            for a in still):
                         verts = (s,) + tuple(graph.edges[ei].child
                                              for ei in new_path)
-                        found.append((verts, n + 1, new_prod))
+                        found.append((verts, new_path))
+                        screens.append(None if unrankable
+                                       else _screen(n + 1, new_sums))
                     still.append(n + 1)
                 if n + 1 < max_len:
-                    stack.append((e.child, new_path, tuple(still), new_prod))
+                    stack.append((e.child, new_path, tuple(still), new_sums))
         if truncated:
             break
 
-    cycles = _CycleList(graph.model, found)
-    screens = [_screen(L, P) for _, L, P in found]
+    cycles = _CycleList(graph, found)
     ranked = []
     for i, b in enumerate(screens):
         if b is None:
@@ -830,9 +840,7 @@ def analyze_class(graph: TransitionGraph, lc: LoopClass, cycle_len: int,
             break
         except PathExplosion:
             bl //= 2
-    # after the norm bounds, so that the cycle products the enumeration keeps
-    # for lazy certification are not alive during the norm pass. A simple
-    # loop's longer walks are powers of its loop, which tie with it.
+    # a simple loop's longer walks are powers of its loop, which tie with it
     search_len = (min(cycle_len, len(members)) if lc.is_simple_loop
                   else cycle_len)
     enum = enumerate_cycles(graph, members, search_len, budget=cycle_budget)

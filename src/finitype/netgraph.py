@@ -198,20 +198,23 @@ def children(parent: CharacteristicVector, model: Model):
             length=stored(vec_mat(minus(u, t), inv_rho)),
             neighbours=tuple(stored(vec_mat(minus(t, pool[rx]), inv_rho))
                              for rx in order))
-        _check_cv(cv)
+        _check_cv(cv, f)
         # the first cut is 0: its offset shares the field's zero element
         out.append((cv, matrix, stored(t) if i > first else f.zero))
     return out
 
 
-def _check_cv(cv: CharacteristicVector):
+def _check_cv(cv: CharacteristicVector, f):
+    """Sign tests on coefficient tuples that every child must pass."""
     if not cv.neighbours:
         raise InternalInconsistency("empty neighbour set")
-    if cv.length.sign() <= 0 or (cv.length - 1).sign() > 0:
+    one = f.one.coeffs
+    ell = cv.length.coeffs
+    if f.sign_of(ell) <= 0 or f.sign_of(minus(ell, one)) > 0:
         raise InternalInconsistency("normalized length outside (0, 1]")
-    if cv.neighbours[0].sign() < 0:
+    if f.sign_of(cv.neighbours[0].coeffs) < 0:
         raise InternalInconsistency("negative neighbour offset")
-    if (cv.neighbours[-1] + cv.length - 1).sign() > 0:
+    if f.sign_of(minus(plus(cv.neighbours[-1].coeffs, ell), one)) > 0:
         raise InternalInconsistency("neighbour offset exceeds 1 - length")
 
 

@@ -16,7 +16,7 @@ from finitype import dimcalc
 from finitype.dimcalc import CycleEnumeration, enumerate_cycles
 from finitype.errors import ZeroRow
 from finitype.loopclasses import classify_all, essential_class
-from finitype.netgraph import build_graph
+from finitype.netgraph import build_graph, compile_matrix
 
 from conftest import catalog_model
 
@@ -136,7 +136,8 @@ def test_len_certifies_nothing_and_iteration_certifies_once(
 
 def _one_vertex_graph(model, matrices):
     """A single vertex with one self-loop per matrix."""
-    loops = [SimpleNamespace(child=1, matrix=m) for m in matrices]
+    loops = [SimpleNamespace(parent=1, child=1, matrix=m,
+                             sparse=compile_matrix(m)) for m in matrices]
     return SimpleNamespace(model=model, edges=loops,
                            internal_out=lambda ms: {1: list(enumerate(loops))})
 
@@ -190,3 +191,51 @@ def test_overflowing_product_is_certified(golden_model, monkeypatch):
     assert huge in seen
     assert enum.per_step_max == 1e300
     assert enum.per_step_min == pytest.approx(2)
+
+
+def test_zero_row_loop_is_certified_in_longer_walks(golden_model):
+    # the second loop has a zero row and spectral radius 5, strictly between
+    # the first loop's 4 and the mixed walk's sqrt(30); its column sums alone
+    # would leave it and its square uncertified, so only the class's static
+    # zero-row check sends them to the enclosure, which rejects them
+    graph = _one_vertex_graph(golden_model, (((1, 3), (1, 3)),
+                                             ((0, 0), (5, 5))))
+    with pytest.raises(ZeroRow):
+        enumerate_cycles(graph, (1,), max_len=2)
+
+
+def test_search_multiplies_only_certified_walks(cantor5_binomial_model,
+                                                monkeypatch):
+    # the search carries column sums; exact products are built only for the
+    # walks it certifies, where one product per prefix would outnumber them
+    graph = build_graph(cantor5_binomial_model)
+    calls = []
+    real = dimcalc.mat_mul
+
+    def counted(A, B):
+        calls.append(None)
+        return real(A, B)
+
+    monkeypatch.setattr(dimcalc, "mat_mul", counted)
+    enum = enumerate_cycles(graph, essential_class(graph).members, max_len=6)
+    assert len(calls) < len(enum.cycles) == 231
+
+
+def test_certified_values_lie_inside_the_column_screen(graph, monkeypatch):
+    # each walk's screen is the column-sum enclosure of its per-step value,
+    # and the certified enclosure must agree with it up to the margin
+    screens = []
+    real = dimcalc._screen
+
+    def recorded(L, cols):
+        screens.append(real(L, cols))
+        return screens[-1]
+
+    monkeypatch.setattr(dimcalc, "_screen", recorded)
+    margin = 1 + dimcalc._SCREEN_MARGIN
+    for lc in classify_all(graph):
+        screens.clear()
+        enum = enumerate_cycles(graph, lc.members, max_len=6)
+        assert len(screens) == len(enum.cycles)
+        for (lo, hi), c in zip(screens, enum.cycles):
+            assert lo / margin <= c.per_step_lo <= c.per_step_hi <= hi * margin

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from finitype import netgraph
 from finitype.catalog import example_names
 from finitype.dimcalc import mat_mul
-from finitype.errors import CapExceeded
+from finitype.errors import CapExceeded, InternalInconsistency
 from finitype.exactfield import FieldElement, NumberField, canonical, sort_unique
 from finitype.ifsmodel import Ifs, uniform_probabilities, validate
 from finitype.loopclasses import classify_all
@@ -137,6 +137,38 @@ def test_children_partition_parent(golden_model, cantor5_binomial_model,
                 cursor = cursor + cv.length * rho
                 total = total + cv.length * rho
             assert (total - parent.length).sign() == 0
+
+
+def _golden_cv(field, length, neighbours):
+    """A characteristic vector of Q(rho), rho^2 = 1 - rho, from (a, b)
+    pairs meaning a + b*rho."""
+    return CharacteristicVector(
+        length=field.element(length),
+        neighbours=tuple(field.element(n) for n in neighbours))
+
+
+@pytest.mark.parametrize("length,neighbours,message", [
+    ((1, 0), (), "empty neighbour set"),
+    ((-1, 1), ((0, 0),), "normalized length outside"),        # rho - 1 < 0
+    ((0, 0), ((0, 0),), "normalized length outside"),
+    ((1, 1), ((0, 0),), "normalized length outside"),         # 1 + rho > 1
+    ((0, 1), ((-1, 1), (0, 0)), "negative neighbour offset"),
+    ((0, 1), ((0, 0), (0, 1)), "exceeds 1 - length"),         # rho > rho^2
+])
+def test_check_cv_rejects_each_inconsistency(golden_model, length,
+                                             neighbours, message):
+    cv = _golden_cv(golden_model.field, length, neighbours)
+    with pytest.raises(InternalInconsistency, match=message):
+        netgraph._check_cv(cv, golden_model.field)
+
+
+@pytest.mark.parametrize("length,neighbours", [
+    ((1, 0), ((0, 0),)),
+    ((0, 1), ((0, 0), (1, -1))),       # the last offset is exactly 1 - rho
+])
+def test_check_cv_accepts_boundary_vectors(golden_model, length, neighbours):
+    netgraph._check_cv(_golden_cv(golden_model.field, length, neighbours),
+                       golden_model.field)
 
 
 def test_matrix_row_column_structure(golden_square_model):
