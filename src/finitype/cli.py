@@ -170,8 +170,6 @@ def report_to_document(report: DimensionReport, parameters: dict) -> dict:
             "bound_len": cs.bound_len,
             "cycles_truncated": cs.cycles_truncated,
         })
-        if cs.subset_fallback:
-            classes[-1]["subset_fallback"] = True
     return {
         "tool": "finitype",
         "version": __version__,
@@ -290,9 +288,6 @@ def _class_block(cs) -> list[str]:
     if cs.cycles_truncated:
         lines.append("The cycle search stopped at its step budget; any "
                      "inner range here comes from a truncated search.")
-    if cs.subset_fallback:
-        lines.append("The requested --subset exceeds some member's neighbour "
-                     "count; this class used the automatic subsets.")
     if cs.spectral_outer:
         lines.append(f"Pseudo-norm products of length {cs.bound_len} confine "
                      f"the per-step spectral range to "
@@ -332,10 +327,10 @@ def _build_parser():
     an.add_argument("--bound-len", type=int, default=8)
     an.add_argument("--subset", default=None,
                     help="comma-separated 1-based column indices for the "
-                         "restricted lower norm (default: per class, the "
-                         "full index set plus every contiguous window of "
-                         "width 3 and 2; also used for a class where an "
-                         "index exceeds some member's neighbour count)")
+                         "restricted lower norm (default: every contiguous "
+                         "window of width 3 in each class); an explicit "
+                         "subset is added to the windows of each class "
+                         "where no index exceeds a member's neighbour count")
     an.add_argument("--oracle-level", type=int, default=0,
                     help="cross-check the graph against brute enumeration "
                          "up to this level")

@@ -734,7 +734,6 @@ class ClassDimSet:
     cycle_len: int
     bound_len: int
     cycles_truncated: bool = False
-    subset_fallback: bool = False   # an explicit subset was invalid here
 
     @property
     def members(self):
@@ -804,32 +803,26 @@ def _simple_loop_cycle(graph: TransitionGraph, members):
 
 
 def _auto_subsets(min_neigh):
-    """The automatic subsets for a class whose members have at least
-    ``min_neigh`` neighbours: the full index set plus every contiguous window
-    of width three and two. Weak outer columns often force the full-set
-    bound to one while some interior window does not."""
-    cands = [tuple(range(1, min_neigh + 1))]
-    for width in (3, 2):
-        if min_neigh >= width:
-            cands.extend(tuple(range(s, s + width))
-                         for s in range(1, min_neigh - width + 2))
-    return cands
+    """Every contiguous width-3 window of 1-based indices, for a class whose
+    members have at least ``min_neigh`` neighbours. On the catalog no other
+    family sets a lower bound: not width-2 windows, and not the full index
+    set, which is the plain min family run again where every member has
+    ``min_neigh`` neighbours."""
+    return [(s, s + 1, s + 2) for s in range(1, min_neigh - 1)]
 
 
 def analyze_class(graph: TransitionGraph, lc: LoopClass, cycle_len: int,
                   bound_len: int, subset, cycle_budget: int,
                   path_budget: int) -> ClassDimSet:
+    """Inner and outer dimension ranges of one loop class. The lower norm
+    tries every width-3 window and, unless ``subset`` is ``"auto"``, that
+    index tuple when no index exceeds a member's neighbour count."""
     model = graph.model
     members = lc.members
     min_neigh = min(len(graph.cv(v).neighbours) for v in members)
-    explicit = bool(subset) and subset != "auto"
-    fallback = explicit and max(subset) > min_neigh
-    use_subset = None
-    if explicit and not fallback:
-        use_subset = tuple(subset)
-    elif subset:
-        # also the fallback when an explicit subset is invalid for this class
-        use_subset = _auto_subsets(min_neigh)
+    use_subset = _auto_subsets(min_neigh)
+    if subset != "auto" and max(subset) <= min_neigh:
+        use_subset.append(tuple(subset))
 
     bl = bound_len
     nb = None
@@ -861,15 +854,15 @@ def analyze_class(graph: TransitionGraph, lc: LoopClass, cycle_len: int,
         certified_interval=lc.positive,
         min_cycle=enum.min_cycle, max_cycle=enum.max_cycle,
         cycle_len=cycle_len, bound_len=bl if nb else 0,
-        cycles_truncated=enum.truncated,
-        subset_fallback=fallback)
+        cycles_truncated=enum.truncated)
 
 
 def assemble_report(model: Model, graph: TransitionGraph, classes=None,
                     cycle_len: int = 10, bound_len: int = 8, subset="auto",
                     cycle_budget: int = 2_000_000,
                     path_budget: int = 20_000_000) -> DimensionReport:
-    """Full per-class and global dimension analysis of a closed graph."""
+    """Full per-class and global dimension analysis of a closed graph.
+    ``subset`` is ``"auto"`` or an index tuple, as in ``analyze_class``."""
     if classes is None:
         classes = classify_all(graph)
     dz = dim_at_zero(model)

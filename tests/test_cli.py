@@ -311,23 +311,37 @@ def test_non_utf8_input_exits_1(tmp_path, capsys, command):
     _one_error_line(capsys.readouterr().err, "InputDocumentError")
 
 
-def test_subset_fallback_is_reported(golden_path, tmp_path, capsys):
-    out_path = tmp_path / "report.json"
-    assert run(["analyze", "--input", golden_path, "--subset=9",
-                "--json", str(out_path), "--text"]) == 0
-    text = capsys.readouterr().out
-    doc = json.loads(out_path.read_text())
-    assert doc["parameters"]["subset"] == [9]
-    # no golden class has nine neighbours, so every class fell back
-    assert [c.get("subset_fallback") for c in doc["classes"]] == \
-        [True] * len(doc["classes"])
-    assert text.count("used the automatic subsets") == len(doc["classes"])
-    # a subset valid for every class leaves no trace
-    assert run(["analyze", "--input", golden_path, "--subset=1",
-                "--json", str(out_path), "--text"]) == 0
-    assert "automatic subsets" not in capsys.readouterr().out
-    doc = json.loads(out_path.read_text())
-    assert not any("subset_fallback" in c for c in doc["classes"])
+def _report(path, *flags):
+    """The JSON report of ``analyze`` on ``path`` with ``flags``."""
+    out = Path(path).parent / "report.json"
+    assert run(["analyze", "--input", str(path), *flags,
+                "--json", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def test_subset_that_fits_no_class_changes_nothing(golden_path, capsys):
+    default = _report(golden_path)
+    nine = _report(golden_path, "--subset=9")
+    capsys.readouterr()
+    # no golden class has nine neighbours, so only the echo differs
+    assert nine["parameters"].pop("subset") == [9]
+    assert default["parameters"].pop("subset") == "auto"
+    assert nine == default
+
+
+@pytest.mark.parametrize("name", ["golden_square", "bc_x3_plus_x_minus_1"])
+def test_explicit_subset_never_widens_a_bound(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(load_document(name)))
+    default = _report(path)["classes"]
+    added = _report(path, "--subset=3,4")["classes"]
+    capsys.readouterr()
+    assert [c["members"] for c in added] == [c["members"] for c in default]
+    for a, d in zip(added, default):
+        assert a["bound_len"] == d["bound_len"]
+        if d["dim_outer"] is not None:
+            assert d["dim_outer"][0] <= a["dim_outer"][0]
+            assert a["dim_outer"][1] <= d["dim_outer"][1]
 
 
 def test_exit_code_missing_file(capsys):

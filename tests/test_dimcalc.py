@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import catalog_graph
+from finitype import dimcalc
 from finitype.catalog import load_document
 from finitype.cli import parse_document
 from finitype.dimcalc import (
@@ -15,6 +17,7 @@ from finitype.dimcalc import (
     _norm_pass,
     _quotient_extremes,
     _walk_count,
+    analyze_class,
     assemble_report,
     dim_at_zero,
     enumerate_cycles,
@@ -64,8 +67,8 @@ def skewed_graph(golden_square_skewed_model):
 
 @pytest.fixture(scope="module")
 def cubic_pisot_graph():
-    # rho is the root of x^3 - x^2 + 2x - 1; every essential member has a
-    # single neighbour, so the automatic subsets are just (1,)
+    # rho is the root of x^3 - x^2 + 2x - 1; the essential members have one
+    # to four neighbours
     doc = load_document("bc_x3_minus_x2_plus_2x_minus_1")
     return build_graph(validate(parse_document(doc)))
 
@@ -392,12 +395,25 @@ def test_cantor5_subset_norm_bounds_match_brute_force(cantor5_graph, depth):
     assert nb.max_norm == min(ref["max_col"], ref["max_row"])
 
 
+@pytest.mark.parametrize("min_neigh,count",
+                         [(1, 0), (2, 0), (3, 1), (5, 3), (20, 18)])
+def test_auto_subsets_are_the_width_3_windows(min_neigh, count):
+    windows = _auto_subsets(min_neigh)
+    assert len(windows) == count
+    assert windows == [(s, s + 1, s + 2) for s in range(1, count + 1)]
+
+
+def _min_neigh(graph, members):
+    return min(len(graph.cv(v).neighbours) for v in members)
+
+
 @pytest.mark.parametrize("depth", range(1, 5))
-def test_pisot_auto_subset_norm_bounds_match_brute_force(cubic_pisot_graph,
-                                                         depth):
-    g = cubic_pisot_graph
+def test_pisot_auto_subset_norm_bounds_match_brute_force(depth):
+    # golden_square's essential members have 7 or 8 neighbours: five windows
+    g = catalog_graph("golden_square")
     ess = essential_class(g)
-    subsets = _auto_subsets(min(len(g.cv(v).neighbours) for v in ess.members))
+    subsets = _auto_subsets(_min_neigh(g, ess.members))
+    assert len(subsets) == 5
     nb = norm_bounds(g, ess.members, depth=depth, subset=subsets)
     ref, count = _brute_norm_functionals(g, ess.members, depth, subsets)
     assert nb.functionals == ref
@@ -406,6 +422,23 @@ def test_pisot_auto_subset_norm_bounds_match_brute_force(cubic_pisot_graph,
             *ref["sub_row"].values()]
     assert nb.min_norm == max(lows)
     assert nb.max_norm == min(ref["max_col"], ref["max_row"])
+
+
+def test_explicit_subset_runs_beside_the_windows(monkeypatch):
+    g = catalog_graph("golden_square")
+    ess = essential_class(g)
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(norm_bounds(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(dimcalc, "norm_bounds", spy)
+    analyze_class(g, ess, cycle_len=1, bound_len=3, subset=(3, 4),
+                  cycle_budget=1000, path_budget=20_000_000)
+    want = _auto_subsets(_min_neigh(g, ess.members)) + [(3, 4)]
+    assert [list(nb.functionals[side]) for nb in seen
+            for side in ("sub_col", "sub_row")] == [want, want]
 
 
 @pytest.mark.parametrize("depth", range(1, 4))
