@@ -154,11 +154,11 @@ def report_to_document(report: DimensionReport, parameters: dict) -> dict:
         classes.append({
             "members": list(lc.members),
             "is_essential": lc.is_essential,
-            "is_maximal": lc.is_maximal,
+            "is_maximal": True,
             "simple_loop": lc.is_simple_loop,
             "positivity": (lc.positivity.verdict.value
                            if lc.positivity is not None else None),
-            "certified_interval": cs.certified_interval,
+            "certified_interval": lc.positive,
             "spectral_range_inner": _pair(cs.spectral_inner),
             "spectral_range_outer": _pair(cs.spectral_outer),
             "dim_inner": _pair(cs.dim_inner),
@@ -294,7 +294,7 @@ def _class_block(cs) -> list[str]:
                      f"{_fmt_iv(cs.spectral_outer)}.")
         lines.append(f"  so these local dimensions are contained in "
                      f"{_fmt_iv((cs.dim_outer[0], cs.dim_outer[1]))}.")
-    if not cs.certified_interval and not lc.is_simple_loop:
+    if not lc.positive and not lc.is_simple_loop:
         lines.append("Outer bounds only (NOT CERTIFIED as an interval).")
     return ["  " + ln for ln in lines]
 

@@ -728,7 +728,6 @@ class ClassDimSet:
     dim_outer: tuple[float, float] | None
     exact_point: float | None
     exact_point_per_step: float | None
-    certified_interval: bool
     min_cycle: tuple[int, ...] | None
     max_cycle: tuple[int, ...] | None
     cycle_len: int
@@ -851,7 +850,6 @@ def analyze_class(graph: TransitionGraph, lc: LoopClass, cycle_len: int,
         if enum.dim_min is not None else None,
         dim_outer=(nb.dim_lo, nb.dim_hi) if nb else None,
         exact_point=exact, exact_point_per_step=exact_per,
-        certified_interval=lc.positive,
         min_cycle=enum.min_cycle, max_cycle=enum.max_cycle,
         cycle_len=cycle_len, bound_len=bl if nb else 0,
         cycles_truncated=enum.truncated)

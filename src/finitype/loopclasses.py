@@ -39,7 +39,6 @@ class PositivityResult:
 @dataclass(frozen=True)
 class LoopClass:
     members: tuple[int, ...]                 # ascending vertex ids
-    is_maximal: bool = True
     is_essential: bool = False
     is_simple_loop: bool = False
     positivity: PositivityResult | None = None
@@ -136,9 +135,7 @@ def essential_class(graph: TransitionGraph) -> LoopClass:
 
 
 def positivity_certificate(graph: TransitionGraph, members,
-                           max_len: int | None = None,
-                           state_cap: int = 500_000,
-                           edges=None) -> PositivityResult:
+                           state_cap: int = 500_000) -> PositivityResult:
     """Search the class for an admissible product with no zero entry.
 
     Breadth-first over (end, boolean pattern) states of products starting at
@@ -147,60 +144,38 @@ def positivity_certificate(graph: TransitionGraph, members,
     the class verdict: primitive matrices have no zero row or column, so a
     positive product anywhere extends to a positive product from any start.
     The pattern space is finite, so exhaustion proves NOT_POSITIVE; UNKNOWN
-    only arises past ``max_len`` or ``state_cap``.
-
-    ``edges`` restricts the walk to an explicit edge subset, each edge joining
-    two members (else ValueError); by default every edge between members is
-    allowed. Restricting is how sub-loops that differ only in the choice
-    among parallel edges can be probed. (The one-start shortcut is then
-    skipped, since a restricted edge set may break the row/column structure
-    the extension argument needs.)
+    only arises past ``state_cap``.
     """
-    members = tuple(sorted(members))
-    restricted = edges is not None
-    if restricted:
-        # the same (position, edge) pairs internal_out gives, grouped by parent
-        out_internal = {v: [] for v in members}
-        for i, e in enumerate(edges):
-            if e.parent not in out_internal or e.child not in out_internal:
-                raise ValueError(f"edge {e.parent} -> {e.child} leaves the "
-                                 f"class {list(members)}")
-            out_internal[e.parent].append((i, e))
-    else:
-        out_internal = graph.internal_out(members)
+    out_internal = graph.internal_out(members)
+    start = min(members)
     if not any(out_internal.values()):
         return PositivityResult(Positivity.NOT_POSITIVE, exhausted_length=0)
 
     patterns = {id(e): _EdgePattern(e.matrix)
                 for out in out_internal.values() for _, e in out}
 
-    starts = members if restricted else (min(members),)
     parent = {}   # every state reached: (previous state, edge taken)
     layer = []
-    for s in starts:
-        for _, e in out_internal[s]:
-            p = patterns[id(e)]
-            state = (e.parent, e.child, p.rows)
-            if all(r == p.full for r in p.rows):
-                return PositivityResult(Positivity.POSITIVE,
-                                        witness=(e.parent, e.child),
-                                        explored_states=1)
-            if state not in parent:
-                parent[state] = (None, e)
-                layer.append(state)
+    for _, e in out_internal[start]:
+        p = patterns[id(e)]
+        state = (e.child, p.rows)
+        if all(r == p.full for r in p.rows):
+            return PositivityResult(Positivity.POSITIVE,
+                                    witness=(e.parent, e.child),
+                                    explored_states=1)
+        if state not in parent:
+            parent[state] = (None, e)
+            layer.append(state)
 
     length = 1
     while layer:
-        if max_len is not None and length >= max_len:
-            return PositivityResult(Positivity.UNKNOWN,
-                                    explored_states=len(parent))
         nxt = []
         for state in layer:
-            s, mid, rows = state
+            mid, rows = state
             for _, e in out_internal[mid]:
                 p = patterns[id(e)]
                 new_rows = tuple(map(p.__getitem__, rows))
-                new_state = (s, e.child, new_rows)
+                new_state = (e.child, new_rows)
                 if new_state in parent:
                     continue
                 if len(parent) >= state_cap:
@@ -266,8 +241,7 @@ def classify_all(graph: TransitionGraph) -> list[LoopClass]:
     """Maximal classes with essential, simple-loop and positivity flags set."""
     classes = maximal_loop_classes(graph)
     essential = _child_closed(graph, classes)
-    return [LoopClass(members=c.members, is_maximal=True,
-                      is_essential=c is essential,
+    return [LoopClass(members=c.members, is_essential=c is essential,
                       is_simple_loop=_simple_loop(graph, c.members),
                       positivity=positivity_certificate(graph, c.members))
             for c in classes]

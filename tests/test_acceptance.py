@@ -130,8 +130,7 @@ def test_criterion_3_census_slow():
             expected = CENSUS[name]
             assert (len(graph), len(essential_class(graph).members)) == expected, name
             # the essential class is of positive type on every shipped model
-            res = positivity_certificate(graph, essential_class(graph).members,
-                                         state_cap=2_000_000)
+            res = positivity_certificate(graph, essential_class(graph).members)
             assert res.verdict is Positivity.POSITIVE, name
 
 

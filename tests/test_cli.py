@@ -1,5 +1,6 @@
 """CLI subcommands, document schema, exit codes, round-trips."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -22,6 +23,7 @@ from finitype.cli import (
 from finitype.dimcalc import assemble_report
 from finitype.errors import InputDocumentError
 from finitype.ifsmodel import validate
+from finitype.loopclasses import Positivity, classify_all, positivity_certificate
 from finitype.netgraph import build_graph
 
 
@@ -402,19 +404,26 @@ def test_every_shipped_example_parses():
         validate(ifs)
 
 
-def test_text_report_mentions_not_certified(cantor5_binomial_model, capsys):
-    # build a report where some class is neither positive nor simple: the
-    # golden subclass situation does not arise among maximal classes here,
-    # so check the renderer directly on a doctored flag
-    graph = build_graph(cantor5_binomial_model)
-    report = assemble_report(cantor5_binomial_model, graph,
+def test_text_report_mentions_not_certified(golden_square_model):
+    # golden_square's essential class needs 68 search states to show its
+    # positive product; with 10 the search stops at UNKNOWN, and the report
+    # must then not certify the class's interval
+    graph = build_graph(golden_square_model)
+    classes = classify_all(graph)
+    ess = next(lc for lc in classes if lc.is_essential)
+    capped = positivity_certificate(graph, ess.members, state_cap=10)
+    assert capped.verdict is Positivity.UNKNOWN
+    assert capped.explored_states == 10
+    classes = [dataclasses.replace(lc, positivity=capped) if lc is ess else lc
+               for lc in classes]
+    report = assemble_report(golden_square_model, graph, classes=classes,
                              cycle_len=3, bound_len=3)
-    import dataclasses
-    ess = report.essential
-    doctored = dataclasses.replace(ess, certified_interval=False)
-    classes = tuple(doctored if c is ess else c for c in report.classes)
-    report2 = dataclasses.replace(report, classes=classes)
-    text = render_text(report2)
+    doc = report_to_document(report, {})
+    entry = next(c for c in doc["classes"] if c["is_essential"])
+    assert entry["positivity"] == "UNKNOWN"
+    assert entry["certified_interval"] is False
+    text = render_text(report)
+    assert "Positivity undecided within the search budget." in text
     assert "NOT CERTIFIED" in text
 
 

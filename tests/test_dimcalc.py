@@ -661,7 +661,7 @@ def test_golden_report(golden_model, golden_graph):
     assert rep.essential_size == 3
     assert abs(rep.dim_zero - 1.440420090) < 1e-8
     ess = rep.essential
-    assert ess.certified_interval
+    assert ess.loop_class.positive
     assert ess.dim_inner[0] <= 0.940420091 and ess.dim_inner[1] >= 1.440420089
     assert ess.dim_outer[0] >= 0.864252053 - 1e-8
     assert ess.dim_outer[1] <= 1.440420091
