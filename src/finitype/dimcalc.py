@@ -169,7 +169,7 @@ def _block_spectral_bounds(block):
 
 
 def spectral_radius(matrix):
-    """Certified enclosure (lo, hi) of the largest eigenvalue modulus.
+    """Certified Fraction bounds (lo, hi) on the largest eigenvalue modulus.
 
     The matrix must be square and nonnegative with no all-zero row. Reducible
     matrices are split into the strongly connected blocks of their support;
@@ -198,9 +198,7 @@ def spectral_radius(matrix):
         lo, hi = _block_spectral_bounds(block)
         best_lo = max(best_lo, lo)
         best_hi = max(best_hi, hi)
-    lo_f = math.nextafter(float(best_lo), -math.inf)
-    hi_f = math.nextafter(float(best_hi), math.inf)
-    return lo_f, hi_f
+    return best_lo, best_hi
 
 
 # ----------------------------------------------------------------------------
@@ -227,8 +225,6 @@ def _dim_range(model: Model, per_lo: float, per_hi: float):
 class CycleDim:
     vertices: tuple[int, ...]     # closed: first == last
     length: int                   # number of steps (edges)
-    sp_lo: float
-    sp_hi: float
     per_step_lo: float
     per_step_hi: float
     dim_lo: float
@@ -243,25 +239,32 @@ class CycleDim:
         return (self.dim_lo + self.dim_hi) / 2
 
 
+def _root(x: Fraction, L: int, toward: float) -> float:
+    """x ** (1 / L) of an exact x >= 0 rounded one ulp ``toward`` +-inf; 0
+    for 0. Past 2 ** +-1000, the root of x / 2 ** (n L) is scaled by 2 ** n."""
+    if not x:
+        return 0.0
+    num, den = x.numerator, x.denominator
+    e = num.bit_length() - den.bit_length()
+    n = e // L if abs(e) > 1000 else 0
+    y = (num << max(-n * L, 0)) / (den << max(n * L, 0))  # float(x / 2**nL)
+    return math.ldexp(math.nextafter(y, toward) ** (1 / L), n)
+
+
 def periodic_dimension(model: Model, cycle_edges) -> CycleDim:
-    """Dimension of the periodic point tracing the given closed edge path."""
+    """Dimension of the periodic point tracing the given closed edge path,
+    from the certified spectral enclosure of its product."""
     edges = list(cycle_edges)
     if not edges or edges[0].parent != edges[-1].child:
         raise NotACycle("edge path does not close up")
-    P = product_along(edges)
+    sp_lo, sp_hi = spectral_radius(product_along(edges))
     L = len(edges)
-    return _cycle_dim_from_product(model, tuple(
-        [edges[0].parent] + [e.child for e in edges]), L, P)
-
-
-def _cycle_dim_from_product(model, vertices, L, P) -> CycleDim:
-    sp_lo, sp_hi = spectral_radius(P)
-    per_lo = sp_lo ** (1.0 / L)
-    per_hi = sp_hi ** (1.0 / L)
+    per_lo = _root(sp_lo, L, -math.inf)
+    per_hi = _root(sp_hi, L, math.inf)
     dim_lo, dim_hi = _dim_range(model, per_lo, per_hi)
-    return CycleDim(vertices=vertices, length=L, sp_lo=sp_lo, sp_hi=sp_hi,
-                    per_step_lo=per_lo, per_step_hi=per_hi,
-                    dim_lo=dim_lo, dim_hi=dim_hi)
+    vertices = (edges[0].parent,) + tuple(e.child for e in edges)
+    return CycleDim(vertices=vertices, length=L, per_step_lo=per_lo,
+                    per_step_hi=per_hi, dim_lo=dim_lo, dim_hi=dim_hi)
 
 
 # ----------------------------------------------------------------------------
@@ -282,14 +285,13 @@ class CycleEnumeration:
 
 
 class _CycleList(Sequence):
-    """The closed walks of one search, in generation order. A walk is
-    certified the first time it is read, and only then: its exact product is
-    built along its edge path, left to right as the search walked it, and
-    enclosed. So ``len`` costs no product and no spectral enclosure."""
+    """The closed walks of one search as edge paths, in generation order. A
+    walk is certified by ``periodic_dimension`` the first time it is read, and
+    only then, so ``len`` costs no product and no spectral enclosure."""
 
     def __init__(self, graph, found):
         self._graph = graph
-        self._found = found           # (vertices, edge path)
+        self._found = found           # edge paths
         self._dims = [None] * len(found)
 
     def __len__(self):
@@ -297,11 +299,9 @@ class _CycleList(Sequence):
 
     def __getitem__(self, i):
         if self._dims[i] is None:
-            vertices, path = self._found[i]
             edges = self._graph.edges
-            P = product_along([edges[j] for j in path])
-            self._dims[i] = _cycle_dim_from_product(self._graph.model,
-                                                    vertices, len(path), P)
+            self._dims[i] = periodic_dimension(
+                self._graph.model, [edges[j] for j in self._found[i]])
         return self._dims[i]
 
     def certified(self):
@@ -389,7 +389,7 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
     unrankable = any(not any(row) for v in ms for _, e in out_internal[v]
                      for row in e.matrix)
 
-    found = []    # (vertices, edge path)
+    found = []    # edge paths
     screens = []  # beside found: the walk's screen, or None
     steps = 0
     truncated = False
@@ -402,9 +402,11 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
     for s in ms:
         home = _steps_home(s, into)
         # (vertex, edge path, returns to s still tied with the path's start,
-        # column sums of the path's product); a return at position a is tied
-        # while path[a:] equals path[:len(path) - a]
-        stack = [(s, (), (), None)]
+        # column sums of the path's product, from ones); a return at position
+        # a is tied while path[a:] equals path[:len(path) - a]
+        ones = [1] * max((len(e.sparse.rows) for _, e in out_internal[s]),
+                         default=0)
+        stack = [(s, (), (), ones)]
         while stack and not truncated:
             v, path, tied, sums = stack.pop()
             n = len(path)
@@ -418,15 +420,12 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
                     truncated = True
                     break
                 still = [a for a in tied if eidx == path[n - a]]
-                new_sums = ([sum(c) for c in zip(*e.matrix)] if sums is None
-                            else vec_mat(sums, e.sparse))
+                new_sums = vec_mat(sums, e.sparse)
                 new_path = path + (eidx,)
                 if e.child == s:
                     if all(new_path <= new_path[a:] + new_path[:a]
                            for a in still):
-                        verts = (s,) + tuple(graph.edges[ei].child
-                                             for ei in new_path)
-                        found.append((verts, new_path))
+                        found.append(new_path)
                         screens.append(None if unrankable
                                        else _screen(n + 1, new_sums))
                     still.append(n + 1)

@@ -346,6 +346,40 @@ def test_explicit_subset_never_widens_a_bound(name, tmp_path, capsys):
             assert a["dim_outer"][1] <= d["dim_outer"][1]
 
 
+def _cantor3_weighted(tmp_path, weights):
+    """``cantor_r3_m3_uniform`` with probabilities proportional to
+    ``weights``, written to a file."""
+    doc = load_document("cantor_r3_m3_uniform")
+    doc["probabilities"] = [f"{w}/{sum(weights)}" for w in weights]
+    path = tmp_path / "weighted.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_extreme_regular_weights_exit_0(tmp_path, capsys):
+    # at 1 : 10^40 : 10^40 : 1 some walks' spectral enclosures pass every
+    # float; their per-step values still come out, and reach 10^40
+    n = 10 ** 40
+    classes = _report(_cantor3_weighted(tmp_path, [1, n, n, 1]))["classes"]
+    ess = next(c for c in classes if c["is_essential"])
+    assert ess["spectral_range_inner"][1] == pytest.approx(1e40)
+    assert ess["spectral_range_outer"][1] == pytest.approx(1e40)
+
+
+def test_zero_lower_enclosure_exits_0(tmp_path, capsys):
+    # at 10^40 : 1 : 10^40 : 1 the walk through both self-loops of vertex 3
+    # has spectral radius about 2.6e-40, and its enclosure stops at the
+    # squaring cap with lower end 0; its per-step lower end is then 0.0,
+    # not a complex root, so its dimension reaches infinity
+    n = 10 ** 40
+    path = _cantor3_weighted(tmp_path, [n, 1, n, 1])
+    classes = _report(path, "--allow-irregular", "--cycle-len=2")["classes"]
+    ess = next(c for c in classes if c["is_essential"])
+    assert ess["min_cycle"] == [3, 3, 3]
+    assert ess["spectral_range_inner"][0] == 0.0
+    assert ess["dim_inner"][1] == float("inf")
+
+
 def test_exit_code_missing_file(capsys):
     assert run(["analyze", "--input", "/nonexistent.json"]) == 1
     assert "InputDocumentError" in capsys.readouterr().err

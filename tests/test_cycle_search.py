@@ -3,7 +3,8 @@ search it replaced.
 
 ``_reference_enumerate`` is the exhaustive algorithm, kept here only as a
 reference: it walks every closed edge path, drops rotations through a set of
-canonical keys, and certifies every cycle it keeps.
+canonical keys, and certifies every cycle it keeps through
+``periodic_dimension``.
 """
 
 from collections import Counter
@@ -35,24 +36,23 @@ def _reference_enumerate(graph, members, max_len):
     seen_keys = set()
     found = []
     for s in ms:
-        stack = [(s, 0, (), None)]
+        stack = [(s, ())]
         while stack:
-            v, depth, epath, prod = stack.pop()
+            v, epath = stack.pop()
             for eidx, e in out_internal[v]:
                 if e.child < s:
                     continue
-                new_prod = (e.matrix if prod is None
-                            else dimcalc.mat_mul(prod, e.sparse))
                 new_path = epath + (eidx,)
                 if e.child == s:
                     key = _canonical_rotation(new_path, graph, s)
                     if key not in seen_keys:
                         seen_keys.add(key)
-                        verts = [s] + [graph.edges[ei].child for ei in new_path]
-                        found.append((tuple(verts), depth + 1, new_prod))
-                if depth + 1 < max_len:
-                    stack.append((e.child, depth + 1, new_path, new_prod))
-    dims = [dimcalc._cycle_dim_from_product(graph.model, *f) for f in found]
+                        found.append(new_path)
+                if len(new_path) < max_len:
+                    stack.append((e.child, new_path))
+    dims = [dimcalc.periodic_dimension(graph.model,
+                                       [graph.edges[ei] for ei in path])
+            for path in found]
     if not dims:
         return CycleEnumeration(dims, max_len, False, *[None] * 6)
     lo = min(dims, key=lambda c: c.per_step_lo)
@@ -172,25 +172,19 @@ def test_zero_row_product_is_certified(golden_model):
         enumerate_cycles(graph, (1,), max_len=1)
 
 
-def test_overflowing_product_is_certified(golden_model, monkeypatch):
-    # one self-loop whose entry no float can hold: the screen cannot rank it,
-    # so it must reach the certified enclosure
-    huge = ((10 ** 400,),)
-    graph = _one_vertex_graph(golden_model, (((2,),), huge))
-    seen = []
-    real = dimcalc.spectral_radius
-
-    def fake(matrix, *args, **kwargs):
-        seen.append(matrix)
-        if matrix[0][0] > 10 ** 300:
-            return 1e300, 1e300
-        return real(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(dimcalc, "spectral_radius", fake)
-    enum = enumerate_cycles(graph, (1,), max_len=1)
-    assert huge in seen
-    assert enum.per_step_max == 1e300
-    assert enum.per_step_min == pytest.approx(2)
+def test_overflowing_product_is_certified(golden_model, spectral_calls):
+    # the walk (big, big) has product 10^400, which no float can hold: its
+    # screen overflows, so it must reach the certified enclosure, and its
+    # per-step value 10^200 must come out of it without overflowing; the
+    # walk (tiny, tiny) has product 10^-400, whose float is 0, and its
+    # per-step value 10^-200 must come out too, not a complex root
+    big, tiny = ((10 ** 200,),), ((Fraction(1, 10 ** 200),),)
+    graph = _one_vertex_graph(golden_model, (((2,),), big, tiny))
+    enum = enumerate_cycles(graph, (1,), max_len=2)
+    assert ((10 ** 400,),) in spectral_calls
+    assert ((Fraction(1, 10 ** 400),),) in spectral_calls
+    assert enum.per_step_max == pytest.approx(1e200)
+    assert enum.per_step_min == pytest.approx(1e-200)
 
 
 def test_zero_row_loop_is_certified_in_longer_walks(golden_model):

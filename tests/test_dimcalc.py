@@ -132,6 +132,26 @@ def test_spectral_radius_zero_row():
         spectral_radius(((0, 0), (1, 1)))
 
 
+def test_spectral_radius_squares_a_slowly_mixing_block(monkeypatch):
+    # the eigenvalues (1999 +- sqrt 5) / 2 lie so close that 300 rounds on
+    # the shifted block leave a relative width near 5e-4; the enclosure must
+    # square the block (5 times here, through mat_mul), and its iterates
+    # pass 512 bits, so they are shifted back on the way
+    products = []
+    real = dimcalc.mat_mul
+
+    def counted(A, B):
+        products.append(None)
+        return real(A, B)
+
+    monkeypatch.setattr(dimcalc, "mat_mul", counted)
+    lo, hi = spectral_radius(((1000, 1), (1, 999)))
+    assert products
+    # lo <= (1999 + sqrt 5) / 2 <= hi, exactly: both 2x - 1999 are positive
+    assert (2 * lo - 1999) ** 2 <= 5 <= (2 * hi - 1999) ** 2
+    assert hi - lo <= Fraction(1, 10 ** 10) * hi
+
+
 def test_spectral_radius_fractional_entries():
     m = ((Fraction(1, 2), Fraction(3, 2)), (1, 1))
     lo, hi = spectral_radius(m)
@@ -166,7 +186,7 @@ def test_golden_essential_unit_cycle(golden_model, golden_graph):
     e53 = [e for e in golden_graph.out_edges(5) if e.child == 3]
     cd = periodic_dimension(golden_model, [e35, e53[0]])
     assert abs(cd.dimension - 1.440420090) < 1e-8
-    assert cd.sp_hi < 1 + 1e-9
+    assert cd.per_step_hi < 1 + 1e-9
 
 
 def test_golden_min_dimension_cycle(golden_model, golden_graph):
