@@ -240,15 +240,16 @@ class CycleDim:
 
 
 def _root(x: Fraction, L: int, toward: float) -> float:
-    """x ** (1 / L) of an exact x >= 0 rounded one ulp ``toward`` +-inf; 0
-    for 0. Past 2 ** +-1000, the root of x / 2 ** (n L) is scaled by 2 ** n."""
+    """x ** (1 / L) for an exact x >= 0 from float(x) moved one ulp ``toward``
+    +-inf, scaled by 2 ** n past 2 ** +-1000; 0 for 0, an upper end never 0."""
     if not x:
         return 0.0
     num, den = x.numerator, x.denominator
     e = num.bit_length() - den.bit_length()
     n = e // L if abs(e) > 1000 else 0
     y = (num << max(-n * L, 0)) / (den << max(n * L, 0))  # float(x / 2**nL)
-    return math.ldexp(math.nextafter(y, toward) ** (1 / L), n)
+    r = math.ldexp(math.nextafter(y, toward) ** (1 / L), n)
+    return r if toward < 0 else max(r, math.nextafter(0.0, toward))
 
 
 def periodic_dimension(model: Model, cycle_edges) -> CycleDim:
@@ -259,8 +260,7 @@ def periodic_dimension(model: Model, cycle_edges) -> CycleDim:
         raise NotACycle("edge path does not close up")
     sp_lo, sp_hi = spectral_radius(product_along(edges))
     L = len(edges)
-    per_lo = _root(sp_lo, L, -math.inf)
-    per_hi = _root(sp_hi, L, math.inf)
+    per_lo, per_hi = _root(sp_lo, L, -math.inf), _root(sp_hi, L, math.inf)
     dim_lo, dim_hi = _dim_range(model, per_lo, per_hi)
     vertices = (edges[0].parent,) + tuple(e.child for e in edges)
     return CycleDim(vertices=vertices, length=L, per_step_lo=per_lo,
@@ -309,8 +309,7 @@ class _CycleList(Sequence):
         return [d for d in self._dims if d is not None]
 
 
-# Relative margin of the cycle screen in enumerate_cycles: wider than the
-# spectral enclosure's 1e-10 relative width plus float rounding.
+# Relative margin of the cycle screen: above 1e-10 enclosure width + rounding
 _SCREEN_MARGIN = 1e-9
 
 
@@ -322,6 +321,11 @@ def _screen(L, cols):
         return float(min(cols)) ** (1.0 / L), float(max(cols)) ** (1.0 / L)
     except OverflowError:
         return None
+
+
+def _narrow(c):
+    """Whether a walk's per-step enclosure is within the screen margin."""
+    return c.per_step_hi - c.per_step_lo <= _SCREEN_MARGIN * c.per_step_hi
 
 
 def _steps_home(s, into):
@@ -370,16 +374,16 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
     ``1 + _SCREEN_MARGIN``; the maximum mirrors this. The margin is wider
     than the certified enclosure's 1e-10 relative width plus float rounding,
     so every walk left out is strictly beaten by a certified one and every
-    walk tied with an extreme is certified. (That width holds when the
-    enclosure converges; one cut off by the squaring cap in
-    ``_block_spectral_bounds`` can be wider.) A walk the screen cannot rank
+    walk tied with an extreme is certified. A walk the screen cannot rank
     is always certified: one with a sum that overflows a float, and every
     walk of a class with an edge whose matrix has an all-zero row, since
     only such a class can have a product with a zero row, which the
-    enclosure rejects. Certifying a walk builds its exact product. The
-    extremes are taken over the certified walks in generation order, which
-    gives what certifying every walk would. The rest are certified when
-    ``cycles`` is read, so ``len(cycles)`` certifies nothing.
+    enclosure rejects. The extremes are taken over the certified walks that
+    are ``_narrow``, as every converged one is, in generation order, which
+    gives what certifying every walk would. A walk whose enclosure stopped at
+    the squaring cap can be wider, its lower end even 0; it sets no best
+    value, so the extremes may then miss a narrow walk. The rest are
+    certified when ``cycles`` is read, so ``len(cycles)`` certifies nothing.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -447,28 +451,24 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
     for i in sorted(ranked, key=lambda i: screens[i][0]):
         if screens[i][0] > low * (1 + _SCREEN_MARGIN):
             break
-        low = min(low, cycles[i].per_step_lo)
+        if _narrow(cycles[i]):
+            low = min(low, cycles[i].per_step_lo)
     high = max((screens[i][0] for i in ranked), default=0.0)
     for i in sorted(ranked, key=lambda i: screens[i][1], reverse=True):
         if screens[i][1] * (1 + _SCREEN_MARGIN) < high:
             break
-        high = max(high, cycles[i].per_step_hi)
-    certified = cycles.certified()
-    if certified:
-        lo = min(certified, key=lambda c: c.per_step_lo)
-        hi = max(certified, key=lambda c: c.per_step_hi)
-        per_min, per_max = lo.per_step_lo, hi.per_step_hi
-        # dimension is non-increasing in the per-step value
-        dim_min, dim_max = hi.dim_lo, lo.dim_hi
-        min_c, max_c = lo.vertices, hi.vertices
-    else:
-        per_min = per_max = dim_min = dim_max = None
-        min_c = max_c = None
-    return CycleEnumeration(cycles=cycles, max_len=max_len,
-                            truncated=truncated,
-                            per_step_min=per_min, per_step_max=per_max,
-                            dim_min=dim_min, dim_max=dim_max,
-                            min_cycle=min_c, max_cycle=max_c)
+        if _narrow(cycles[i]):
+            high = max(high, cycles[i].per_step_hi)
+    certified = [c for c in cycles.certified() if _narrow(c)]
+    if not certified:
+        return CycleEnumeration(cycles, max_len, truncated, *[None] * 6)
+    lo = min(certified, key=lambda c: c.per_step_lo)
+    hi = max(certified, key=lambda c: c.per_step_hi)
+    return CycleEnumeration(  # dimension falls as the per-step value rises
+        cycles=cycles, max_len=max_len, truncated=truncated,
+        per_step_min=lo.per_step_lo, per_step_max=hi.per_step_hi,
+        dim_min=hi.dim_lo, dim_max=lo.dim_hi,
+        min_cycle=lo.vertices, max_cycle=hi.vertices)
 
 
 # ----------------------------------------------------------------------------

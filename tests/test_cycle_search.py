@@ -7,6 +7,7 @@ canonical keys, and certifies every cycle it keeps through
 ``periodic_dimension``.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -185,6 +186,14 @@ def test_overflowing_product_is_certified(golden_model, spectral_calls):
     assert ((Fraction(1, 10 ** 400),),) in spectral_calls
     assert enum.per_step_max == pytest.approx(1e200)
     assert enum.per_step_min == pytest.approx(1e-200)
+    # a per-step value of 10^-400 lies below every float: its enclosure
+    # keeps a positive upper end, so its dimension stays finite below, and
+    # it is too wide in floats to set an extreme
+    graph = _one_vertex_graph(golden_model, (((Fraction(1, 10 ** 400),),),))
+    cd = dimcalc.periodic_dimension(golden_model, graph.edges)
+    assert (cd.per_step_lo, cd.per_step_hi) == (0.0, math.nextafter(0, 1))
+    assert math.isfinite(cd.dim_lo) and cd.dim_hi == math.inf
+    assert enumerate_cycles(graph, (1,), max_len=1).per_step_min is None
 
 
 def test_zero_row_loop_is_certified_in_longer_walks(golden_model):
