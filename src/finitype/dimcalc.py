@@ -17,12 +17,11 @@ compiled once where it is formed. Products come back dense, as row tuples.
 Spectral radii come with certified rational enclosures: Collatz-Wielandt
 quotients of an exactly-computed iteration on each irreducible diagonal block,
 with a unit shift to kill periodicity, and repeated squaring as a fallback
-accelerator. Norm products are evaluated exactly; floating point enters the
-reported numbers only in final roots and logarithms. Floats also screen which
-cycles the search certifies (the smallest and largest column sums of each
-walk's product, which the search carries in place of the product, with a
-margin wider than the enclosures' width), but a screened value never becomes
-a reported one; a walk's exact product is built only when it is certified.
+accelerator. Norm products are evaluated exactly, and no exact value becomes
+a float: per-step values are carried as logs (``_flog``), ``_dims`` turns
+them into dimension ends padded outward for rounding, and per-step floats are
+for display only. Float logs of each walk's smallest and largest column sum
+screen which cycles the search certifies, but never become reported values.
 
 Norm bounds never walk every admissible path. Each row- or column-sum
 functional is monotone in the row vector carried along a walk, and every
@@ -82,9 +81,17 @@ def product_along(edges):
 
 
 def _flog(x) -> float:
-    """log of a positive int or Fraction without overflowing float (an int
-    has numerator itself and denominator 1, so it needs no branch)."""
-    return math.log(x.numerator) - math.log(x.denominator)
+    """log of an int or Fraction x >= 0, from the logs of its numerator and
+    denominator, so it never overflows; -inf for 0."""
+    return math.log(x.numerator) - math.log(x.denominator) if x else -math.inf
+
+
+def _exp(y: float) -> float:
+    """exp(y) for display, inf past the float range."""
+    try:
+        return math.exp(y)
+    except OverflowError:
+        return math.inf
 
 
 # ----------------------------------------------------------------------------
@@ -207,28 +214,50 @@ def spectral_radius(matrix):
 
 def dim_at_zero(model: Model) -> float:
     """log p_0 / log rho: the dimension at the support's left endpoint,
-    always the largest attainable value."""
-    return _dim_range(model, 1.0, 1.0)[0]
+    always the largest attainable value (as an upper end)."""
+    return _dims(model, 1, 1, 1)[1]
 
 
-def _dim_range(model: Model, per_lo: float, per_hi: float):
-    """(dim_lo, dim_hi) for per-step spectral values in [per_lo, per_hi];
-    the larger value gives the smaller dimension, and 0 gives infinity."""
-    lr = model.log_rho
-    lp0 = _flog(model.probabilities[0])
-    dim_lo = (lp0 + math.log(per_hi)) / lr
-    dim_hi = (lp0 + math.log(per_lo)) / lr if per_lo > 0 else math.inf
-    return dim_lo, dim_hi
+def _dims(model: Model, lo, hi, L: int):
+    """(dim_lo, dim_hi): (log p_0 + log(x) / L) / log rho at x = hi and at
+    x = lo, for exact L-step values 0 <= lo <= hi; 0 gives infinity. Each
+    end d is padded outward by 8 u (M + |d| (1 + |log rho|)) / |log rho|,
+    u = 2 ** -53. M sums b log 2 over the b-bit numerators and denominators
+    of p_0 and of x (x's over L), and ``math.log`` of a b-bit int errs by
+    under 4.01 u b log 2, so the numerator errs by under 7.01 u M (four logs
+    and four roundings); ``model.log_rho`` errs by at most
+    u (1 + 2 |log rho|). The rest covers the division and the pad's own."""
+    lr, p0 = model.log_rho, model.probabilities[0]
+
+    def bits(q):
+        return q.numerator.bit_length() + q.denominator.bit_length()
+
+    def end(x, side):
+        if not x:
+            return math.inf
+        d = (_flog(p0) + _flog(x) / L) / lr
+        size = (bits(p0) + bits(x) / L) * math.log(2)
+        return d + side * 8 * 2.0 ** -53 * (size + abs(d) * (1 - lr)) / -lr
+
+    return end(hi, -1), end(lo, 1)
 
 
 @dataclass(frozen=True)
 class CycleDim:
     vertices: tuple[int, ...]     # closed: first == last
     length: int                   # number of steps (edges)
-    per_step_lo: float
-    per_step_hi: float
-    dim_lo: float
-    dim_hi: float
+    log_lo: float                 # log of the per-step enclosure's ends,
+    log_hi: float                 # rounded; they rank walks, and per_step_*
+    dim_lo: float                 # display them; dim_lo and dim_hi are
+    dim_hi: float                 # certified, from _dims
+
+    @property
+    def per_step_lo(self) -> float:
+        return _exp(self.log_lo)
+
+    @property
+    def per_step_hi(self) -> float:
+        return _exp(self.log_hi)
 
     @property
     def per_step(self) -> float:
@@ -239,19 +268,6 @@ class CycleDim:
         return (self.dim_lo + self.dim_hi) / 2
 
 
-def _root(x: Fraction, L: int, toward: float) -> float:
-    """x ** (1 / L) for an exact x >= 0 from float(x) moved one ulp ``toward``
-    +-inf, scaled by 2 ** n past 2 ** +-1000; 0 for 0, an upper end never 0."""
-    if not x:
-        return 0.0
-    num, den = x.numerator, x.denominator
-    e = num.bit_length() - den.bit_length()
-    n = e // L if abs(e) > 1000 else 0
-    y = (num << max(-n * L, 0)) / (den << max(n * L, 0))  # float(x / 2**nL)
-    r = math.ldexp(math.nextafter(y, toward) ** (1 / L), n)
-    return r if toward < 0 else max(r, math.nextafter(0.0, toward))
-
-
 def periodic_dimension(model: Model, cycle_edges) -> CycleDim:
     """Dimension of the periodic point tracing the given closed edge path,
     from the certified spectral enclosure of its product."""
@@ -260,11 +276,9 @@ def periodic_dimension(model: Model, cycle_edges) -> CycleDim:
         raise NotACycle("edge path does not close up")
     sp_lo, sp_hi = spectral_radius(product_along(edges))
     L = len(edges)
-    per_lo, per_hi = _root(sp_lo, L, -math.inf), _root(sp_hi, L, math.inf)
-    dim_lo, dim_hi = _dim_range(model, per_lo, per_hi)
     vertices = (edges[0].parent,) + tuple(e.child for e in edges)
-    return CycleDim(vertices=vertices, length=L, per_step_lo=per_lo,
-                    per_step_hi=per_hi, dim_lo=dim_lo, dim_hi=dim_hi)
+    return CycleDim(vertices, L, _flog(sp_lo) / L, _flog(sp_hi) / L,
+                    *_dims(model, sp_lo, sp_hi, L))
 
 
 # ----------------------------------------------------------------------------
@@ -309,23 +323,20 @@ class _CycleList(Sequence):
         return [d for d in self._dims if d is not None]
 
 
-# Relative margin of the cycle screen: above 1e-10 enclosure width + rounding
+# Margin of the cycle screen in log units: above the enclosures' 1e-10 width
+# plus the logs' rounding, below 1e-10 under 10^5 bits per step of the values
 _SCREEN_MARGIN = 1e-9
 
 
 def _screen(L, cols):
-    """Collatz-Wielandt enclosure of sp(P)^(1/L) with x = 1, from the column
-    sums ``cols`` of P: the smallest and the largest sum, each to the power
-    1/L. None when it is unusable (a sum no float can hold)."""
-    try:
-        return float(min(cols)) ** (1.0 / L), float(max(cols)) ** (1.0 / L)
-    except OverflowError:
-        return None
+    """Collatz-Wielandt enclosure of log sp(P) / L with x = 1, from the
+    column sums ``cols`` of P: the smallest and the largest sum's log / L."""
+    return _flog(min(cols)) / L, _flog(max(cols)) / L
 
 
 def _narrow(c):
     """Whether a walk's per-step enclosure is within the screen margin."""
-    return c.per_step_hi - c.per_step_lo <= _SCREEN_MARGIN * c.per_step_hi
+    return c.log_hi - c.log_lo <= _SCREEN_MARGIN
 
 
 def _steps_home(s, into):
@@ -366,24 +377,22 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
     The search carries the column sums 1^T P of each prefix's product P,
     one ``vec_mat`` per step, and no product. For a nonnegative P they bound
     its spectral radius between the smallest and the largest column sum
-    (Collatz-Wielandt with x = 1); that enclosure of the per-step value is
+    (Collatz-Wielandt with x = 1); the per-step logs of that enclosure are
     the walk's screen. The minimum is found by branch and bound (Gripenberg
-    1996): walks are certified in increasing order of their per-step lower
-    screen, starting from the smallest per-step upper screen as the best
-    value, until a lower screen exceeds the best value so far times
-    ``1 + _SCREEN_MARGIN``; the maximum mirrors this. The margin is wider
-    than the certified enclosure's 1e-10 relative width plus float rounding,
-    so every walk left out is strictly beaten by a certified one and every
-    walk tied with an extreme is certified. A walk the screen cannot rank
-    is always certified: one with a sum that overflows a float, and every
-    walk of a class with an edge whose matrix has an all-zero row, since
-    only such a class can have a product with a zero row, which the
-    enclosure rejects. The extremes are taken over the certified walks that
-    are ``_narrow``, as every converged one is, in generation order, which
-    gives what certifying every walk would. A walk whose enclosure stopped at
-    the squaring cap can be wider, its lower end even 0; it sets no best
-    value, so the extremes may then miss a narrow walk. The rest are
-    certified when ``cycles`` is read, so ``len(cycles)`` certifies nothing.
+    1996): walks are certified in increasing order of their lower screen,
+    starting from the smallest upper screen as the best per-step log, until
+    a lower screen exceeds the best log so far (``CycleDim.log_lo`` once
+    certified) plus ``_SCREEN_MARGIN``; the maximum mirrors this. So every
+    walk left out is strictly beaten by a certified one, and every walk tied
+    with an extreme is certified. Every walk of a class with an edge whose
+    matrix has an all-zero row is certified unranked: only there can a
+    product have a zero row, which the enclosure rejects. The extremes are
+    taken over the certified walks that are ``_narrow``, as every converged
+    one is; of walks with equal float logs, the first generated wins. A walk
+    whose enclosure stopped at the squaring cap can be wider, its lower end
+    even 0; it sets no best value, so the extremes may then miss a narrow
+    walk. The rest are certified when ``cycles`` is read, so ``len(cycles)``
+    certifies nothing.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -394,7 +403,7 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
                      for row in e.matrix)
 
     found = []    # edge paths
-    screens = []  # beside found: the walk's screen, or None
+    screens = []  # beside found: the walk's screen
     steps = 0
     truncated = False
 
@@ -430,8 +439,7 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
                     if all(new_path <= new_path[a:] + new_path[:a]
                            for a in still):
                         found.append(new_path)
-                        screens.append(None if unrankable
-                                       else _screen(n + 1, new_sums))
+                        screens.append(_screen(n + 1, new_sums))
                     still.append(n + 1)
                 if n + 1 < max_len:
                     stack.append((e.child, new_path, tuple(still), new_sums))
@@ -439,31 +447,29 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
             break
 
     cycles = _CycleList(graph, found)
-    ranked = []
-    for i, b in enumerate(screens):
-        if b is None:
-            cycles[i]   # the screen cannot rank it: certify it
-        else:
-            ranked.append(i)
+    ranked = range(len(found))
+    if unrankable:
+        list(cycles)   # certify every walk, and rank none
+        ranked = ()
     # most promising first; stop at the first screen that cannot come
     # within the margin of the best value so far (screened or certified)
     low = min((screens[i][1] for i in ranked), default=math.inf)
     for i in sorted(ranked, key=lambda i: screens[i][0]):
-        if screens[i][0] > low * (1 + _SCREEN_MARGIN):
+        if screens[i][0] > low + _SCREEN_MARGIN:
             break
         if _narrow(cycles[i]):
-            low = min(low, cycles[i].per_step_lo)
-    high = max((screens[i][0] for i in ranked), default=0.0)
+            low = min(low, cycles[i].log_lo)
+    high = max((screens[i][0] for i in ranked), default=-math.inf)
     for i in sorted(ranked, key=lambda i: screens[i][1], reverse=True):
-        if screens[i][1] * (1 + _SCREEN_MARGIN) < high:
+        if screens[i][1] + _SCREEN_MARGIN < high:
             break
         if _narrow(cycles[i]):
-            high = max(high, cycles[i].per_step_hi)
+            high = max(high, cycles[i].log_hi)
     certified = [c for c in cycles.certified() if _narrow(c)]
     if not certified:
         return CycleEnumeration(cycles, max_len, truncated, *[None] * 6)
-    lo = min(certified, key=lambda c: c.per_step_lo)
-    hi = max(certified, key=lambda c: c.per_step_hi)
+    lo = min(certified, key=lambda c: c.log_lo)
+    hi = max(certified, key=lambda c: c.log_hi)
     return CycleEnumeration(  # dimension falls as the per-step value rises
         cycles=cycles, max_len=max_len, truncated=truncated,
         per_step_min=lo.per_step_lo, per_step_max=hi.per_step_hi,
@@ -514,8 +520,8 @@ class NormBounds:
     depth: int
     min_norm: Fraction | int          # best lower functional over all products
     max_norm: Fraction | int          # best upper functional over all products
-    per_step_lo: float
-    per_step_hi: float
+    per_step_lo: float                # for display only: the certified
+    per_step_hi: float                # ends are dim_lo and dim_hi
     dim_lo: float
     dim_hi: float
     path_count: int
@@ -659,7 +665,7 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subset=None,
     min_neigh = min(sizes.values())
     subsets: list[tuple[int, ...]] = []
     if subset:
-        raw = [subset] if subset and isinstance(subset[0], int) else list(subset)
+        raw = [subset] if isinstance(subset[0], int) else list(subset)
         for s in raw:
             idx = tuple(sorted(set(int(c) for c in s)))
             if idx[0] < 1 or idx[-1] > min_neigh:
@@ -693,13 +699,10 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subset=None,
     max_row, min_row, *sub_row = _norm_pass(row_into, families, depth,
                                             budget_state)
 
-    lows = [x for x in [min_col, min_row] + sub_col + sub_row
-            if x is not None]
-    lo_best = max(lows)
+    lo_best = max(x for x in [min_col, min_row] + sub_col + sub_row
+                  if x is not None)
     hi_best = min(max_col, max_row)
-    g_lo = math.exp(_flog(lo_best) / depth) if lo_best > 0 else 0.0
-    g_hi = math.exp(_flog(hi_best) / depth)
-    dim_lo, dim_hi = _dim_range(graph.model, g_lo, g_hi)
+    dim_lo, dim_hi = _dims(graph.model, lo_best, hi_best, depth)
     functionals = {
         "min_col": min_col, "max_col": max_col,
         "min_row": min_row, "max_row": max_row,
@@ -707,7 +710,8 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subset=None,
         "sub_row": dict(zip(subsets, sub_row)),
     }
     return NormBounds(depth=depth, min_norm=lo_best, max_norm=hi_best,
-                      per_step_lo=g_lo, per_step_hi=g_hi,
+                      per_step_lo=_exp(_flog(lo_best) / depth),
+                      per_step_hi=_exp(_flog(hi_best) / depth),
                       dim_lo=dim_lo, dim_hi=dim_hi,
                       path_count=_walk_count(col_into, depth),
                       charged=budget_state[0],
@@ -721,12 +725,12 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subset=None,
 @dataclass(frozen=True)
 class ClassDimSet:
     loop_class: LoopClass
-    spectral_inner: tuple[float, float] | None
-    spectral_outer: tuple[float, float] | None
+    spectral_inner: tuple[float, float] | None    # per-step, for display
+    spectral_outer: tuple[float, float] | None    # per-step, for display
     dim_inner: tuple[float, float] | None
     dim_outer: tuple[float, float] | None
     exact_point: float | None
-    exact_point_per_step: float | None
+    exact_point_per_step: float | None            # for display
     min_cycle: tuple[int, ...] | None
     max_cycle: tuple[int, ...] | None
     cycle_len: int
@@ -789,15 +793,10 @@ def _merge_intervals(intervals, tol=1e-12):
 def _simple_loop_cycle(graph: TransitionGraph, members):
     """The unique internal cycle of a simple-loop class, as an edge list."""
     internal = graph.internal_out(members)
-    start = min(members)
-    edges = []
-    v = start
-    while True:
-        _, e = internal[v][0]
-        edges.append(e)
-        v = e.child
-        if v == start:
-            return edges
+    edges = [internal[min(members)][0][1]]
+    while edges[-1].child != edges[0].parent:
+        edges.append(internal[edges[-1].child][0][1])
+    return edges
 
 
 def _auto_subsets(min_neigh):
@@ -815,7 +814,6 @@ def analyze_class(graph: TransitionGraph, lc: LoopClass, cycle_len: int,
     """Inner and outer dimension ranges of one loop class. The lower norm
     tries every width-3 window and, unless ``subset`` is ``"auto"``, that
     index tuple when no index exceeds a member's neighbour count."""
-    model = graph.model
     members = lc.members
     min_neigh = min(len(graph.cv(v).neighbours) for v in members)
     use_subset = _auto_subsets(min_neigh)
@@ -835,11 +833,9 @@ def analyze_class(graph: TransitionGraph, lc: LoopClass, cycle_len: int,
     search_len = (min(cycle_len, len(members)) if lc.is_simple_loop
                   else cycle_len)
     enum = enumerate_cycles(graph, members, search_len, budget=cycle_budget)
-    exact = exact_per = None
-    if lc.is_simple_loop:
-        cd = periodic_dimension(model, _simple_loop_cycle(graph, members))
-        exact = cd.dimension
-        exact_per = cd.per_step
+    point = (periodic_dimension(graph.model,
+                                _simple_loop_cycle(graph, members))
+             if lc.is_simple_loop else None)
     return ClassDimSet(
         loop_class=lc,
         spectral_inner=(enum.per_step_min, enum.per_step_max)
@@ -848,7 +844,8 @@ def analyze_class(graph: TransitionGraph, lc: LoopClass, cycle_len: int,
         dim_inner=(enum.dim_min, enum.dim_max)
         if enum.dim_min is not None else None,
         dim_outer=(nb.dim_lo, nb.dim_hi) if nb else None,
-        exact_point=exact, exact_point_per_step=exact_per,
+        exact_point=point and point.dimension,
+        exact_point_per_step=point and point.per_step,
         min_cycle=enum.min_cycle, max_cycle=enum.max_cycle,
         cycle_len=cycle_len, bound_len=bl if nb else 0,
         cycles_truncated=enum.truncated)

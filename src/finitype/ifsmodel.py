@@ -67,7 +67,9 @@ class Model:
     @cached_property
     def log_rho(self) -> float:
         """log rho as a float, computed once per model: ``float(rho)``
-        narrows rho's enclosure each time it is taken."""
+        narrows rho's enclosure each time it is taken. ``dimcalc._dims`` pads
+        for an error of 2**-53 (1 + 2 |log rho|): half an ulp of rho from
+        ``float(rho)`` (its enclosure is 1e-20 wide), one ulp from the log."""
         return log(float(self.rho()))
 
     @cached_property

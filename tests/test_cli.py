@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -346,10 +347,10 @@ def test_explicit_subset_never_widens_a_bound(name, tmp_path, capsys):
             assert a["dim_outer"][1] <= d["dim_outer"][1]
 
 
-def _cantor3_weighted(tmp_path, weights):
-    """``cantor_r3_m3_uniform`` with probabilities proportional to
+def _weighted(tmp_path, weights, name="cantor_r3_m3_uniform"):
+    """Catalog example ``name`` with probabilities proportional to
     ``weights``, written to a file."""
-    doc = load_document("cantor_r3_m3_uniform")
+    doc = load_document(name)
     doc["probabilities"] = [f"{w}/{sum(weights)}" for w in weights]
     path = tmp_path / "weighted.json"
     path.write_text(json.dumps(doc))
@@ -360,10 +361,37 @@ def test_extreme_regular_weights_exit_0(tmp_path, capsys):
     # at 1 : 10^40 : 10^40 : 1 some walks' spectral enclosures pass every
     # float; their per-step values still come out, and reach 10^40
     n = 10 ** 40
-    classes = _report(_cantor3_weighted(tmp_path, [1, n, n, 1]))["classes"]
+    classes = _report(_weighted(tmp_path, [1, n, n, 1]))["classes"]
     ess = next(c for c in classes if c["is_essential"])
     assert ess["spectral_range_inner"][1] == pytest.approx(1e40)
     assert ess["spectral_range_outer"][1] == pytest.approx(1e40)
+
+
+def test_outer_range_holds_the_class_point_at_extreme_weights(tmp_path,
+                                                              capsys):
+    # at 1 : 10^40 : 1 the simple loops [19] and [25] have per-step value
+    # 10^40 and dimension about 4e-40; rounding puts their computed point
+    # near 0 on either side, and their padded outer range must still hold it
+    n = 10 ** 40
+    path = _weighted(tmp_path, [1, n, 1], name="golden_square")
+    classes = _report(path, "--cycle-len=1")["classes"]
+    points = [c for c in classes if c["exact_point"] is not None]
+    assert {tuple(c["members"]) for c in points} >= {(19,), (25,)}
+    for c in points:
+        assert c["dim_outer"][0] <= c["exact_point"] <= c["dim_outer"][1]
+
+
+def test_per_step_values_past_the_float_range_exit_0(tmp_path, capsys):
+    # at 1 : 10^400 : 10^400 : 1 the per-step values reach 10^400, which no
+    # float holds; the dimensions come from their logs, and the essential
+    # class's outer range is finite and holds its inner range
+    n = 10 ** 400
+    path = _weighted(tmp_path, [1, n, n, 1])
+    classes = _report(path, "--cycle-len=2")["classes"]
+    ess = next(c for c in classes if c["is_essential"])
+    lo, hi = ess["dim_outer"]
+    assert math.isfinite(lo) and math.isfinite(hi)
+    assert lo - 1e-9 <= ess["dim_inner"][0] <= ess["dim_inner"][1] <= hi + 1e-9
 
 
 def test_zero_lower_enclosure_exits_0(tmp_path, capsys):
@@ -373,7 +401,7 @@ def test_zero_lower_enclosure_exits_0(tmp_path, capsys):
     # not a complex root, and the walk is too loosely enclosed to set an
     # extreme of the inner range, which stays inside the outer one
     n = 10 ** 40
-    path = _cantor3_weighted(tmp_path, [n, 1, n, 1])
+    path = _weighted(tmp_path, [n, 1, n, 1])
     classes = _report(path, "--allow-irregular", "--cycle-len=2")["classes"]
     ess = next(c for c in classes if c["is_essential"])
     assert ess["min_cycle"] == [3, 3]

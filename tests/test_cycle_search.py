@@ -186,14 +186,17 @@ def test_overflowing_product_is_certified(golden_model, spectral_calls):
     assert ((Fraction(1, 10 ** 400),),) in spectral_calls
     assert enum.per_step_max == pytest.approx(1e200)
     assert enum.per_step_min == pytest.approx(1e-200)
-    # a per-step value of 10^-400 lies below every float: its enclosure
-    # keeps a positive upper end, so its dimension stays finite below, and
-    # it is too wide in floats to set an extreme
+    # a per-step value of 10^-400 lies below every float, but its log does
+    # not: it is enclosed exactly, so its dimensions are finite and it sets
+    # the extremes; only its display value underflows to 0
     graph = _one_vertex_graph(golden_model, (((Fraction(1, 10 ** 400),),),))
     cd = dimcalc.periodic_dimension(golden_model, graph.edges)
-    assert (cd.per_step_lo, cd.per_step_hi) == (0.0, math.nextafter(0, 1))
-    assert math.isfinite(cd.dim_lo) and cd.dim_hi == math.inf
-    assert enumerate_cycles(graph, (1,), max_len=1).per_step_min is None
+    assert cd.log_lo == cd.log_hi == pytest.approx(-400 * math.log(10))
+    assert cd.dim_lo < cd.dim_hi
+    assert cd.dim_lo == pytest.approx(1915.43, abs=0.01)
+    assert cd.dim_hi == pytest.approx(1915.43, abs=0.01)
+    enum = enumerate_cycles(graph, (1,), max_len=1)
+    assert (enum.per_step_min, enum.dim_max) == (0.0, cd.dim_hi)
 
 
 def test_zero_row_loop_is_certified_in_longer_walks(golden_model):
@@ -225,8 +228,9 @@ def test_search_multiplies_only_certified_walks(cantor5_binomial_model,
 
 
 def test_certified_values_lie_inside_the_column_screen(graph, monkeypatch):
-    # each walk's screen is the column-sum enclosure of its per-step value,
-    # and the certified enclosure must agree with it up to the margin
+    # each walk's screen is the log of the column-sum enclosure of its
+    # per-step value, and the certified log enclosure must agree with it up
+    # to the margin, in log units
     screens = []
     real = dimcalc._screen
 
@@ -235,10 +239,10 @@ def test_certified_values_lie_inside_the_column_screen(graph, monkeypatch):
         return screens[-1]
 
     monkeypatch.setattr(dimcalc, "_screen", recorded)
-    margin = 1 + dimcalc._SCREEN_MARGIN
+    margin = dimcalc._SCREEN_MARGIN
     for lc in classify_all(graph):
         screens.clear()
         enum = enumerate_cycles(graph, lc.members, max_len=6)
         assert len(screens) == len(enum.cycles)
         for (lo, hi), c in zip(screens, enum.cycles):
-            assert lo / margin <= c.per_step_lo <= c.per_step_hi <= hi * margin
+            assert lo - margin <= c.log_lo <= c.log_hi <= hi + margin

@@ -1,5 +1,7 @@
 """Spectral radii, cycle dimensions, pseudo-norm bounds: frozen exact values."""
 
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import catalog_graph
+from conftest import catalog_graph, catalog_model, golden_square_ifs
 from finitype import dimcalc
 from finitype.catalog import load_document
 from finitype.cli import parse_document
@@ -35,7 +37,7 @@ from finitype.errors import (
     SubsetInvalidForClass,
     ZeroRow,
 )
-from finitype.ifsmodel import validate
+from finitype.ifsmodel import Ifs, validate
 from finitype.loopclasses import essential_class
 from finitype.netgraph import build_graph, compile_matrix
 
@@ -177,6 +179,48 @@ def test_golden_dim_at_zero(golden_model, golden_graph):
     cd = periodic_dimension(golden_model, _first_cycle(golden_graph, (2, 2)))
     assert abs(cd.dimension - 1.440420090) < 1e-8
     assert cd.length == 1
+
+
+def _weighted_golden_square():
+    ifs = golden_square_ifs()
+    n = 10 ** 40
+    return validate(Ifs(field=ifs.field, translations=ifs.translations,
+                        probabilities=(Fraction(1, n + 2), Fraction(n, n + 2),
+                                       Fraction(1, n + 2))))
+
+
+def _dec(q):
+    return Decimal(q.numerator) / Decimal(q.denominator)
+
+
+def test_dims_pad_encloses_the_true_dimension(golden_model,
+                                              golden_square_model):
+    # (log p_0 + log(x) / L) / log rho in 90-digit decimals, at both ends of
+    # a 2^-256 enclosure of rho, for exact x from about 10^-1000 to 10^1000
+    # whose numerator and denominator have up to 1000 digits each
+    models = [golden_model, golden_square_model, _weighted_golden_square(),
+              catalog_model("cantor_r3_m3_uniform"),
+              catalog_model("cantor_r3_m10_binomial")]
+    rng = random.Random(1)
+    with localcontext() as ctx:
+        ctx.prec = 90
+        for model in models:
+            field = model.field
+            while (field.enclosure()[1] - field.enclosure()[0]
+                   > Fraction(1, 2 ** 256)):
+                field.refine(64)
+            log_rhos = [_dec(r).ln() for r in field.enclosure()]
+            log_p0 = _dec(model.probabilities[0]).ln()
+            for _ in range(600):
+                e = rng.randint(-1000, 1000)
+                k = rng.randint(max(0, -e), min(1000, 1000 - e))
+                den = rng.randrange(10 ** k, 10 ** (k + 1))
+                num = rng.randrange(10 ** (k + e), 10 ** (k + e + 1))
+                x, L = Fraction(num, den), rng.randint(1, 12)
+                lo, hi = dimcalc._dims(model, x, x, L)
+                for lr in log_rhos:
+                    d = (log_p0 + _dec(x).ln() / L) / lr
+                    assert Decimal(lo) <= d <= Decimal(hi), (x, L)
 
 
 def test_golden_essential_unit_cycle(golden_model, golden_graph):
