@@ -234,12 +234,12 @@ def render_text(report: DimensionReport, graph=None, show_matrices=False) -> str
         lines.extend(_class_block(cs))
 
     lines.append("")
-    pieces = [f"{_fmt_iv(iv)}" if iv[1] - iv[0] > 1e-9 else
-              "{" + _fmt(iv[0]) + "}" for iv in report.global_outer]
+    point_like = [iv[1] - iv[0] <= 1e-9 for iv in report.global_outer]
+    pieces = ["{" + _fmt(iv[0]) + "}" if point else _fmt_iv(iv)
+              for iv, point in zip(report.global_outer, point_like)]
     lines.append("global dimension set bracket (outer): " +
                  " U ".join(pieces))
-    point_like = [iv for iv in report.global_outer if iv[1] - iv[0] <= 1e-9]
-    if len(point_like) == len(report.global_outer):
+    if all(point_like):
         vals = ", ".join(_fmt(iv[0]) for iv in report.global_outer)
         lines.append(f"The set of local dimensions consists of "
                      f"{len(point_like)} distinct points: {vals}.")
@@ -284,7 +284,7 @@ def _class_block(cs) -> list[str]:
         lines.append(f"  minimum from the loop {list(cs.min_cycle)}, maximum "
                      f"from the loop {list(cs.max_cycle)}")
         lines.append(f"  giving local dimensions that include "
-                     f"{_fmt_iv((cs.dim_inner[0], cs.dim_inner[1]))}.")
+                     f"{_fmt_iv(cs.dim_inner)}.")
     if cs.cycles_truncated:
         lines.append("The cycle search stopped at its step budget; any "
                      "inner range here comes from a truncated search.")
@@ -293,7 +293,7 @@ def _class_block(cs) -> list[str]:
                      f"the per-step spectral range to "
                      f"{_fmt_iv(cs.spectral_outer)}.")
         lines.append(f"  so these local dimensions are contained in "
-                     f"{_fmt_iv((cs.dim_outer[0], cs.dim_outer[1]))}.")
+                     f"{_fmt_iv(cs.dim_outer)}.")
     if not lc.positive and not lc.is_simple_loop:
         lines.append("Outer bounds only (NOT CERTIFIED as an interval).")
     return ["  " + ln for ln in lines]

@@ -384,23 +384,24 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
     a lower screen exceeds the best log so far (``CycleDim.log_lo`` once
     certified) plus ``_SCREEN_MARGIN``; the maximum mirrors this. So every
     walk left out is strictly beaten by a certified one, and every walk tied
-    with an extreme is certified. Every walk of a class with an edge whose
-    matrix has an all-zero row is certified unranked: only there can a
-    product have a zero row, which the enclosure rejects. The extremes are
-    taken over the certified walks that are ``_narrow``, as every converged
-    one is; of walks with equal float logs, the first generated wins. A walk
-    whose enclosure stopped at the squaring cap can be wider, its lower end
-    even 0; it sets no best value, so the extremes may then miss a narrow
-    walk. The rest are certified when ``cycles`` is read, so ``len(cycles)``
-    certifies nothing.
+    with an extreme is certified. The extremes are taken over the certified
+    walks that are ``_narrow``, as every converged one is; of walks with
+    equal float logs, the first generated wins. A walk whose enclosure
+    stopped at the squaring cap can be wider, its lower end even 0; it sets
+    no best value, so the extremes may then miss a narrow walk. The rest are
+    certified when ``cycles`` is read, so ``len(cycles)`` certifies nothing.
+
+    Precondition: no edge matrix of the class has an all-zero row, as in
+    every built graph (``netgraph.children`` rejects one), so no product
+    has one either; otherwise ZeroRow is raised before the search.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     ms = sorted(set(members))
     out_internal = graph.internal_out(ms)
-    # a product of nonnegative matrices without zero rows has none
-    unrankable = any(not any(row) for v in ms for _, e in out_internal[v]
-                     for row in e.matrix)
+    if any(not any(row) for v in ms for _, e in out_internal[v]
+           for row in e.matrix):
+        raise ZeroRow("an edge matrix of the class has an all-zero row")
 
     found = []    # edge paths
     screens = []  # beside found: the walk's screen
@@ -447,20 +448,17 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
             break
 
     cycles = _CycleList(graph, found)
-    ranked = range(len(found))
-    if unrankable:
-        list(cycles)   # certify every walk, and rank none
-        ranked = ()
     # most promising first; stop at the first screen that cannot come
     # within the margin of the best value so far (screened or certified)
-    low = min((screens[i][1] for i in ranked), default=math.inf)
-    for i in sorted(ranked, key=lambda i: screens[i][0]):
+    low = min((hi for _, hi in screens), default=math.inf)
+    for i in sorted(range(len(found)), key=lambda i: screens[i][0]):
         if screens[i][0] > low + _SCREEN_MARGIN:
             break
         if _narrow(cycles[i]):
             low = min(low, cycles[i].log_lo)
-    high = max((screens[i][0] for i in ranked), default=-math.inf)
-    for i in sorted(ranked, key=lambda i: screens[i][1], reverse=True):
+    high = max((lo for lo, _ in screens), default=-math.inf)
+    for i in sorted(range(len(found)), key=lambda i: screens[i][1],
+                    reverse=True):
         if screens[i][1] + _SCREEN_MARGIN < high:
             break
         if _narrow(cycles[i]):
@@ -526,7 +524,6 @@ class NormBounds:
     dim_hi: float
     path_count: int
     charged: int                      # units charged against path_budget
-    functionals: dict | None = None   # per-functional aggregates, for inspection
 
 
 # How many of the vectors already kept at a vertex each candidate is checked
@@ -633,7 +630,7 @@ def _norm_pass(into, families, depth, budget_state):
     return [best for best, _ in results]
 
 
-def norm_bounds(graph: TransitionGraph, members, depth: int, subset=None,
+def norm_bounds(graph: TransitionGraph, members, depth: int, subsets=(),
                 path_budget: int = 20_000_000) -> NormBounds:
     """Confine the class's per-step spectral range with exact pseudo-norms of
     every admissible product of ``depth`` primitive matrices.
@@ -643,8 +640,8 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subset=None,
     submultiplicative upper tools), both are evaluated and the tighter side
     kept: the lower bound is the largest of min-column, min-row, and the
     subset-restricted variants; the upper bound is the smaller of max-column
-    and max-row. ``subset`` holds 1-based indices valid for every member, or
-    a list of such index tuples to try in the same sweep.
+    and max-row. ``subsets`` lists the index tuples to try in the same
+    sweep, each of 1-based indices valid for every member.
 
     Each side has one reversed adjacency of compiled matrices:
     ``col_into[w]`` holds ``(v, M)`` for every internal edge ``v -> w`` and
@@ -653,8 +650,9 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subset=None,
     column sums of the transposed products, which are the row sums. Both
     sides run the same ``(upper, value, starts)`` families through
     ``_norm_pass``: the max column sum, the min column sum, then one
-    restricted min per subset. The functionals, and ``path_count`` from
-    ``_walk_count`` on ``col_into``, are those of enumerating every walk.
+    restricted min per subset. Each family's extreme, and ``path_count``
+    from ``_walk_count`` on ``col_into``, are those of enumerating every
+    walk.
     ``path_budget`` caps the units charged by the column-sum side and then
     the row-sum side, whose total is ``charged``; past it, PathExplosion.
     """
@@ -663,17 +661,15 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subset=None,
     ms = sorted(set(members))
     sizes = {v: len(graph.cv(v).neighbours) for v in ms}
     min_neigh = min(sizes.values())
-    subsets: list[tuple[int, ...]] = []
-    if subset:
-        raw = [subset] if isinstance(subset[0], int) else list(subset)
-        for s in raw:
-            idx = tuple(sorted(set(int(c) for c in s)))
-            if idx[0] < 1 or idx[-1] > min_neigh:
-                raise SubsetInvalidForClass(
-                    f"subset {idx} invalid: some member has only "
-                    f"{min_neigh} neighbours")
-            if idx not in subsets:
-                subsets.append(idx)
+    checked: list[tuple[int, ...]] = []
+    for s in subsets:
+        idx = tuple(sorted(set(int(c) for c in s)))
+        if idx[0] < 1 or idx[-1] > min_neigh:
+            raise SubsetInvalidForClass(
+                f"subset {idx} invalid: some member has only "
+                f"{min_neigh} neighbours")
+        if idx not in checked:
+            checked.append(idx)
 
     internal = graph.internal_out(ms)
     if not any(internal.values()):
@@ -692,7 +688,7 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subset=None,
         (False, lambda vec, idx=idx: min(vec[k - 1] for k in idx),
          {v: [tuple(int(j in idx) for j in range(1, n + 1))]
           for v, n in sizes.items()})
-        for idx in subsets]
+        for idx in checked]
     budget_state = [0, path_budget]
     max_col, min_col, *sub_col = _norm_pass(col_into, families, depth,
                                             budget_state)
@@ -703,19 +699,12 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subset=None,
                   if x is not None)
     hi_best = min(max_col, max_row)
     dim_lo, dim_hi = _dims(graph.model, lo_best, hi_best, depth)
-    functionals = {
-        "min_col": min_col, "max_col": max_col,
-        "min_row": min_row, "max_row": max_row,
-        "sub_col": dict(zip(subsets, sub_col)),
-        "sub_row": dict(zip(subsets, sub_row)),
-    }
     return NormBounds(depth=depth, min_norm=lo_best, max_norm=hi_best,
                       per_step_lo=_exp(_flog(lo_best) / depth),
                       per_step_hi=_exp(_flog(hi_best) / depth),
                       dim_lo=dim_lo, dim_hi=dim_hi,
                       path_count=_walk_count(col_into, depth),
-                      charged=budget_state[0],
-                      functionals=functionals)
+                      charged=budget_state[0])
 
 
 # ----------------------------------------------------------------------------
@@ -816,15 +805,15 @@ def analyze_class(graph: TransitionGraph, lc: LoopClass, cycle_len: int,
     index tuple when no index exceeds a member's neighbour count."""
     members = lc.members
     min_neigh = min(len(graph.cv(v).neighbours) for v in members)
-    use_subset = _auto_subsets(min_neigh)
+    subsets = _auto_subsets(min_neigh)
     if subset != "auto" and max(subset) <= min_neigh:
-        use_subset.append(tuple(subset))
+        subsets.append(tuple(subset))
 
     bl = bound_len
     nb = None
     while bl >= 1:
         try:
-            nb = norm_bounds(graph, members, bl, subset=use_subset,
+            nb = norm_bounds(graph, members, bl, subsets=subsets,
                              path_budget=path_budget)
             break
         except PathExplosion:

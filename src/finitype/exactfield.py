@@ -110,12 +110,25 @@ def _poly_divmod(a, b):
     return q, _poly_trim(r)
 
 
-def _sturm_chain(poly, second=None):
-    """Sturm chain of a nonconstant polynomial; ends in gcd(poly, poly').
-    With ``second`` (nonzero) in place of poly', the remainder sequence of
-    poly and ``second``, which ends in their gcd."""
-    chain = [_poly_trim(poly),
-             _poly_trim(_poly_deriv(poly) if second is None else second)]
+def _gcdex(a, b):
+    """(g, s) for polynomials a and b (b nonzero): g is gcd(a, b) up to a
+    constant, from the remainder sequence, and s * b == g modulo a."""
+    r0, r1 = a, _poly_trim(b)
+    s0, s1 = [], [Fraction(1)]
+    while True:
+        q, r = _poly_divmod(r0, r1)
+        if not r:
+            return r1, s1
+        s = s0 + [0] * (len(q) + len(s1) - 1 - len(s0))   # s0 - q * s1
+        for i, qi in enumerate(q):
+            for j, sj in enumerate(s1):
+                s[i + j] -= qi * sj
+        r0, r1, s0, s1 = r1, r, s1, _poly_trim(s)
+
+
+def _sturm_chain(poly):
+    """Sturm chain of a nonconstant polynomial; ends in gcd(poly, poly')."""
+    chain = [_poly_trim(poly), _poly_trim(_poly_deriv(poly))]
     while True:
         _, r = _poly_divmod(chain[-2], chain[-1])
         if not r:
@@ -137,6 +150,19 @@ def _sign_changes(chain, x):
         if v != 0:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _poly_str(coeffs, var, times):
+    """``coeffs`` (ascending) as a sum of terms in ``var``, ``times``
+    between a coefficient and its power: "-1 + x + x^2", "1/2 - 3*r"."""
+    terms = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        p = var if i == 1 else f"{var}^{i}"
+        terms.append(str(c) if i == 0 else p if c == 1 else
+                     f"-{p}" if c == -1 else f"{c}{times}{p}")
+    return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
 def count_roots(chain, lo, hi):
@@ -179,10 +205,12 @@ class NumberField:
                 "an isolating-interval endpoint is itself a root; shrink the interval")
         n = count_roots(chain, lo, hi)
         if n == 0:
-            raise NoRootInInterval(f"no root of {self._poly_str()} in ({lo}, {hi})")
+            raise NoRootInInterval(
+                f"no root of {_poly_str(mp, 'x', '')} in ({lo}, {hi})")
         if n > 1:
             raise MultipleRootsInInterval(
-                f"{n} roots of {self._poly_str()} in ({lo}, {hi}); shrink the interval")
+                f"{n} roots of {_poly_str(mp, 'x', '')} in ({lo}, {hi}); "
+                "shrink the interval")
         if hi > 1 and count_roots(chain, Fraction(0), Fraction(1)) == 0:
             raise RootNotInUnitInterval("isolated root does not lie in (0, 1)")
 
@@ -289,12 +317,13 @@ class NumberField:
         if lo <= 0 <= hi and self._lo != self._hi:
             # undecided: bisection ends unless the value vanishes at rho,
             # that is unless rho is a root of gcd(minpoly, element)
-            g = _sturm_chain(self.minpoly, coeffs)[-1]
+            g, _ = _gcdex(self.minpoly, coeffs)
             if len(g) > 1 and (_eval_poly(g, self._lo)
                                * _eval_poly(g, self._hi) < 0):
                 raise NotIrreducible(
-                    f"{self._poly_str()} is reducible: the nonzero element "
-                    f"{FieldElement(self, coeffs)!r} vanishes at rho")
+                    f"{_poly_str(self.minpoly, 'x', '')} is reducible: the "
+                    f"nonzero element {FieldElement(self, coeffs)!r} vanishes "
+                    "at rho")
             while lo <= 0 <= hi and self._lo != self._hi:
                 self.refine(32)
                 lo, hi = self.interval_eval(coeffs)
@@ -305,20 +334,9 @@ class NumberField:
 
     # -- misc ------------------------------------------------------------
 
-    def _poly_str(self):
-        terms = []
-        for i, c in enumerate(self.minpoly):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                x = "x" if i == 1 else f"x^{i}"
-                terms.append(x if c == 1 else (f"-{x}" if c == -1 else f"{c}{x}"))
-        return " + ".join(terms).replace("+ -", "- ")
-
     def __repr__(self):
-        return f"NumberField({self._poly_str()}, rho in ({self._lo}, {self._hi}))"
+        return (f"NumberField({_poly_str(self.minpoly, 'x', '')}, "
+                f"rho in ({self._lo}, {self._hi}))")
 
     def __eq__(self, other):
         return (isinstance(other, NumberField) and self.minpoly == other.minpoly
@@ -409,33 +427,11 @@ class FieldElement:
         """Multiplicative inverse via the extended Euclidean algorithm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        if self.is_rational():
-            return self.field.rational(1 / Fraction(self.coeffs[0]))
-        # extended gcd of self (as poly) and minpoly over Q
-        r0 = [Fraction(c) for c in self.field.minpoly]
-        r1 = _poly_trim([Fraction(c) for c in self.coeffs])
-        s0, s1 = [], [Fraction(1)]
-        while True:
-            q, r = _poly_divmod(r0, r1)
-            if not r:
-                break
-            # s = s0 - q*s1
-            prod = [Fraction(0)] * (len(q) + len(s1) - 1) if s1 else []
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        prod[i + j] += qi * sj
-            s = [Fraction(0)] * max(len(s0), len(prod))
-            for i, c in enumerate(s0):
-                s[i] += c
-            for i, c in enumerate(prod):
-                s[i] -= c
-            r0, r1, s0, s1 = r1, r, s1, _poly_trim(s) or [Fraction(0)]
-        if len(r1) != 1:
+        g, s = _gcdex(self.field.minpoly, self.coeffs)
+        if len(g) != 1:
             raise NotIrreducible(
                 "element is a zero divisor: the defining polynomial is reducible")
-        inv_lead = 1 / r1[0]
-        return self.field.element([c * inv_lead for c in s1])
+        return self.field.element([c / g[0] for c in s])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -484,27 +480,11 @@ class FieldElement:
         return to_decimal(self, digits)
 
     def __float__(self):
-        if self.is_rational():
-            return float(Fraction(self.coeffs[0]))
         lo, hi = self.field._narrow(self.coeffs, Fraction(1, 10**20))
         return float((lo + hi) / 2)
 
     def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                p = "r" if i == 1 else f"r^{i}"
-                if c == 1:
-                    terms.append(p)
-                elif c == -1:
-                    terms.append(f"-{p}")
-                else:
-                    terms.append(f"{c}*{p}")
-        return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+        return _poly_str(self.coeffs, "r", "*")
 
 
 # ----------------------------------------------------------------------------

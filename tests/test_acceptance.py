@@ -153,7 +153,8 @@ def test_criterion_4_isolated_point_convolution():
         assert enum.dim_max >= 1.077704 - 1e-5
 
         hi_part = norm_bounds(graph, ess.members, depth=10)
-        lo_part = norm_bounds(graph, ess.members, depth=15, subset=(2, 3, 4))
+        lo_part = norm_bounds(graph, ess.members, depth=15,
+                              subsets=[(2, 3, 4)])
         assert hi_part.dim_lo >= 0.848301 - 1e-6
         assert lo_part.dim_hi <= 1.532659 + 1e-6
 
@@ -246,7 +247,7 @@ def test_criterion_6_convolution_square():
         vals = report.isolated_values()
         assert len(vals) == 1 and abs(vals[0] - 2.88084) <= 1e-4
         # the published depth-10 lower bound for the essential class
-        nb = norm_bounds(graph, ess.members, depth=10, subset=(3, 4))
+        nb = norm_bounds(graph, ess.members, depth=10, subsets=[(3, 4)])
         assert abs(nb.dim_lo - 0.815721) <= 1e-5
 
         enum = enumerate_cycles(graph, ess.members, max_len=3)

@@ -380,22 +380,47 @@ def test_norm_bounds_monotone_width(golden_graph):
 def test_norm_bounds_subset_validation(golden_graph):
     ess = essential_class(golden_graph)
     with pytest.raises(SubsetInvalidForClass):
-        norm_bounds(golden_graph, ess.members, depth=3, subset=(2,))
+        norm_bounds(golden_graph, ess.members, depth=3, subsets=[(2,)])
         # vertex 6 has a single neighbour, so index 2 is invalid
 
 
-def test_norm_bounds_flavors_recorded(plastic_graph):
+@pytest.fixture()
+def with_functionals(monkeypatch):
+    """``norm_bounds`` returning also each functional's extreme, read from
+    its two ``_norm_pass`` calls: column sums, then row sums."""
+    real = dimcalc._norm_pass
+    passes = []
+
+    def spy(*args):
+        passes.append(real(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(dimcalc, "_norm_pass", spy)
+
+    def run(graph, members, depth, subsets=()):
+        passes.clear()
+        nb = norm_bounds(graph, members, depth, subsets=subsets)
+        (max_col, min_col, *sub_col), (max_row, min_row, *sub_row) = passes
+        return nb, {"min_col": min_col, "max_col": max_col,
+                    "min_row": min_row, "max_row": max_row,
+                    "sub_col": dict(zip(subsets, sub_col)),
+                    "sub_row": dict(zip(subsets, sub_row))}
+    return run
+
+
+def test_norm_bounds_flavors_recorded(plastic_graph, with_functionals):
     # the two flavors genuinely differ here; the combined bound keeps the
-    # tighter row-sum value while the functionals expose both
+    # tighter row-sum value while the passes return both
     g = plastic_graph
     ess = essential_class(g)
-    nb = norm_bounds(g, ess.members, depth=10)
-    assert nb.functionals["max_row"] == 40
-    assert nb.functionals["max_col"] == 81
+    nb, functionals = with_functionals(g, ess.members, depth=10)
+    assert functionals["max_row"] == 40
+    assert functionals["max_col"] == 81
     assert nb.max_norm == 40
     assert abs(nb.per_step_hi - 1.446125550) < 1e-8
-    nb15 = norm_bounds(g, ess.members, depth=15, subset=(2, 3, 4))
-    assert nb15.functionals["sub_row"][(2, 3, 4)] == 5
+    nb15, functionals = with_functionals(g, ess.members, depth=15,
+                                         subsets=[(2, 3, 4)])
+    assert functionals["sub_row"][(2, 3, 4)] == 5
     assert abs(nb15.per_step_lo - 1.113263577) < 1e-8
     assert abs(nb15.dim_hi - 1.532658865) < 1e-8
     assert abs(nb.dim_lo - 0.8483019061) < 1e-8
@@ -434,24 +459,27 @@ def _brute_norm_functionals(graph, members, depth, subsets):
 
 
 @pytest.mark.parametrize("depth", range(1, 7))
-def test_golden_norm_bounds_match_brute_force(golden_graph, depth):
+def test_golden_norm_bounds_match_brute_force(golden_graph, with_functionals,
+                                              depth):
     ess = essential_class(golden_graph)
-    nb = norm_bounds(golden_graph, ess.members, depth=depth)
+    nb, functionals = with_functionals(golden_graph, ess.members, depth)
     ref, count = _brute_norm_functionals(golden_graph, ess.members, depth, [])
-    assert nb.functionals == ref
+    assert functionals == ref
     assert nb.path_count == count
     assert nb.min_norm == max(ref["min_col"], ref["min_row"])
     assert nb.max_norm == min(ref["max_col"], ref["max_row"])
 
 
 @pytest.mark.parametrize("depth", range(1, 4))
-def test_cantor5_subset_norm_bounds_match_brute_force(cantor5_graph, depth):
+def test_cantor5_subset_norm_bounds_match_brute_force(cantor5_graph,
+                                                      with_functionals, depth):
     ess = essential_class(cantor5_graph)
     subsets = [(1,), (1, 2)]
-    nb = norm_bounds(cantor5_graph, ess.members, depth=depth, subset=subsets)
+    nb, functionals = with_functionals(cantor5_graph, ess.members, depth,
+                                       subsets)
     ref, count = _brute_norm_functionals(cantor5_graph, ess.members, depth,
                                          subsets)
-    assert nb.functionals == ref
+    assert functionals == ref
     assert nb.path_count == count
     lows = [ref["min_col"], ref["min_row"], *ref["sub_col"].values(),
             *ref["sub_row"].values()]
@@ -472,15 +500,16 @@ def _min_neigh(graph, members):
 
 
 @pytest.mark.parametrize("depth", range(1, 5))
-def test_pisot_auto_subset_norm_bounds_match_brute_force(depth):
+def test_pisot_auto_subset_norm_bounds_match_brute_force(with_functionals,
+                                                         depth):
     # golden_square's essential members have 7 or 8 neighbours: five windows
     g = catalog_graph("golden_square")
     ess = essential_class(g)
     subsets = _auto_subsets(_min_neigh(g, ess.members))
     assert len(subsets) == 5
-    nb = norm_bounds(g, ess.members, depth=depth, subset=subsets)
+    nb, functionals = with_functionals(g, ess.members, depth, subsets)
     ref, count = _brute_norm_functionals(g, ess.members, depth, subsets)
-    assert nb.functionals == ref
+    assert functionals == ref
     assert nb.path_count == count
     lows = [ref["min_col"], ref["min_row"], *ref["sub_col"].values(),
             *ref["sub_row"].values()]
@@ -494,25 +523,25 @@ def test_explicit_subset_runs_beside_the_windows(monkeypatch):
     seen = []
 
     def spy(*args, **kwargs):
-        seen.append(norm_bounds(*args, **kwargs))
-        return seen[-1]
+        seen.append(list(kwargs["subsets"]))
+        return norm_bounds(*args, **kwargs)
 
     monkeypatch.setattr(dimcalc, "norm_bounds", spy)
     analyze_class(g, ess, cycle_len=1, bound_len=3, subset=(3, 4),
                   cycle_budget=1000, path_budget=20_000_000)
-    want = _auto_subsets(_min_neigh(g, ess.members)) + [(3, 4)]
-    assert [list(nb.functionals[side]) for nb in seen
-            for side in ("sub_col", "sub_row")] == [want, want]
+    assert seen == [_auto_subsets(_min_neigh(g, ess.members)) + [(3, 4)]]
 
 
 @pytest.mark.parametrize("depth", range(1, 4))
-def test_fractional_weight_norm_bounds_match_brute_force(skewed_graph, depth):
+def test_fractional_weight_norm_bounds_match_brute_force(skewed_graph,
+                                                          with_functionals,
+                                                          depth):
     g = skewed_graph
     ess = essential_class(g)
     assert len(ess.members) == 11
-    nb = norm_bounds(g, ess.members, depth=depth)
+    nb, functionals = with_functionals(g, ess.members, depth)
     ref, count = _brute_norm_functionals(g, ess.members, depth, [])
-    assert nb.functionals == ref
+    assert functionals == ref
     assert nb.path_count == count
 
 
@@ -650,23 +679,23 @@ def test_norm_pass_frontier_by_hand():
     assert _brute_norm_pass(steps, starts, 3, [])[1] == 39
 
 
-def _explodes(graph, members, depth, subset, cap):
+def _explodes(graph, members, depth, subsets, cap):
     try:
-        norm_bounds(graph, members, depth, subset=subset, path_budget=cap)
+        norm_bounds(graph, members, depth, subsets=subsets, path_budget=cap)
     except PathExplosion:
         return True
     return False
 
 
-def _charge(graph, members, depth, subset=None):
+def _charge(graph, members, depth, subsets=()):
     """The smallest ``path_budget`` under which ``norm_bounds`` runs."""
     hi = 1
-    while _explodes(graph, members, depth, subset, hi):
+    while _explodes(graph, members, depth, subsets, hi):
         hi *= 2
     lo = 0
     while lo < hi:
         mid = (lo + hi) // 2
-        if _explodes(graph, members, depth, subset, mid):
+        if _explodes(graph, members, depth, subsets, mid):
             lo = mid + 1
         else:
             hi = mid
@@ -683,12 +712,12 @@ def _walk_prefixes(graph, members, depth):
 @pytest.mark.parametrize("depth", [1, 3, 6])
 def test_norm_budget_charge_at_most_walk_prefixes(golden_graph,
                                                   cubic_pisot_graph, depth):
-    for graph, subset in ((golden_graph, None), (cubic_pisot_graph, [(1,)])):
+    for graph, subsets in ((golden_graph, ()), (cubic_pisot_graph, [(1,)])):
         members = essential_class(graph).members
-        charge = _charge(graph, members, depth, subset)
+        charge = _charge(graph, members, depth, subsets)
         assert charge <= _walk_prefixes(graph, members, depth)
-        assert _explodes(graph, members, depth, subset, charge - 1)
-        assert not _explodes(graph, members, depth, subset, charge)
+        assert _explodes(graph, members, depth, subsets, charge - 1)
+        assert not _explodes(graph, members, depth, subsets, charge)
 
 
 @pytest.mark.parametrize("depth", [1, 4, 7])
@@ -705,15 +734,15 @@ def test_norm_bounds_report_units_charged(golden_graph, cubic_pisot_graph,
                                           plastic_graph, depth):
     # charged is path_budget minus the headroom left: the smallest budget
     # that runs, found here by bisection on PathExplosion
-    for graph, members, subset in (
-            (golden_graph, essential_class(golden_graph).members, None),
+    for graph, members, subsets in (
+            (golden_graph, essential_class(golden_graph).members, ()),
             (cubic_pisot_graph, essential_class(cubic_pisot_graph).members,
              [(1,)]),
             (plastic_graph, (22, 30), [(1,)])):
-        nb = norm_bounds(graph, members, depth, subset=subset)
-        assert nb.charged == _charge(graph, members, depth, subset)
-        assert _explodes(graph, members, depth, subset, nb.charged - 1)
-        assert norm_bounds(graph, members, depth, subset=subset,
+        nb = norm_bounds(graph, members, depth, subsets=subsets)
+        assert nb.charged == _charge(graph, members, depth, subsets)
+        assert _explodes(graph, members, depth, subsets, nb.charged - 1)
+        assert norm_bounds(graph, members, depth, subsets=subsets,
                            path_budget=nb.charged) == nb
 
 

@@ -1,11 +1,13 @@
 """Exact field arithmetic: construction, ordering, rendering, algebra laws."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import catalog_model
 from finitype.errors import (
     MultipleRootsInInterval,
     NoRootInInterval,
@@ -226,11 +228,7 @@ def elems(field):
         st.lists(small_rationals, min_size=field.degree, max_size=field.degree))
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_ring_axioms_golden(data):
-    f = golden_field.cached if hasattr(golden_field, "cached") else golden_field()
-    golden_field.cached = f
+def _check_ring_axioms(f, data):
     a = data.draw(elems(f))
     b = data.draw(elems(f))
     c = data.draw(elems(f))
@@ -240,6 +238,31 @@ def test_ring_axioms_golden(data):
     assert compare((a * b) * c, a * (b * c)) == EQ
     if not b.is_zero():
         assert compare((a / b) * b, a) == EQ
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ring_axioms_golden(data):
+    f = golden_field.cached if hasattr(golden_field, "cached") else golden_field()
+    golden_field.cached = f
+    _check_ring_axioms(f, data)
+
+
+@lru_cache(maxsize=None)
+def _catalog_field(name):
+    return catalog_model(name).field
+
+
+# fields of degree 3 and 4, where an inverse takes several remainder steps
+@pytest.mark.parametrize("name,degree", [
+    ("bc_x3_minus_x2_plus_2x_minus_1", 3),
+    ("bc_x4_plus_x3_plus_x2_plus_x_minus_1", 4)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ring_axioms_catalog_fields(name, degree, data):
+    f = _catalog_field(name)
+    assert f.degree == degree
+    _check_ring_axioms(f, data)
 
 
 @settings(max_examples=60, deadline=None)

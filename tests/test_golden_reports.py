@@ -1,13 +1,17 @@
-"""Golden reports: ``finitype analyze --json`` output pinned byte for byte.
+"""Golden reports: ``finitype analyze --json --text`` output pinned byte for
+byte.
 
-The fixtures under ``tests/golden`` are the JSON reports of the fast catalog
-examples at the CLI defaults (cycle_len 10, bound_len 8, subset "auto").
-Refactors of the graph, loop-class and dimension code must leave them
-unchanged. After a deliberate change of the report, regenerate them with
+The fixtures under ``tests/golden`` are the JSON reports (``<name>.json``)
+and the text reports (``<name>.txt``) of the fast catalog examples at the CLI
+defaults (cycle_len 10, bound_len 8, subset "auto"), both from one ``run``
+call. Refactors of the graph, loop-class and dimension code must leave them
+unchanged. After a deliberate change of the report, regenerate both with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """
 
+import contextlib
+import io
 import json
 import pathlib
 import sys
@@ -38,21 +42,41 @@ GOLDEN_NAMES = (
 )
 
 
-def report_bytes(name: str, workdir: pathlib.Path) -> bytes:
-    """The bytes ``finitype analyze --json`` writes for a catalog example."""
+def report_bytes(name: str, workdir: pathlib.Path) -> tuple[bytes, bytes]:
+    """The bytes ``finitype analyze --json --text`` writes for a catalog
+    example: the JSON file and the text on stdout."""
     doc_path = workdir / f"{name}.json"
     doc_path.write_text(json.dumps(load_document(name)))
     out_path = workdir / f"{name}.report.json"
-    code = run(["analyze", "--input", str(doc_path), "--json", str(out_path)])
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        code = run(["analyze", "--input", str(doc_path),
+                    "--json", str(out_path), "--text"])
     assert code == 0, name
-    return out_path.read_bytes()
+    return out_path.read_bytes(), text.getvalue().encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def reports(tmp_path_factory):
+    """Both reports of every golden example, each computed once."""
+    workdir = tmp_path_factory.mktemp("golden")
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            cache[name] = report_bytes(name, workdir)
+        return cache[name]
+    return get
 
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
-def test_golden_report_unchanged(name, tmp_path, capsys):
-    got = report_bytes(name, tmp_path)
-    capsys.readouterr()
-    assert got == (GOLDEN_DIR / f"{name}.json").read_bytes()
+def test_golden_report_unchanged(name, reports):
+    assert reports(name)[0] == (GOLDEN_DIR / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_golden_text_report_unchanged(name, reports):
+    assert reports(name)[1] == (GOLDEN_DIR / f"{name}.txt").read_bytes()
 
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
@@ -70,6 +94,7 @@ if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in GOLDEN_NAMES:
-            (GOLDEN_DIR / f"{name}.json").write_bytes(
-                report_bytes(name, pathlib.Path(tmp)))
-            print(f"wrote {GOLDEN_DIR / name}.json", file=sys.stderr)
+            report, text = report_bytes(name, pathlib.Path(tmp))
+            (GOLDEN_DIR / f"{name}.json").write_bytes(report)
+            (GOLDEN_DIR / f"{name}.txt").write_bytes(text)
+            print(f"wrote {GOLDEN_DIR / name}.json and .txt", file=sys.stderr)
