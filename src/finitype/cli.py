@@ -25,7 +25,9 @@ from .closedforms import (
     x_max_location,
     x_min_location,
 )
-from .dimcalc import DimensionReport, ISOLATED, UNDECIDED, assemble_report
+from .dimcalc import (
+    DimensionReport, ISOLATED, POINT_TOL, UNDECIDED, assemble_report,
+)
 from .errors import (
     BudgetExceeded,
     CapExceeded,
@@ -234,7 +236,7 @@ def render_text(report: DimensionReport, graph=None, show_matrices=False) -> str
         lines.extend(_class_block(cs))
 
     lines.append("")
-    point_like = [iv[1] - iv[0] <= 1e-9 for iv in report.global_outer]
+    point_like = [iv[1] - iv[0] <= POINT_TOL for iv in report.global_outer]
     pieces = ["{" + _fmt(iv[0]) + "}" if point else _fmt_iv(iv)
               for iv, point in zip(report.global_outer, point_like)]
     lines.append("global dimension set bracket (outer): " +
@@ -365,14 +367,19 @@ def _load_json(path):
         raise InputDocumentError(f"{path} is not valid JSON: {e}")
 
 
-def _cmd_analyze(args) -> int:
-    for flag, value, least in (("--max-cvs", args.max_cvs, 1),
-                               ("--cycle-len", args.cycle_len, 1),
-                               ("--bound-len", args.bound_len, 1),
-                               ("--oracle-level", args.oracle_level, 0)):
+def _require_at_least(*checks):
+    """Reject the first (flag, value, least) whose value is below least."""
+    for flag, value, least in checks:
         if value < least:
             raise InputDocumentError(
                 f"{flag}: expected an integer >= {least}, got {value}")
+
+
+def _cmd_analyze(args) -> int:
+    _require_at_least(("--max-cvs", args.max_cvs, 1),
+                      ("--cycle-len", args.cycle_len, 1),
+                      ("--bound-len", args.bound_len, 1),
+                      ("--oracle-level", args.oracle_level, 0))
     subset = "auto"
     if args.subset:
         try:
@@ -479,11 +486,7 @@ def _cmd_rescale(args) -> int:
 
 def _cmd_formulas(args) -> int:
     # the support is an interval only when m >= R - 1
-    for flag, value, least in (("--R", args.R, 2),
-                               ("--m", args.m, max(1, args.R - 1))):
-        if value < least:
-            raise InputDocumentError(
-                f"{flag}: expected an integer >= {least}, got {value}")
+    _require_at_least(("--R", args.R, 2), ("--m", args.m, max(1, args.R - 1)))
     params = CantorParams.binomial(args.R, args.m)
     print(f"R = {args.R}, m = {args.m}, binomial weights")
     print(f"predicted minimal dimension : {_fmt(bhm_min_formula(params))}")

@@ -735,6 +735,11 @@ ISOLATED = "ISOLATED"
 UNDECIDED = "UNDECIDED"
 NOT_ISOLATED = "NOT_ISOLATED"
 
+# Dimension values closer than this are one point: a point value within it of
+# an interval touches that interval, and an outer bracket no wider prints as
+# a point.
+POINT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class IsolatedPoint:
@@ -852,7 +857,7 @@ def assemble_report(model: Model, graph: TransitionGraph, classes=None,
     sets = [analyze_class(graph, lc, cycle_len, bound_len, subset,
                           cycle_budget, path_budget) for lc in classes]
 
-    tol = 1e-9
+    tol = POINT_TOL
     # One (inner, outer) span per class; a point class's span is its point.
     spans = [((p, p), (p, p)) if (p := cs.exact_point) is not None
              else (cs.dim_inner, cs.dim_outer) for cs in sets]

@@ -6,7 +6,9 @@ dense coefficient vectors modulo that polynomial, reduced eagerly, so an element
 is zero iff every coefficient is zero. Every order decision is an exact sign
 test by interval arithmetic on a refinable rational enclosure of the root.
 Floating point only proposes: ``sort_unique`` sorts by float approximations
-and then certifies the proposed order with exact sign tests.
+and then certifies the proposed order with exact sign tests; an order that
+fails certification is replaced by a comparison sort on those exact signs,
+which refine the enclosure as far as each comparison needs.
 
 An element's coefficients are canonical: each is an int or a non-integral
 Fraction. The coefficient kernel (``plus``, ``minus``, ``canonical``) works
@@ -35,6 +37,7 @@ enclosure.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from operator import add, sub
 
 from .errors import (
@@ -179,7 +182,7 @@ class NumberField:
     """Q(rho) with rho the unique root of ``minpoly`` inside the isolating interval."""
 
     __slots__ = (
-        "minpoly", "degree", "_lo", "_hi", "_orig", "_pow_table", "_inv_rho",
+        "minpoly", "degree", "_lo", "_hi", "_orig", "_inv_rho",
         "_sign_cache", "zero", "one", "_rho_f",
     )
 
@@ -218,18 +221,6 @@ class NumberField:
         self._orig = (lo, hi)
 
         k = self.degree
-        # rho^k .. rho^(2k-2) expressed on the power basis, for eager reduction
-        lead = mp[-1]
-        base = tuple(_norm_num(Fraction(-c, lead)) for c in mp[:-1])
-        table = [base]
-        for _ in range(k - 2):
-            prev = table[-1]
-            shifted = [0] + list(prev[:-1])
-            top = prev[-1]
-            table.append(tuple(
-                _norm_num(shifted[i] + top * base[i]) for i in range(k)))
-        self._pow_table = table
-
         self._sign_cache = {}
         self.zero = FieldElement(self, (0,) * k)
         self.one = FieldElement(self, (1,) + (0,) * (k - 1))
@@ -410,16 +401,8 @@ class FieldElement:
             for j, bj in enumerate(b):
                 if bj != 0:
                     conv[i + j] += ai * bj
-        table = self.field._pow_table
-        out = conv[:k]
-        for t in range(k, 2 * k - 1):
-            c = conv[t]
-            if c != 0:
-                row = table[t - k]
-                for i in range(k):
-                    if row[i] != 0:
-                        out[i] += c * row[i]
-        return FieldElement(self.field, canonical(out))
+        _, r = _poly_divmod(conv, self.field.minpoly)
+        return FieldElement(self.field, canonical(r + [0] * (k - len(r))))
 
     __rmul__ = __mul__
 
@@ -545,8 +528,9 @@ def sort_unique(values, field):
     certifies it. Certified adjacent pairs make the whole list strictly
     increasing, so the result is the exact order. If any pair fails (a float
     tie in the wrong order, a misorder, values overflowing to inf) or a
-    coefficient has no float, the list goes to the exact enclosure sort
-    instead.
+    coefficient has no float, the values are sorted again by comparisons on
+    the exact sign of each difference instead. ``sign_of`` refines the
+    enclosure of rho until it decides, so that sort has no round cap.
     """
     vals = list(dict.fromkeys(values))
     if len(vals) < 2:
@@ -560,31 +544,4 @@ def sort_unique(values, field):
     if proposed is not None and all(sign_of(minus(b, a)) > 0
                                     for a, b in zip(proposed, proposed[1:])):
         return proposed
-    return [e.coeffs for e in
-            _enclosure_sort([FieldElement(field, c) for c in vals])]
-
-
-def _enclosure_sort(elements):
-    """``sort_unique`` without floats: sort by disjoint rational enclosures.
-
-    The field enclosure is refined until every adjacent pair of element
-    enclosures separates; canonical-form dedup makes the survivors distinct,
-    so they always separate eventually.
-    """
-    elems = list(dict.fromkeys(elements))
-    if len(elems) < 2:
-        return elems
-    field = elems[0].field
-    for _ in range(64):
-        keyed = sorted(
-            ((field.interval_eval(e.coeffs), e) for e in elems),
-            key=lambda t: t[0][0])
-        ok = all(keyed[i][0][1] < keyed[i + 1][0][0] for i in range(len(keyed) - 1))
-        if ok:
-            return [e for _, e in keyed]
-        if field._lo == field._hi:
-            # point enclosure: intervals are exact values; equal means duplicate,
-            # which cannot happen after canonical dedup unless minpoly is reducible
-            return [e for _, e in sorted(keyed, key=lambda t: t[0][0])]
-        field.refine(64)
-    raise ArithmeticError("could not separate field elements; reducible polynomial?")
+    return sorted(vals, key=cmp_to_key(lambda a, b: sign_of(minus(a, b))))

@@ -5,8 +5,8 @@ definitions by enumerating all words of a given length in exact field
 arithmetic: level endpoints, net intervals, neighbour sets, and the
 normalized weight vectors. None of it touches the graph code, so exact
 agreement between the two is meaningful. Points and neighbour offsets are
-ordered by the exact enclosure sort, never by the float proposal that the
-graph closure's ``sort_unique`` tries first. The graph side,
+ordered by a comparison sort on exact sign tests (``compare``), never by the
+float proposal that the graph closure's ``sort_unique`` tries first. The graph side,
 ``expand_graph``, multiplies by each edge's compiled matrix with
 ``netgraph.vec_mat``, the product kernel the dimension code uses too.
 """
@@ -16,9 +16,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .errors import BudgetExceeded, Mismatch
-from .exactfield import FieldElement, _enclosure_sort
+from .exactfield import FieldElement, compare
 from .ifsmodel import Model
 from .netgraph import TransitionGraph, vec_mat
 
@@ -55,7 +56,7 @@ def brute_level(model: Model, n: int, budget: int = 10 ** 6) -> LevelSnapshot:
         rho_pows.append(rho_pows[-1] * rho)
     rho_n = rho_pows[-1] * rho if n >= 1 else f.one
 
-    # S_sigma(0) = sum rho^(i-1) d_sigma_i, with the word weight alongside
+    # S_sigma(0) = sum rho^(i-1) d_sigma_i -> summed weight of its words
     starts: dict = {}
     for word in itertools.product(range(mplus1), repeat=n):
         x = f.zero
@@ -63,41 +64,30 @@ def brute_level(model: Model, n: int, budget: int = 10 ** 6) -> LevelSnapshot:
         for i, letter in enumerate(word):
             x = x + rho_pows[i] * d[letter]
             w *= p[letter]
-        key = x.coeffs
-        if key in starts:
-            starts[key] = (starts[key][0], starts[key][1] + w)
-        else:
-            starts[key] = (x, w)
+        starts[x] = starts.get(x, 0) + w
 
-    endpoints = [v[0] for v in starts.values()] + \
-                [v[0] + rho_n for v in starts.values()]
-    points = _enclosure_sort(endpoints)
+    order = cmp_to_key(compare)
+    points = sorted({*starts, *(x + rho_n for x in starts)}, key=order)
 
     inv_rho_n = rho_n.inverse()
     p0n = p[0] ** n
     intervals = []
     for a, b in zip(points, points[1:]):
         norm_len = (b - a) * inv_rho_n
-        cover = []
-        for x, w in starts.values():
+        cover = {}      # offset -> weight; distinct starts, distinct offsets
+        for x, w in starts.items():
             if (a - x).sign() < 0:          # need S(0) <= a
                 continue
             if (x + rho_n - b).sign() < 0:  # need b <= S(0) + rho^n
                 continue
-            offset = (a - x) * inv_rho_n
-            cover.append((offset, w))
+            cover[(a - x) * inv_rho_n] = w
         if not cover:
             raise Mismatch(path=(n, str(a)), expected="covered interval",
                            actual="no covering word")
-        neigh = _enclosure_sort([c[0] for c in cover])
-        weights = []
-        for v in neigh:
-            total = sum((w for o, w in cover if o.coeffs == v.coeffs),
-                        Fraction(0))
-            weights.append(total / p0n)
+        neigh = tuple(sorted(cover, key=order))
         intervals.append(NetIntervalData(
-            left=a, right=b, norm_length=norm_len,
-            neighbours=tuple(neigh), weights=tuple(weights)))
+            left=a, right=b, norm_length=norm_len, neighbours=neigh,
+            weights=tuple(cover[v] / p0n for v in neigh)))
     return LevelSnapshot(n=n, points=tuple(points), intervals=tuple(intervals))
 
 

@@ -1,7 +1,7 @@
 """Exact field arithmetic: construction, ordering, rendering, algebra laws."""
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -134,26 +134,28 @@ def _float_defeating_pair(kind):
     return [f.element([10 ** 400, 1]), f.element([10 ** 400])]  # no float
 
 
+# The fallback is the one comparison sort in exactfield, so hooking
+# cmp_to_key there sees whether sort_unique reached it.
+
 @pytest.mark.parametrize("kind", ["tie", "inf", "overflow"])
 def test_sort_unique_falls_back_when_floats_fail(kind, monkeypatch):
     calls = []
-    exact = exactfield._enclosure_sort
 
-    def counting(elements):
-        calls.append(len(elements))
-        return exact(elements)
+    def counting(cmp):
+        calls.append(cmp)
+        return cmp_to_key(cmp)
 
-    monkeypatch.setattr(exactfield, "_enclosure_sort", counting)
+    monkeypatch.setattr(exactfield, "cmp_to_key", counting)
     hi, lo = _float_defeating_pair(kind)
     assert sort_unique(_coeffs([hi, lo, hi]), hi.field) == _coeffs([lo, hi])
-    assert calls == [2]
+    assert len(calls) == 1
 
 
 def test_sort_unique_certified_without_fallback(monkeypatch):
-    def fail(elements):
+    def fail(cmp):
         raise AssertionError("fallback reached")
 
-    monkeypatch.setattr(exactfield, "_enclosure_sort", fail)
+    monkeypatch.setattr(exactfield, "cmp_to_key", fail)
     f = golden_field()
     r = f.rho()
     assert sort_unique(_coeffs([f.one, r, 2 * r - 1, f.zero, r * r]), f) == \
@@ -168,15 +170,34 @@ _SORT_FIELDS = {
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), name=st.sampled_from(sorted(_SORT_FIELDS)))
-def test_sort_unique_matches_enclosure_sort(data, name):
+def test_sort_unique_matches_exact_sort(data, name):
     f = _SORT_FIELDS[name]
     coeffs = st.lists(st.integers(-6, 6), min_size=f.degree,
                       max_size=f.degree)
     elems = [f.element(c) for c in data.draw(st.lists(coeffs, max_size=12))]
-    out = sort_unique(_coeffs(elems), f)
-    assert out == _coeffs(exactfield._enclosure_sort(elems))
-    out = [FieldElement(f, c) for c in out]
-    assert all(compare(a, b) == LT for a, b in zip(out, out[1:]))
+    # a twin just above each value, listed first, ties it in floats in the
+    # wrong order, so the second list takes the comparison sort
+    twins = [e + Fraction(1, 2 ** 70) for e in elems]
+    for values in (elems, twins + elems):
+        out = [FieldElement(f, c) for c in sort_unique(_coeffs(values), f)]
+        assert set(out) == set(values)
+        assert all(compare(a, b) == LT for a, b in zip(out, out[1:]))
+
+
+def test_sort_unique_orders_a_tiny_value_with_huge_coefficients():
+    # rho^3001 = -F_3000 + F_3001 rho for golden rho: 627-digit coefficients
+    # with no float, and a value near 10^-627 that no fixed number of
+    # refinement rounds separates from 0
+    f = golden_field()
+    a, b = 0, 1
+    for _ in range(3000):
+        a, b = b, a + b
+    tiny = (-a, b)
+    power = f.one
+    for _ in range(3001):
+        power = power * f.rho()
+    assert power.coeffs == tiny
+    assert sort_unique([tiny, (0, 0)], f) == [(0, 0), tiny]
 
 
 # ------------------------------------------------------------------ rendering
@@ -263,6 +284,28 @@ def test_ring_axioms_catalog_fields(name, degree, data):
     f = _catalog_field(name)
     assert f.degree == degree
     _check_ring_axioms(f, data)
+
+
+@lru_cache(maxsize=None)
+def _product_field(name):
+    if name == "golden":
+        return golden_field()
+    if name == "half_sqrt2":     # 2x^2 - 1 is not monic; rho = 1/sqrt(2)
+        return NumberField([-1, 0, 2], (Fraction(7, 10), Fraction(3, 4)))
+    return _catalog_field(name)
+
+
+# The ring axioms hold modulo any polynomial, so only evaluation at rho shows
+# a product reduced modulo the wrong one.
+@pytest.mark.parametrize("name", [
+    "golden", "half_sqrt2", "bc_x3_minus_x2_plus_2x_minus_1",
+    "bc_x4_plus_x3_plus_x2_plus_x_minus_1"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_products_match_evaluation_at_rho(name, data):
+    f = _product_field(name)
+    a, b = data.draw(elems(f)), data.draw(elems(f))
+    assert float(a * b) == pytest.approx(float(a) * float(b), rel=1e-12, abs=0)
 
 
 @settings(max_examples=60, deadline=None)
