@@ -52,10 +52,28 @@ from .oracle import check_graph_against_oracle
 # input documents
 # ----------------------------------------------------------------------------
 
+# Python's limit on the digits of an int read from or written to a string
+# (sys.get_int_max_str_digits, Python 3.10.7 on); 0 is no limit
+_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+class _LongInt(str):
+    """The digits of a JSON integer past ``_DIGITS``, which ``int`` refuses:
+    no field takes one, so the field that holds it is named."""
+
+    def __repr__(self):
+        return f"an integer of {len(self.lstrip('-'))} digits"
+
+
 def _frac(value, where):
     try:
         # a JSON boolean parses as a bool, which Python counts as an int
-        if isinstance(value, str) or type(value) is int:
+        if type(value) is str or type(value) is int:
+            # Fraction("1e9999999") first builds 10 ** 9999999, for seconds
+            exp = str(value).lower().partition("e")[2]
+            if exp and 0 < _DIGITS < abs(int(exp)):
+                raise InputDocumentError(f"{where}: exponent {int(exp)} is "
+                                         f"past the {_DIGITS}-digit limit")
             return Fraction(value)
     except (ValueError, ZeroDivisionError):
         pass
@@ -118,7 +136,7 @@ def parse_document(doc: dict) -> Ifs:
             'probabilities: expected an array, "uniform", or '
             '{"binomial_convolution": m}')
     name = doc.get("name")
-    if name is not None and not isinstance(name, str):
+    if name is not None and type(name) is not str:
         raise InputDocumentError("name: expected a string")
     return Ifs(field=field, translations=tuple(elements), probabilities=p,
                name=name)
@@ -360,10 +378,11 @@ def _build_parser():
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=lambda s: (
+                _LongInt(s) if 0 < _DIGITS < len(s.lstrip("-")) else int(s)))
     except OSError as e:
         raise InputDocumentError(f"cannot read {path}: {e}")
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError too
         raise InputDocumentError(f"{path} is not valid JSON: {e}")
 
 

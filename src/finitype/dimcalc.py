@@ -22,6 +22,7 @@ a float: per-step values are carried as logs (``_flog``), ``_dims`` turns
 them into dimension ends padded outward for rounding, and per-step floats are
 for display only. Float logs of each walk's smallest and largest column sum
 screen which cycles the search certifies, but never become reported values.
+The search returns its walks as plain edge paths and certifies no others.
 
 Norm bounds never walk every admissible path. Each row- or column-sum
 functional is monotone in the row vector carried along a walk, and every
@@ -31,13 +32,13 @@ kept one (from above for the max functional, from below for the min ones)
 cannot set the extreme and is dropped. This is the per-vertex multinorm view
 of a joint spectral radius under constrained switching (Philippe, Essick,
 Dullerud and Jungers 2016). The bounds equal those of full enumeration.
+Isolation is decided on certified values with one tolerance, POINT_TOL.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -245,7 +246,6 @@ def _dims(model: Model, lo, hi, L: int):
 @dataclass(frozen=True)
 class CycleDim:
     vertices: tuple[int, ...]     # closed: first == last
-    length: int                   # number of steps (edges)
     log_lo: float                 # log of the per-step enclosure's ends,
     log_hi: float                 # rounded; they rank walks, and per_step_*
     dim_lo: float                 # display them; dim_lo and dim_hi are
@@ -277,7 +277,7 @@ def periodic_dimension(model: Model, cycle_edges) -> CycleDim:
     sp_lo, sp_hi = spectral_radius(product_along(edges))
     L = len(edges)
     vertices = (edges[0].parent,) + tuple(e.child for e in edges)
-    return CycleDim(vertices, L, _flog(sp_lo) / L, _flog(sp_hi) / L,
+    return CycleDim(vertices, _flog(sp_lo) / L, _flog(sp_hi) / L,
                     *_dims(model, sp_lo, sp_hi, L))
 
 
@@ -287,8 +287,7 @@ def periodic_dimension(model: Model, cycle_edges) -> CycleDim:
 
 @dataclass(frozen=True)
 class CycleEnumeration:
-    cycles: Sequence[CycleDim]    # generation order, certified on access
-    max_len: int
+    cycles: tuple[tuple[int, ...], ...]   # edge paths, generation order
     truncated: bool
     per_step_min: float | None
     per_step_max: float | None
@@ -296,31 +295,6 @@ class CycleEnumeration:
     dim_max: float | None
     min_cycle: tuple[int, ...] | None
     max_cycle: tuple[int, ...] | None
-
-
-class _CycleList(Sequence):
-    """The closed walks of one search as edge paths, in generation order. A
-    walk is certified by ``periodic_dimension`` the first time it is read, and
-    only then, so ``len`` costs no product and no spectral enclosure."""
-
-    def __init__(self, graph, found):
-        self._graph = graph
-        self._found = found           # edge paths
-        self._dims = [None] * len(found)
-
-    def __len__(self):
-        return len(self._found)
-
-    def __getitem__(self, i):
-        if self._dims[i] is None:
-            edges = self._graph.edges
-            self._dims[i] = periodic_dimension(
-                self._graph.model, [edges[j] for j in self._found[i]])
-        return self._dims[i]
-
-    def certified(self):
-        """The walks certified so far, in generation order."""
-        return [d for d in self._dims if d is not None]
 
 
 # Margin of the cycle screen in log units: above the enclosures' 1e-10 width
@@ -388,8 +362,9 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
     walks that are ``_narrow``, as every converged one is; of walks with
     equal float logs, the first generated wins. A walk whose enclosure
     stopped at the squaring cap can be wider, its lower end even 0; it sets
-    no best value, so the extremes may then miss a narrow walk. The rest are
-    certified when ``cycles`` is read, so ``len(cycles)`` certifies nothing.
+    no best value, so the extremes may then miss a narrow walk. ``cycles``
+    holds every walk found as an edge-index path, in generation order; the
+    walks left out of the screen cost no product and no enclosure.
 
     Precondition: no edge matrix of the class has an all-zero row, as in
     every built graph (``netgraph.children`` rejects one), so no product
@@ -447,29 +422,36 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
         if truncated:
             break
 
-    cycles = _CycleList(graph, found)
+    dims = {}  # the certified walks, by index into found
+
+    def certify(i):
+        if i not in dims:
+            dims[i] = periodic_dimension(
+                graph.model, [graph.edges[j] for j in found[i]])
+        return dims[i]
+
     # most promising first; stop at the first screen that cannot come
     # within the margin of the best value so far (screened or certified)
     low = min((hi for _, hi in screens), default=math.inf)
     for i in sorted(range(len(found)), key=lambda i: screens[i][0]):
         if screens[i][0] > low + _SCREEN_MARGIN:
             break
-        if _narrow(cycles[i]):
-            low = min(low, cycles[i].log_lo)
+        if _narrow(c := certify(i)):
+            low = min(low, c.log_lo)
     high = max((lo for lo, _ in screens), default=-math.inf)
     for i in sorted(range(len(found)), key=lambda i: screens[i][1],
                     reverse=True):
         if screens[i][1] + _SCREEN_MARGIN < high:
             break
-        if _narrow(cycles[i]):
-            high = max(high, cycles[i].log_hi)
-    certified = [c for c in cycles.certified() if _narrow(c)]
+        if _narrow(c := certify(i)):
+            high = max(high, c.log_hi)
+    certified = [c for _, c in sorted(dims.items()) if _narrow(c)]
     if not certified:
-        return CycleEnumeration(cycles, max_len, truncated, *[None] * 6)
+        return CycleEnumeration(tuple(found), truncated, *[None] * 6)
     lo = min(certified, key=lambda c: c.log_lo)
     hi = max(certified, key=lambda c: c.log_hi)
     return CycleEnumeration(  # dimension falls as the per-step value rises
-        cycles=cycles, max_len=max_len, truncated=truncated,
+        cycles=tuple(found), truncated=truncated,
         per_step_min=lo.per_step_lo, per_step_max=hi.per_step_hi,
         dim_min=hi.dim_lo, dim_max=lo.dim_hi,
         min_cycle=lo.vertices, max_cycle=hi.vertices)
@@ -736,8 +718,8 @@ UNDECIDED = "UNDECIDED"
 NOT_ISOLATED = "NOT_ISOLATED"
 
 # Dimension values closer than this are one point: a point value within it of
-# an interval touches that interval, and an outer bracket no wider prints as
-# a point.
+# an interval touches that interval, intervals this close merge, and an outer
+# bracket no wider prints as a point.
 POINT_TOL = 1e-9
 
 
@@ -773,11 +755,10 @@ class DimensionReport:
         return [p.value for p in self.isolated if p.status == status]
 
 
-def _merge_intervals(intervals, tol=1e-12):
-    ivs = sorted((lo, hi) for lo, hi in intervals)
+def _merge_intervals(intervals):
     out = []
-    for lo, hi in ivs:
-        if out and lo <= out[-1][1] + tol:
+    for lo, hi in sorted(intervals):
+        if out and lo <= out[-1][1] + POINT_TOL:
             out[-1] = (out[-1][0], max(out[-1][1], hi))
         else:
             out.append((lo, hi))
@@ -861,29 +842,26 @@ def assemble_report(model: Model, graph: TransitionGraph, classes=None,
     # One (inner, outer) span per class; a point class's span is its point.
     spans = [((p, p), (p, p)) if (p := cs.exact_point) is not None
              else (cs.dim_inner, cs.dim_outer) for cs in sets]
-    # Exact point values (simple-loop classes) grouped by value; a point is
-    # isolated when it avoids the outer interval of every class that does not
-    # itself sit exactly at that point, undecided when only inner intervals
-    # avoid it. Classes sharing the same point never block each other.
-    points = {}
+    # Exact points (simple-loop classes) join, in class order, the first
+    # group whose point is within tol. A point class spans only its point,
+    # so it holds another only within tol, where both are one point: only
+    # classes without a point can block one. A point is isolated when it
+    # avoids their outer ranges, undecided when it avoids only the inner.
+    groups = {}  # first point of each group -> its classes
     for cs in sets:
-        if cs.exact_point is not None:
-            points.setdefault(round(cs.exact_point, 12), []).append(cs)
-    iso = []
-    for val, carriers in sorted(points.items()):
-        inside_outer = inside_inner = False
-        for cs, (i, o) in zip(sets, spans):
-            if cs.exact_point is not None and abs(cs.exact_point - val) <= tol:
-                continue  # same point value, cannot block isolation
-            if o and o[0] - tol <= val <= o[1] + tol:
-                inside_outer = True
-            if i and i[0] - tol <= val <= i[1] + tol:
-                inside_inner = True
-        status = NOT_ISOLATED if inside_inner else (
-            UNDECIDED if inside_outer else ISOLATED)
-        iso.append(IsolatedPoint(
-            value=val, status=status,
-            classes=tuple(c.members for c in carriers)))
+        if (p := cs.exact_point) is not None:
+            first = next((q for q in groups if abs(q - p) <= tol), p)
+            groups.setdefault(first, []).append(cs)
+    blockers = [sp for cs, sp in zip(sets, spans) if cs.exact_point is None]
+
+    def blocked(val, side):  # side 0: inner ranges, 1: outer ranges
+        return any(iv and iv[0] - tol <= val <= iv[1] + tol
+                   for iv in (sp[side] for sp in blockers))
+
+    iso = [IsolatedPoint(value=val, status=NOT_ISOLATED if blocked(val, 0)
+                         else UNDECIDED if blocked(val, 1) else ISOLATED,
+                         classes=tuple(c.members for c in carriers))
+           for val, carriers in sorted(groups.items())]
 
     return DimensionReport(
         model=model, cv_count=len(graph), classes=tuple(sets), dim_zero=dz,

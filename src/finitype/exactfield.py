@@ -182,7 +182,7 @@ class NumberField:
     """Q(rho) with rho the unique root of ``minpoly`` inside the isolating interval."""
 
     __slots__ = (
-        "minpoly", "degree", "_lo", "_hi", "_orig", "_inv_rho",
+        "minpoly", "degree", "_lo", "_hi", "_orig",
         "_sign_cache", "zero", "one", "_rho_f",
     )
 
@@ -224,7 +224,6 @@ class NumberField:
         self._sign_cache = {}
         self.zero = FieldElement(self, (0,) * k)
         self.one = FieldElement(self, (1,) + (0,) * (k - 1))
-        self._inv_rho = None  # computed lazily
 
         self.refine(128)
         # a float of rho, for the float proposal in sort_unique only
@@ -249,9 +248,7 @@ class NumberField:
         return self.element([0, 1])
 
     def inv_rho(self) -> "FieldElement":
-        if self._inv_rho is None:
-            self._inv_rho = self.rho().inverse()
-        return self._inv_rho
+        return self.rho().inverse()
 
     # -- enclosure -----------------------------------------------------------
 

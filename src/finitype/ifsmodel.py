@@ -138,9 +138,13 @@ def validate(ifs: Ifs, allow_irregular: bool = False) -> Model:
         if q <= 0:
             issues.append(ValidationIssue(
                 PROBABILITIES_NOT_NORMALIZED, "weight is not positive", index=i))
-    if sum(p, Fraction(0)) != 1:
-        issues.append(ValidationIssue(
-            PROBABILITIES_NOT_NORMALIZED, f"weights sum to {sum(p, Fraction(0))}, not 1"))
+    total = sum(p, Fraction(0))
+    if total != 1:
+        try:
+            message = f"weights sum to {total}, not 1"
+        except ValueError:  # past Python's limit on the digits it prints
+            message = "weights do not sum to 1"
+        issues.append(ValidationIssue(PROBABILITIES_NOT_NORMALIZED, message))
 
     if all(q > 0 for q in p):
         pmin = min(p)

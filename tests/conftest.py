@@ -8,6 +8,7 @@ import pytest
 
 from finitype.catalog import load_document
 from finitype.cli import parse_document
+from finitype.dimcalc import periodic_dimension
 from finitype.exactfield import NumberField
 from finitype.ifsmodel import Ifs, uniform_probabilities, validate
 from finitype.netgraph import build_graph
@@ -95,6 +96,17 @@ def catalog_graph(name):
     """The transition graph of a shipped catalog document, built once per
     session; callers must not change it."""
     return build_graph(catalog_model(name))
+
+
+def walk_vertices(graph, path):
+    """The closed vertex sequence of a walk given as an edge-index path."""
+    edges = [graph.edges[j] for j in path]
+    return (edges[0].parent,) + tuple(e.child for e in edges)
+
+
+def certify_walk(graph, path):
+    """``periodic_dimension`` of a walk given as an edge-index path."""
+    return periodic_dimension(graph.model, [graph.edges[j] for j in path])
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ can tally coverage. All randomness is seeded by the caller.
 import math
 from fractions import Fraction
 
+from conftest import walk_vertices
 from finitype.dimcalc import (
     NormKind,
     assemble_report,
@@ -102,10 +103,10 @@ def check_gelfand(graph, rng, max_cycles=10):
     ess = essential_class(graph)
     enum = enumerate_cycles(graph, ess.members, max_len=3)
     count = 0
-    for cd_index, cd in enumerate(enum.cycles):
+    for cd_index, path in enumerate(enum.cycles):
         if cd_index >= max_cycles:
             break
-        edges = _cycle_edges(graph, cd.vertices, rng)
+        edges = _cycle_edges(graph, walk_vertices(graph, path), rng)
         B = product_along(edges)
         P = B
         B_sparse = compile_matrix(B)
@@ -132,8 +133,7 @@ def check_rotation_invariance(graph, rng, n_cases):
     count = 0
     cycles = list(enum.cycles)
     for i in range(min(n_cases, len(cycles))):
-        cd = cycles[i]
-        edges = _cycle_edges(graph, cd.vertices, rng)
+        edges = _cycle_edges(graph, walk_vertices(graph, cycles[i]), rng)
         base_lo, base_hi = spectral_radius(product_along(edges))
         for shift in range(1, len(edges)):
             rot = edges[shift:] + edges[:shift]

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -132,7 +133,7 @@ def test_analyze_json_roundtrip(golden_path, tmp_path, capsys):
     assert doc["essential_size"] == 3
     assert doc["dim_at_zero"] == pytest.approx(1.440420090, abs=1e-8)
     # document equals a freshly serialized in-memory report field for field
-    ifs = parse_document(json.loads(open(golden_path).read()))
+    ifs = parse_document(json.loads(Path(golden_path).read_text()))
     model = validate(ifs)
     graph = build_graph(model)
     report = assemble_report(model, graph, cycle_len=10, bound_len=8,
@@ -379,6 +380,56 @@ def test_outer_range_holds_the_class_point_at_extreme_weights(tmp_path,
     assert {tuple(c["members"]) for c in points} >= {(19,), (25,)}
     for c in points:
         assert c["dim_outer"][0] <= c["exact_point"] <= c["dim_outer"][1]
+
+
+def test_extreme_point_is_reported_at_its_class_value(tmp_path, capsys):
+    # at 1 : 10^40 : 1 the simple loops [19] and [25] carry the point
+    # 1.797486806e-13, which a 12-digit rounding would report as 0
+    n = 10 ** 40
+    path = _weighted(tmp_path, [1, n, 1], name="golden_square")
+    doc = _report(path, "--cycle-len=1")
+    point = next(p for p in doc["isolated_points"]
+                 if p["classes"] == [[19], [25]])
+    exact = {c["exact_point"] for c in doc["classes"]
+             if c["members"] in ([19], [25])}
+    assert exact == {point["value"]} == {1.797486806e-13}
+    assert run(["analyze", "--input", str(path), "--cycle-len=1",
+                "--text"]) == 0
+    assert ("UNDECIDED point: 1.797486806e-13 lies"
+            in capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("weight,field", [
+    ("1" + "0" * 4999, "probabilities[0]: expected a rational string, got "
+                       "an integer of 5000 digits"),
+    ('"1e5000"', "probabilities[0]: exponent 5000 is past"),
+    ('"1e10000000"', "probabilities[0]: exponent 10000000 is past"),
+], ids=["json-integer", "exponent-5000", "exponent-10000000"])
+def test_oversized_number_exits_1_at_once(tmp_path, capsys, weight, field):
+    # past Python's 4300-digit limit on int-string conversion: a JSON
+    # integer that int() refuses, and exponents whose Fraction cannot be
+    # printed or takes seconds to build
+    doc = load_document("golden")
+    doc["probabilities"] = ["WEIGHT", "1"]
+    path = tmp_path / "oversized.json"
+    path.write_text(json.dumps(doc).replace('"WEIGHT"', weight))
+    t0 = time.monotonic()
+    assert run(["analyze", "--input", str(path)]) == 1
+    assert time.monotonic() - t0 < 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and field in err
+
+
+def test_unprintable_weight_sum_exits_1(tmp_path, capsys):
+    # the two weights parse, but their sum has more digits than Python
+    # prints, so the message leaves the sum out
+    doc = load_document("golden")
+    doc["probabilities"] = [f"1/{10 ** 4000 + 1}", f"1/{10 ** 4000 + 3}"]
+    path = tmp_path / "unprintable.json"
+    path.write_text(json.dumps(doc))
+    assert run(["analyze", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "weights do not sum to 1" in err
 
 
 def test_per_step_values_past_the_float_range_exit_0(tmp_path, capsys):

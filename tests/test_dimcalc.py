@@ -3,17 +3,27 @@
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import catalog_graph, catalog_model, golden_square_ifs
+from conftest import (
+    catalog_graph,
+    catalog_model,
+    certify_walk,
+    golden_square_ifs,
+    walk_vertices,
+)
 from finitype import dimcalc
 from finitype.catalog import load_document
 from finitype.cli import parse_document
 from finitype.dimcalc import (
+    ISOLATED,
+    ClassDimSet,
+    IsolatedPoint,
     NormKind,
     _auto_subsets,
     _norm_pass,
@@ -178,7 +188,7 @@ def test_golden_dim_at_zero(golden_model, golden_graph):
     assert abs(dim_at_zero(golden_model) - 1.4404200904) < 1e-9
     cd = periodic_dimension(golden_model, _first_cycle(golden_graph, (2, 2)))
     assert abs(cd.dimension - 1.440420090) < 1e-8
-    assert cd.length == 1
+    assert len(cd.vertices) - 1 == 1
 
 
 def _weighted_golden_square():
@@ -282,7 +292,7 @@ def test_cantor5_cycle_enumeration(cantor5_binomial_model, cantor5_graph):
 def test_cycle_rotation_dedup(golden_graph):
     ess = essential_class(golden_graph)
     enum = enumerate_cycles(golden_graph, ess.members, max_len=3)
-    keys = sorted(c.vertices for c in enum.cycles)
+    keys = sorted(walk_vertices(golden_graph, p) for p in enum.cycles)
     # the two (3,5,3) walks differ in which parallel return edge they take;
     # rotations such as (5,6,3,5) never appear as separate cycles
     assert keys == [(3, 5, 3), (3, 5, 3), (3, 5, 6, 3)]
@@ -291,7 +301,8 @@ def test_cycle_rotation_dedup(golden_graph):
 
 def test_self_loop_cycle(sixmap_graph):
     enum = enumerate_cycles(sixmap_graph, (2,), max_len=5)
-    assert all(abs(c.per_step_lo - 1) < 1e-9 for c in enum.cycles)
+    assert all(abs(certify_walk(sixmap_graph, p).per_step_lo - 1) < 1e-9
+               for p in enum.cycles)
 
 
 def test_simple_loop_search_stops_at_loop_length(golden_model, golden_graph):
@@ -774,6 +785,26 @@ def test_sixmap_report_two_points(cantor5_uniform_model, sixmap_graph):
     assert len(vals) == 1
     assert abs(vals[0] - 1.630929753) < 1e-8
     assert abs(rep.dim_zero - 1.630929753) < 1e-8
+
+
+def test_points_within_point_tol_are_one_point(golden_model, golden_graph,
+                                               monkeypatch):
+    # two simple-loop points 2e-13 apart, whose 12-digit roundings differ,
+    # are one point, reported at the first class's value
+    points = {(1,): 0.1234567890124, (2,): 0.1234567890126}
+
+    def point_class(graph, lc, *args):
+        return ClassDimSet(
+            loop_class=lc, spectral_inner=None, spectral_outer=None,
+            dim_inner=None, dim_outer=None, exact_point=points[lc.members],
+            exact_point_per_step=None, min_cycle=None, max_cycle=None,
+            cycle_len=1, bound_len=1)
+
+    monkeypatch.setattr(dimcalc, "analyze_class", point_class)
+    rep = assemble_report(golden_model, golden_graph, classes=[
+        SimpleNamespace(members=m) for m in points])
+    assert rep.isolated == (
+        IsolatedPoint(0.1234567890124, ISOLATED, ((1,), (2,))),)
 
 
 def test_inner_within_outer(golden_model, golden_graph, cantor5_binomial_model,
