@@ -26,12 +26,14 @@ The search returns its walks as plain edge paths and certifies no others.
 
 Norm bounds never walk every admissible path. Each row- or column-sum
 functional is monotone in the row vector carried along a walk, and every
-matrix is nonnegative, so a dynamic programme over layers and vertices keeps
-at each vertex only a frontier of carried vectors: a vector dominated by a
-kept one (from above for the max functional, from below for the min ones)
-cannot set the extreme and is dropped. This is the per-vertex multinorm view
-of a joint spectral radius under constrained switching (Philippe, Essick,
-Dullerud and Jungers 2016). The bounds equal those of full enumeration.
+matrix is nonnegative, so one sweep per side over layers and vertices keeps,
+for every functional at once, only a frontier of carried vectors at each
+vertex: a vector dominated by a kept one (from above for the max functional,
+from below for the min ones) cannot set the extreme and is dropped. Within a
+layer each edge multiplies each distinct carried vector once, whichever
+functionals carry it. This is the per-vertex multinorm view of a joint
+spectral radius under constrained switching (Philippe, Essick, Dullerud and
+Jungers 2016). The bounds equal those of full enumeration.
 Isolation is decided on certified values with one tolerance, POINT_TOL.
 """
 
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -532,51 +535,6 @@ def _prune(candidates, upper):
     return kept
 
 
-def _frontier_extreme(into, starts, depth, upper, value, budget_state):
-    """Extreme of ``value`` over the last vectors of every ``depth``-step
-    walk, for one family of carried vectors, and the products it took.
-
-    ``starts`` maps each start vertex to its initial vectors. Layer by layer,
-    each vertex keeps the frontier of the vectors carried into it: the
-    candidates gathered through ``into`` (the reversed adjacency), pruned by
-    ``_prune``. At the last layer each vertex's candidates fold into the
-    extreme instead, unpruned and unstored.
-    The extreme is a maximum when ``upper`` and a minimum otherwise.
-    ``value`` is nondecreasing in every entry and every matrix is
-    nonnegative, so every value a dominated vector leads to is matched or
-    beaten by the vector dominating it, and dropping it leaves the extreme
-    unchanged. One unit is charged per (frontier vector, out-edge) pair;
-    PathExplosion as soon as the charge would take ``budget_state[0]`` past
-    ``budget_state[1]``.
-    """
-    frontier = {v: _prune(vecs, upper) for v, vecs in starts.items()}
-    spent, cap = budget_state
-    charge = 0
-    pick = max if upper else min
-    best = None
-    for step in range(depth):
-        last = step == depth - 1
-        layer = {}
-        for w, sources in into.items():
-            cands = []
-            for v, matrix in sources:
-                vecs = frontier.get(v)
-                if vecs:
-                    charge += len(vecs)
-                    if spent + charge > cap:
-                        raise PathExplosion(cap)
-                    cands.extend(tuple(vec_mat(u, matrix)) for u in vecs)
-            if not cands:
-                continue
-            if last:
-                x = pick(map(value, cands))
-                best = x if best is None else pick(best, x)
-            else:
-                layer[w] = _prune(cands, upper)
-        frontier = layer
-    return best, charge
-
-
 def _walk_count(into, depth):
     """Number of ``depth``-step walks from every vertex, counted on the
     reversed adjacency ``into``."""
@@ -589,27 +547,68 @@ def _walk_count(into, depth):
 
 def _norm_pass(into, families, depth, budget_state):
     """Extremes of each functional family over the products along every
-    ``depth``-step walk on one side.
+    ``depth``-step walk on one side, all families in one layered sweep.
 
     ``into[w]`` lists ``(v, matrix)`` for each edge ``v -> w`` of the side,
     with every vertex a key and every matrix compiled. A family
     ``(upper, value, starts)`` carries the row vectors ``starts[v]`` along
     the walks from ``v``, multiplying by each matrix in turn, and takes the
     maximum of ``value`` over the last vectors when ``upper``, else the
-    minimum (None where no walk exists).
-    Each family runs as the per-vertex frontier programme of
-    ``_frontier_extreme``, so its extreme is that of full enumeration.
-    ``budget_state`` is ``[units charged, cap]``, shared by both sides; a
-    side charges the largest of its families' totals, one unit per
-    (frontier vector, out-edge) pair. A family's frontier holds at most one
-    vector per walk, so this never exceeds the number of walk prefixes, and
-    on a simple loop it equals it.
+    minimum (None where no walk exists). Layer by layer, each family keeps
+    at each vertex the frontier of the vectors carried into it, pruned by
+    ``_prune``: ``value`` is nondecreasing in every entry and every matrix is
+    nonnegative, so a dominated vector leads only to values its dominator
+    matches or beats, and dropping it keeps the extreme of full enumeration.
+    The last layer's products fold into each extreme edge by edge, unpruned
+    and unstored. Within a layer each edge multiplies each distinct vector
+    once, for every family that carries it.
+    ``budget_state`` is ``[units charged, cap]``, shared by both sides. A
+    family is charged one unit per (frontier vector, out-edge) pair, before
+    each layer's products, and a side charges its largest family total;
+    PathExplosion as soon as a family's charge would pass the cap. A
+    family's frontier holds at most one vector per walk, so this never
+    exceeds the number of walk prefixes, and on a simple loop equals it.
     """
-    results = [_frontier_extreme(into, starts, depth, upper, value,
-                                 budget_state)
-               for upper, value, starts in families]
-    budget_state[0] += max(charge for _, charge in results)
-    return [best for best, _ in results]
+    outdeg = Counter(v for sources in into.values() for v, _ in sources)
+    frontiers = [{v: _prune(vecs, upper) for v, vecs in starts.items()}
+                 for upper, _, starts in families]
+    spent, cap = budget_state
+    charges = [0] * len(families)
+    bests = [None] * len(families)
+    cands = [[] for _ in families]
+    for step in range(depth):
+        for i, frontier in enumerate(frontiers):
+            charges[i] += sum(len(vecs) * outdeg[v]
+                              for v, vecs in frontier.items())
+            if spent + charges[i] > cap:
+                raise PathExplosion(cap)
+        last = step == depth - 1
+        layers = [{} for _ in families]
+        for w, sources in into.items():
+            for v, matrix in sources:
+                products = {}
+                for frontier, cand in zip(frontiers, cands):
+                    for u in frontier.get(v, ()):
+                        p = products.get(u)
+                        if p is None:
+                            p = products[u] = tuple(vec_mat(u, matrix))
+                        cand.append(p)
+                if last:
+                    for i, (upper, value, _) in enumerate(families):
+                        if cands[i]:
+                            pick = max if upper else min
+                            x = pick(map(value, cands[i]))
+                            bests[i] = (x if bests[i] is None
+                                        else pick(bests[i], x))
+                            cands[i].clear()
+            if not last:
+                for (upper, _, _), cand, layer in zip(families, cands, layers):
+                    if cand:
+                        layer[w] = _prune(cand, upper)
+                        cand.clear()
+        frontiers = layers
+    budget_state[0] += max(charges)
+    return bests
 
 
 def norm_bounds(graph: TransitionGraph, members, depth: int, subsets=(),
@@ -629,12 +628,12 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subsets=(),
     ``col_into[w]`` holds ``(v, M)`` for every internal edge ``v -> w`` and
     gives the column sums of the products; ``row_into[v]`` holds
     ``(w, M^T)``, transposed from the edge's compiled ``M``, and gives the
-    column sums of the transposed products, which are the row sums. Both
-    sides run the same ``(upper, value, starts)`` families through
-    ``_norm_pass``: the max column sum, the min column sum, then one
-    restricted min per subset. Each family's extreme, and ``path_count``
-    from ``_walk_count`` on ``col_into``, are those of enumerating every
-    walk.
+    column sums of the transposed products, which are the row sums. Each
+    side is one ``_norm_pass`` sweep of the same ``(upper, value, starts)``
+    families: the max column sum, the min column sum, then one restricted
+    min per subset, sharing each (edge, vector) product within a layer.
+    Each family's extreme, and ``path_count`` from ``_walk_count`` on
+    ``col_into``, are those of enumerating every walk.
     ``path_budget`` caps the units charged by the column-sum side and then
     the row-sum side, whose total is ``charged``; past it, PathExplosion.
     """
@@ -667,7 +666,8 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subsets=(),
 
     ones = {v: [(1,) * n] for v, n in sizes.items()}
     families = [(True, max, ones), (False, min, ones)] + [
-        (False, lambda vec, idx=idx: min(vec[k - 1] for k in idx),
+        (False, lambda vec, idx0=tuple(k - 1 for k in idx):
+         min(map(vec.__getitem__, idx0)),
          {v: [tuple(int(j in idx) for j in range(1, n + 1))]
           for v, n in sizes.items()})
         for idx in checked]
