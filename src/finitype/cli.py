@@ -230,8 +230,9 @@ def render_text(report: DimensionReport, graph=None, show_matrices=False) -> str
     lines.append(f"The reduced transition graph has {report.cv_count} reduced "
                  f"characteristic vectors.")
     if graph is not None and len(graph) <= 60:
+        shown: dict = {}     # each distinct value rendered once
         for i in range(1, len(graph) + 1):
-            lines.append(f"  vector {i}: {graph.cv(i).describe()}")
+            lines.append(f"  vector {i}: {graph.cv(i).describe(shown=shown)}")
         if show_matrices:
             for e in graph.edges:
                 rows = "; ".join(" ".join(str(v) for v in row)

@@ -226,7 +226,7 @@ class NumberField:
         self.one = FieldElement(self, (1,) + (0,) * (k - 1))
 
         self.refine(128)
-        # a float of rho, for the float proposal in sort_unique only
+        # a float of rho, for ``approx`` only
         self._rho_f = float((self._lo + self._hi) / 2)
 
     # -- construction helpers ---------------------------------------------
@@ -319,6 +319,19 @@ class NumberField:
         s = (lo > 0) - (hi < 0)
         self._sign_cache[coeffs] = s
         return s
+
+    def sign_diff(self, a, b):
+        """Exact sign of a - b, two raw coefficient tuples."""
+        return self.sign_of(minus(a, b))
+
+    def approx(self, coeffs):
+        """Float value of sum(coeffs[i] * rho**i) by Horner at a float of
+        rho; a proposal for ``sort_unique`` only. OverflowError when a
+        coefficient has no float."""
+        r, x = self._rho_f, 0.0
+        for c in reversed(coeffs):
+            x = x * r + float(c)
+        return x
 
     # -- misc ------------------------------------------------------------
 
@@ -506,39 +519,33 @@ def to_decimal(a: FieldElement, digits: int) -> str:
     return f"{'-' if s < 0 else ''}{whole}.{frac:0{digits}d}"
 
 
-def _approx(coeffs, rho_f):
-    """Float value of sum(coeffs[i] * rho**i) by Horner; a proposal only."""
-    x = 0.0
-    for c in reversed(coeffs):
-        x = x * rho_f + float(c)
-    return x
-
-
 def sort_unique(values, field):
-    """Sort distinct values of ``field``, given as coefficient tuples,
-    ascending; exact duplicates collapse to their first occurrence.
+    """Sort distinct values of ``field`` ascending; exact duplicates
+    collapse to their first occurrence.
 
-    The coefficients may be raw (see ``canonical``): 2 == Fraction(2) with
-    equal hashes, so duplicates still collapse. A floating-point filter:
-    floats propose the order (each value evaluated in double precision at a
-    float of rho) and the exact, cached sign of every adjacent difference
-    certifies it. Certified adjacent pairs make the whole list strictly
-    increasing, so the result is the exact order. If any pair fails (a float
-    tie in the wrong order, a misorder, values overflowing to inf) or a
-    coefficient has no float, the values are sorted again by comparisons on
-    the exact sign of each difference instead. ``sign_of`` refines the
-    enclosure of rho until it decides, so that sort has no round cap.
+    ``field`` is what names the values: a ``NumberField`` for coefficient
+    tuples, or anything else with the same ``approx(v)`` (a float proposal,
+    OverflowError if there is none) and ``sign_diff(a, b)`` (the exact sign
+    of a - b), such as the graph closure's table of value ids. Coefficients
+    may be raw (see ``canonical``): 2 == Fraction(2) with equal hashes, so
+    duplicates still collapse. A floating-point filter: floats propose the
+    order and the exact sign of every adjacent difference certifies it.
+    Certified adjacent pairs make the whole list strictly increasing, so the
+    result is the exact order. If any pair fails (a float tie in the wrong
+    order, a misorder, values overflowing to inf) or a value has no float,
+    the values are sorted again by comparisons on the exact sign of each
+    difference instead. ``sign_of`` refines the enclosure of rho until it
+    decides, so that sort has no round cap.
     """
     vals = list(dict.fromkeys(values))
     if len(vals) < 2:
         return vals
-    rho_f = field._rho_f
     try:
-        proposed = sorted(vals, key=lambda c: _approx(c, rho_f))
+        proposed = sorted(vals, key=field.approx)
     except OverflowError:
         proposed = None
-    sign_of = field.sign_of
-    if proposed is not None and all(sign_of(minus(b, a)) > 0
+    sign_diff = field.sign_diff
+    if proposed is not None and all(sign_diff(b, a) > 0
                                     for a, b in zip(proposed, proposed[1:])):
         return proposed
-    return sorted(vals, key=cmp_to_key(lambda a, b: sign_of(minus(a, b))))
+    return sorted(vals, key=cmp_to_key(sign_diff))

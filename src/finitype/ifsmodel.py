@@ -74,13 +74,13 @@ class Model:
 
     @cached_property
     def step_constants(self):
-        """What every subdivision step of the graph closure uses, computed
+        """What the graph closure's ``netgraph.ValueTable`` uses, computed
         once per model: rho's coefficients, division by rho as one k x k
         matrix compiled for ``netgraph.vec_mat`` (row i holds the
         coefficients of rho^i / rho), and the normalized weights with the
         integral ones as int. The matrix takes raw coefficients and leaves
-        integral Fractions uncollapsed; the closure canonicalizes only what
-        it stores."""
+        integral Fractions uncollapsed; the table canonicalizes each
+        distinct value once."""
         from .netgraph import compile_matrix   # netgraph imports this module
         f = self.field
         inv_rho = f.inv_rho()

@@ -14,11 +14,16 @@ and both ends of each image [x, x + rho], x = d_l - c for neighbour c and
 map l: the image covers child [t, u] iff rank(x) <= rank(t) and rank(x +
 rho) >= rank(u). That is exact: ``sort_unique`` certifies each adjacent pair.
 
-The step runs on coefficient tuples with ``exactfield``'s kernel: x, x + rho
-and the differences u - t and t - x are raw tuple arithmetic, and division
-by rho is ``vec_mat`` with the fixed 1/rho matrix of ``Model.step_constants``.
-Elements are built, canonical, only for what the graph stores: each child's
-length and neighbours, and each edge's offsets.
+Finite type means few distinct values: the same offsets and lengths recur
+at vertex after vertex. So a closure works on its own ``ValueTable``: each
+distinct value gets a small int id, one canonical ``FieldElement`` and one
+float proposal, and the steps x = d_l - c, x + rho and (a - b) / rho
+(``vec_mat`` with the 1/rho matrix of ``Model.step_constants``) and the
+exact sign of each difference are memoised by operand ids. Each distinct
+value is thus built, divided by rho and ordered once per closure, and equal
+values in the graph share one element. Vertices are keyed by length id and
+neighbour ids. The table is dropped with the closure, so every closure
+starts from the field alone.
 
 Products are taken on compiled matrices. ``compile_matrix`` turns a dense
 row-tuple matrix into a ``SparseMatrix``: its column count and, per row, the
@@ -51,9 +56,19 @@ class CharacteristicVector:
     def key(self):
         return (self.length.coeffs, tuple(n.coeffs for n in self.neighbours))
 
-    def describe(self, digits=6):
-        ns = ", ".join(n.to_decimal(digits) for n in self.neighbours)
-        return f"({self.length.to_decimal(digits)}, ({ns}))"
+    def describe(self, digits=6, shown=None):
+        """The vector in decimals. ``shown``, a dict from coefficient tuples
+        to text that calls may share, renders each distinct value once."""
+        shown = {} if shown is None else shown
+
+        def text(x):
+            t = shown.get(x.coeffs)
+            if t is None:
+                t = shown[x.coeffs] = x.to_decimal(digits)
+            return t
+
+        ns = ", ".join(map(text, self.neighbours))
+        return f"({text(self.length)}, ({ns}))"
 
 
 @dataclass(frozen=True)
@@ -145,7 +160,67 @@ class TransitionGraph:
                     if self.edges[i].child in ms] for v in members}
 
 
-def children(parent: CharacteristicVector, model: Model):
+class _Memo(dict):
+    """A dict that fills a missing key with ``make(key)``."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+class ValueTable:
+    """The field values of one graph closure, each under a small int id.
+
+    ``values[i]`` is value i's canonical element. ``ids`` maps coefficient
+    tuples, raw (2 or Fraction(2)) or canonical, to ids, adding new values.
+    The memos map operand ids to results: ``sub[a, b]`` is the id of a - b,
+    ``shift[a]`` that of a + rho, ``div[a, b]`` that of (a - b) / rho and
+    ``signs[a, b]`` the exact sign of a - b. ``approx`` and ``sign_diff``
+    name the values for ``sort_unique``."""
+
+    def __init__(self, model: Model):
+        f = model.field
+        rho, inv_rho, self.weights = model.step_constants
+        v = self.values = []
+
+        def new(element):
+            v.append(element)
+            return len(v) - 1
+
+        def operands(k):
+            return v[k[0]].coeffs, v[k[1]].coeffs
+
+        ids = self.ids = _Memo(lambda c: new(FieldElement(f, canonical(c))))
+        self.sub = _Memo(lambda k: ids[minus(*operands(k))])
+        self.shift = _Memo(lambda a: ids[plus(v[a].coeffs, rho)])
+        self.div = _Memo(
+            lambda k: ids[tuple(vec_mat(minus(*operands(k)), inv_rho))])
+        self.signs = _Memo(lambda k: f.sign_diff(*operands(k)))
+        # value i's float proposal; one that raises OverflowError is not
+        # kept, so every sort holding that value falls back
+        self.approx = _Memo(lambda i: f.approx(v[i].coeffs)).__getitem__
+        # the field's own 0 and 1, so the root's values are shared too
+        self.zero = ids[f.zero.coeffs] = new(f.zero)
+        self.one = ids[f.one.coeffs] = new(f.one)
+        self.translations = [ids[d.coeffs] for d in model.translations]
+
+    def key(self, cv: CharacteristicVector):
+        """A vector's length id and neighbour ids."""
+        ids = self.ids
+        return ids[cv.length.coeffs], tuple([ids[n.coeffs]
+                                             for n in cv.neighbours])
+
+    def sign_diff(self, a, b):
+        """The exact sign of a - b."""
+        return self.signs[a, b]
+
+
+def children(parent: CharacteristicVector, model: Model,
+             table: ValueTable | None = None):
     """Children of a vertex, left to right: (vector, matrix, offset) triples.
 
     The matrix has one row per parent neighbour and one column per child
@@ -155,24 +230,21 @@ def children(parent: CharacteristicVector, model: Model):
     Map l's image from row neighbour c is [x, x + rho], x = d_l - c. It covers
     child [t, u] iff rank(x) <= rank(t) and rank(x + rho) >= rank(u) in one
     certified sort (exact; see the module docstring), giving (t - x) / rho.
+    The arithmetic runs on ``table``, the closure's values; without one the
+    step makes its own.
     """
-    f = model.field
-    rho, inv_rho, weights = model.step_constants
-    L = len(model.translations)
-    ell = parent.length.coeffs
+    T = ValueTable(model) if table is None else table
+    L = len(T.translations)
+    ell, ns = T.key(parent)
     # x = d_l - c for row j (neighbour c) and map l, at index j * L + l
-    xs = [minus(dl.coeffs, c.coeffs)
-          for c in parent.neighbours for dl in model.translations]
-    ends = [plus(x, rho) for x in xs]
-    zero = f.zero.coeffs
-    pool = sort_unique([zero, ell] + xs + ends, f)
-    rank = {c: r for r, c in enumerate(pool)}
-    first = rank[zero]
+    xs = [T.sub[dl, c] for c in ns for dl in T.translations]
+    ends = [T.shift[x] for x in xs]
+    pool = sort_unique([T.zero, ell] + xs + ends, T)
+    rank = {v: r for r, v in enumerate(pool)}
+    first = rank[T.zero]
     cuts = pool[first:rank[ell] + 1]
     spans = [(rank[x], rank[e]) for x, e in zip(xs, ends)]
-
-    def stored(coeffs):
-        return FieldElement(f, canonical(coeffs))
+    values, weights = T.values, T.weights
 
     out = []
     for i, (t, u) in enumerate(zip(cuts, cuts[1:]), start=first):
@@ -185,7 +257,7 @@ def children(parent: CharacteristicVector, model: Model):
             raise InternalInconsistency(
                 "child interval covered by no map; invalid model or bug")
         order = sorted(covering, reverse=True)
-        rows = [[0] * len(order) for _ in parent.neighbours]
+        rows = [[0] * len(order) for _ in ns]
         for k, rx in enumerate(order):
             for j, l in covering[rx]:
                 rows[j][k] = weights[l]
@@ -194,49 +266,54 @@ def children(parent: CharacteristicVector, model: Model):
             if not any(r):
                 raise InternalInconsistency(
                     "transition matrix has an all-zero row; invalid model or bug")
+        length = T.div[u, t]
+        neighbours = [T.div[t, pool[rx]] for rx in order]
+        _check_cv(length, neighbours, T)
         cv = CharacteristicVector(
-            length=stored(vec_mat(minus(u, t), inv_rho)),
-            neighbours=tuple(stored(vec_mat(minus(t, pool[rx]), inv_rho))
-                             for rx in order))
-        _check_cv(cv, f)
-        # the first cut is 0: its offset shares the field's zero element
-        out.append((cv, matrix, stored(t) if i > first else f.zero))
+            length=values[length],
+            neighbours=tuple([values[n] for n in neighbours]))
+        out.append((cv, matrix, values[t]))
     return out
 
 
-def _check_cv(cv: CharacteristicVector, f):
-    """Sign tests on coefficient tuples that every child must pass."""
-    if not cv.neighbours:
+def _check_cv(ell, ns, T: ValueTable):
+    """Sign tests that every child must pass, on its length id ``ell`` and
+    neighbour ids ``ns`` in ``T``."""
+    if not ns:
         raise InternalInconsistency("empty neighbour set")
-    one = f.one.coeffs
-    ell = cv.length.coeffs
-    if f.sign_of(ell) <= 0 or f.sign_of(minus(ell, one)) > 0:
+    sign = T.signs
+    if sign[ell, T.zero] <= 0 or sign[ell, T.one] > 0:
         raise InternalInconsistency("normalized length outside (0, 1]")
-    if f.sign_of(cv.neighbours[0].coeffs) < 0:
+    if sign[ns[0], T.zero] < 0:
         raise InternalInconsistency("negative neighbour offset")
-    if f.sign_of(minus(plus(cv.neighbours[-1].coeffs, ell), one)) > 0:
+    if sign[ns[-1], T.sub[T.one, ell]] > 0:
         raise InternalInconsistency("neighbour offset exceeds 1 - length")
 
 
 def build_graph(model: Model, cap_cvs: int = 10000) -> TransitionGraph:
     """Breadth-first closure from the unit interval's vector (1, (0)).
 
+    One ``ValueTable`` serves the whole closure and is dropped with it:
+    equal values in the graph share one element, and the next call starts
+    from the field alone.
+
     Every 1,000 new vertices it logs, at DEBUG on this module's logger, the
     vertices found, the vertices still queued and the edges so far."""
     if cap_cvs < 1:
         raise ValueError("cap_cvs must be >= 1")
     f = model.field
+    table = ValueTable(model)
     root = CharacteristicVector(length=f.one, neighbours=(f.zero,))
-    ids = {root.key(): 1}
+    ids = {table.key(root): 1}
     cvs = [root]
     edges = []
     queue = deque([1])
     while queue:
         vid = queue.popleft()
-        raw = children(cvs[vid - 1], model)
+        raw = children(cvs[vid - 1], model, table)
         merged: dict = {}
         for cv, matrix, t in raw:
-            ck = cv.key()
+            ck = table.key(cv)
             child_id = ids.get(ck)
             if child_id is None:
                 if len(cvs) >= cap_cvs:
@@ -277,13 +354,15 @@ def export_dot(graph: TransitionGraph, classes=None) -> str:
                 looped |= members
     lines = ["digraph transition {", "  rankdir=LR;",
              "  node [shape=circle, fontsize=11];"]
+    shown: dict = {}
     for i, cv in enumerate(graph.cvs, start=1):
         style = ""
         if i in essential:
             style = ', style=filled, fillcolor="lightsteelblue"'
         elif i in looped:
             style = ', style=filled, fillcolor="lightgoldenrod"'
-        lines.append(f'  {i} [label="{i}", tooltip="{cv.describe()}"{style}];')
+        tip = cv.describe(shown=shown)
+        lines.append(f'  {i} [label="{i}", tooltip="{tip}"{style}];')
     for e in graph.edges:
         for _ in range(e.multiplicity):
             lines.append(f"  {e.parent} -> {e.child};")

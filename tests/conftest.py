@@ -15,7 +15,8 @@ from finitype.netgraph import build_graph
 
 
 # Wall-clock seconds a test may run before it fails; the slowest test takes
-# under 20 s, so only a test that does not terminate gets near it.
+# about 4 s on a shared 2-core host, so only a test that does not
+# terminate gets near it.
 TEST_TIME_LIMIT = 300
 
 

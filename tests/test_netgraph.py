@@ -2,12 +2,13 @@
 
 import logging
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finitype import netgraph
+from finitype import exactfield, netgraph
 from finitype.catalog import example_names
 from finitype.dimcalc import mat_mul
 from finitype.errors import CapExceeded, InternalInconsistency
@@ -24,6 +25,7 @@ from finitype.netgraph import (
 )
 
 from conftest import bernoulli_ifs, catalog_graph, catalog_model, golden_ifs
+from test_exactfield import _float_defeating_pair
 from test_graph_fingerprints import FINGERPRINT_NAMES
 
 
@@ -157,9 +159,10 @@ def _golden_cv(field, length, neighbours):
 ])
 def test_check_cv_rejects_each_inconsistency(golden_model, length,
                                              neighbours, message):
+    table = netgraph.ValueTable(golden_model)
     cv = _golden_cv(golden_model.field, length, neighbours)
     with pytest.raises(InternalInconsistency, match=message):
-        netgraph._check_cv(cv, golden_model.field)
+        netgraph._check_cv(*table.key(cv), table)
 
 
 @pytest.mark.parametrize("length,neighbours", [
@@ -167,8 +170,9 @@ def test_check_cv_rejects_each_inconsistency(golden_model, length,
     ((0, 1), ((0, 0), (1, -1))),       # the last offset is exactly 1 - rho
 ])
 def test_check_cv_accepts_boundary_vectors(golden_model, length, neighbours):
-    netgraph._check_cv(_golden_cv(golden_model.field, length, neighbours),
-                       golden_model.field)
+    table = netgraph.ValueTable(golden_model)
+    cv = _golden_cv(golden_model.field, length, neighbours)
+    netgraph._check_cv(*table.key(cv), table)
 
 
 def test_matrix_row_column_structure(golden_square_model):
@@ -386,10 +390,13 @@ def test_children_match_reference(name, golden_square_skewed_model,
         return sort_unique(values, field)
 
     monkeypatch.setattr(netgraph, "sort_unique", counted)
+    # one table across the closure, in its discovery order, as build_graph
+    # carries it
+    table = netgraph.ValueTable(model)
     for vid in range(1, len(graph) + 1):
         parent = graph.cv(vid)
         del calls[:]
-        kids = children(parent, model)
+        kids = children(parent, model, table)
         assert len(calls) == 1, (name, vid)   # one certified sort per vertex
         assert _exact_repr(kids) == _exact_repr(
             _reference_children(parent, model)), (name, vid)
@@ -414,14 +421,16 @@ def _half_integral_model():
 
 def _check_first_vertices(model, n):
     """Compare ``children`` with the reference on the first ``n`` vertices of
-    the breadth-first closure, which the reference step discovers."""
+    the breadth-first closure, which the reference step discovers; one value
+    table serves them all."""
     f = model.field
+    table = netgraph.ValueTable(model)
     queue = [CharacteristicVector(length=f.one, neighbours=(f.zero,))]
     seen = {queue[0].key()}
     for i in range(n):
         parent = queue[i]
         expected = _reference_children(parent, model)
-        assert _exact_repr(children(parent, model)) == \
+        assert _exact_repr(children(parent, model, table)) == \
             _exact_repr(expected), i + 1
         for cv, _, _ in expected:
             if cv.key() not in seen:
@@ -461,3 +470,64 @@ def test_inv_rho_matrix_matches_field_product(data, name):
     raw = vec_mat(v, inv_rho)
     assert raw == list(expected)
     assert _typed(canonical(raw)) == _typed(expected)
+
+
+# ------------------------------------------------------ the closure's values
+
+def test_value_table_interns_raw_and_canonical_once(golden_model):
+    raw, exact = (Fraction(3), Fraction(1, 2)), (3, Fraction(1, 2))
+    for first, second in [(exact, raw), (raw, exact)]:
+        table = netgraph.ValueTable(golden_model)
+        i = table.ids[first]
+        assert table.ids[second] == i
+        assert _typed(table.values[i].coeffs) == \
+            [(int, 3), (Fraction, Fraction(1, 2))]
+    # the field's own 0 and 1 are the table's
+    assert table.values[table.zero] is golden_model.field.zero
+    assert table.values[table.one] is golden_model.field.one
+
+
+@pytest.mark.parametrize("name", _CHILDREN_NAMES + ["golden_square_skewed"])
+def test_equal_graph_values_are_one_object(name, golden_square_skewed_model):
+    graph = (build_graph(golden_square_skewed_model)
+             if name == "golden_square_skewed" else catalog_graph(name))
+    values = [x for cv in graph.cvs for x in (cv.length, *cv.neighbours)]
+    values += [x for e in graph.edges for x in e.offsets]
+    assert len({id(x) for x in values}) == len({x.coeffs for x in values})
+
+
+@pytest.mark.parametrize("kind", ["tie", "inf", "overflow"])
+def test_value_table_sort_is_exact_when_floats_fail(kind, golden_model,
+                                                    monkeypatch):
+    calls = []
+
+    def counting(cmp):
+        calls.append(cmp)
+        return cmp_to_key(cmp)
+
+    monkeypatch.setattr(exactfield, "cmp_to_key", counting)
+    table = netgraph.ValueTable(golden_model)
+    hi, lo = (table.ids[x.coeffs] for x in _float_defeating_pair(kind))
+    assert sort_unique([hi, lo, hi], table) == [lo, hi]
+    assert len(calls) == 1
+
+
+def test_closure_work_is_bounded(monkeypatch):
+    # counts, not timings: the parent of the value table took 108,823 sign
+    # tests and 54,376 divisions by rho on this 1809-vertex graph
+    model = catalog_model("bc_x3_plus_x2_minus_1")
+    counts = {"sign_of": 0, "vec_mat": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(NumberField, "sign_of",
+                        counted("sign_of", NumberField.sign_of))
+    monkeypatch.setattr(netgraph, "vec_mat",
+                        counted("vec_mat", netgraph.vec_mat))
+    assert len(build_graph(model)) == 1809
+    assert counts["sign_of"] <= 15_000
+    assert counts["vec_mat"] <= 1_000
