@@ -4,21 +4,18 @@ A field is described by an integer polynomial (ascending coefficients) together
 with a rational interval isolating exactly one of its real roots. Elements are
 dense coefficient vectors modulo that polynomial, reduced eagerly, so an element
 is zero iff every coefficient is zero. Every order decision is an exact sign
-test by interval arithmetic on a refinable rational enclosure of the root.
-Floating point only proposes: ``sort_unique`` sorts by float approximations
-and then certifies the proposed order with exact sign tests; an order that
-fails certification is replaced by a comparison sort on those exact signs,
-which refine the enclosure as far as each comparison needs.
+test by interval arithmetic on a refinable rational enclosure of the root,
+refined as far as each test needs; no decision is taken in floating point.
 
 An element's coefficients are canonical: each is an int or a non-integral
 Fraction. The coefficient kernel (``plus``, ``minus``, ``canonical``) works
 on bare coefficient tuples with int and Fraction mixed as Python gives them,
 so a raw result may hold an integral Fraction. A raw tuple equals its
 canonical form with an equal hash (2 == Fraction(2)), so it serves as it is
-as a dict key, a sign-cache key and ``sort_unique`` input; ``canonical`` is
-applied once, to what becomes an element. The ring operations of
-``FieldElement`` are the same arithmetic followed by ``canonical``. A
-rational element equals its Fraction and hashes as it.
+as a dict key and a sign-cache key; ``canonical`` is applied once, to what
+becomes an element. The ring operations of ``FieldElement`` are the same
+arithmetic followed by ``canonical``. A rational element equals its Fraction
+and hashes as it.
 
 Irreducibility of the polynomial is not checked up front (only
 square-freeness is). With a reducible square-free polynomial the coefficient
@@ -37,7 +34,6 @@ enclosure.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
 from operator import add, sub
 
 from .errors import (
@@ -183,7 +179,7 @@ class NumberField:
 
     __slots__ = (
         "minpoly", "degree", "_lo", "_hi", "_orig",
-        "_sign_cache", "zero", "one", "_rho_f",
+        "_sign_cache", "zero", "one",
     )
 
     def __init__(self, minpoly, isolating_interval):
@@ -214,8 +210,6 @@ class NumberField:
             raise MultipleRootsInInterval(
                 f"{n} roots of {_poly_str(mp, 'x', '')} in ({lo}, {hi}); "
                 "shrink the interval")
-        if hi > 1 and count_roots(chain, Fraction(0), Fraction(1)) == 0:
-            raise RootNotInUnitInterval("isolated root does not lie in (0, 1)")
 
         self._lo, self._hi = lo, hi
         self._orig = (lo, hi)
@@ -226,8 +220,6 @@ class NumberField:
         self.one = FieldElement(self, (1,) + (0,) * (k - 1))
 
         self.refine(128)
-        # a float of rho, for ``approx`` only
-        self._rho_f = float((self._lo + self._hi) / 2)
 
     # -- construction helpers ---------------------------------------------
 
@@ -275,10 +267,11 @@ class NumberField:
         self._lo, self._hi = lo, hi
 
     def interval_eval(self, coeffs):
-        """Rigorous rational interval for sum(coeffs[i] * rho**i) via Horner."""
+        """Rigorous rational interval for sum(coeffs[i] * rho**i) via Horner,
+        exact from the top coefficient on: a rational's interval is itself."""
         lo, hi = self._lo, self._hi
-        alo = ahi = Fraction(0)
-        for c in reversed(coeffs):
+        alo = ahi = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
             # multiply [alo, ahi] by [lo, hi]; 0 < lo <= hi
             cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
             alo, ahi = min(cands) + c, max(cands) + c
@@ -319,19 +312,6 @@ class NumberField:
         s = (lo > 0) - (hi < 0)
         self._sign_cache[coeffs] = s
         return s
-
-    def sign_diff(self, a, b):
-        """Exact sign of a - b, two raw coefficient tuples."""
-        return self.sign_of(minus(a, b))
-
-    def approx(self, coeffs):
-        """Float value of sum(coeffs[i] * rho**i) by Horner at a float of
-        rho; a proposal for ``sort_unique`` only. OverflowError when a
-        coefficient has no float."""
-        r, x = self._rho_f, 0.0
-        for c in reversed(coeffs):
-            x = x * r + float(c)
-        return x
 
     # -- misc ------------------------------------------------------------
 
@@ -518,34 +498,3 @@ def to_decimal(a: FieldElement, digits: int) -> str:
     whole, frac = divmod(n, scale)
     return f"{'-' if s < 0 else ''}{whole}.{frac:0{digits}d}"
 
-
-def sort_unique(values, field):
-    """Sort distinct values of ``field`` ascending; exact duplicates
-    collapse to their first occurrence.
-
-    ``field`` is what names the values: a ``NumberField`` for coefficient
-    tuples, or anything else with the same ``approx(v)`` (a float proposal,
-    OverflowError if there is none) and ``sign_diff(a, b)`` (the exact sign
-    of a - b), such as the graph closure's table of value ids. Coefficients
-    may be raw (see ``canonical``): 2 == Fraction(2) with equal hashes, so
-    duplicates still collapse. A floating-point filter: floats propose the
-    order and the exact sign of every adjacent difference certifies it.
-    Certified adjacent pairs make the whole list strictly increasing, so the
-    result is the exact order. If any pair fails (a float tie in the wrong
-    order, a misorder, values overflowing to inf) or a value has no float,
-    the values are sorted again by comparisons on the exact sign of each
-    difference instead. ``sign_of`` refines the enclosure of rho until it
-    decides, so that sort has no round cap.
-    """
-    vals = list(dict.fromkeys(values))
-    if len(vals) < 2:
-        return vals
-    try:
-        proposed = sorted(vals, key=field.approx)
-    except OverflowError:
-        proposed = None
-    sign_diff = field.sign_diff
-    if proposed is not None and all(sign_diff(b, a) > 0
-                                    for a, b in zip(proposed, proposed[1:])):
-        return proposed
-    return sorted(vals, key=cmp_to_key(sign_diff))

@@ -72,24 +72,6 @@ class Model:
         ``float(rho)`` (its enclosure is 1e-20 wide), one ulp from the log."""
         return log(float(self.rho()))
 
-    @cached_property
-    def step_constants(self):
-        """What the graph closure's ``netgraph.ValueTable`` uses, computed
-        once per model: rho's coefficients, division by rho as one k x k
-        matrix compiled for ``netgraph.vec_mat`` (row i holds the
-        coefficients of rho^i / rho), and the normalized weights with the
-        integral ones as int. The matrix takes raw coefficients and leaves
-        integral Fractions uncollapsed; the table canonicalizes each
-        distinct value once."""
-        from .netgraph import compile_matrix   # netgraph imports this module
-        f = self.field
-        inv_rho = f.inv_rho()
-        return (self.rho().coeffs,
-                compile_matrix([(f.element([0] * i + [1]) * inv_rho).coeffs
-                                for i in range(f.degree)]),
-                tuple(int(w) if w.denominator == 1 else w
-                      for w in self.normalized))
-
 
 def validate(ifs: Ifs, allow_irregular: bool = False) -> Model:
     """Check the standard admissibility conditions; report every violation.

@@ -9,21 +9,25 @@ weight. Closure from the unit root interval yields the finite vertex set for
 a finite-type system; ids are assigned in breadth-first discovery order, so
 rebuilds are bit-identical.
 
-A vertex's cover tests go by ranks in one certified sort of 0, its length,
+A vertex's cover tests go by ranks in one exact sort of 0, its length,
 and both ends of each image [x, x + rho], x = d_l - c for neighbour c and
 map l: the image covers child [t, u] iff rank(x) <= rank(t) and rank(x +
-rho) >= rank(u). That is exact: ``sort_unique`` certifies each adjacent pair.
+rho) >= rank(u).
 
 Finite type means few distinct values: the same offsets and lengths recur
 at vertex after vertex. So a closure works on its own ``ValueTable``: each
 distinct value gets a small int id, one canonical ``FieldElement`` and one
-float proposal, and the steps x = d_l - c, x + rho and (a - b) / rho
-(``vec_mat`` with the 1/rho matrix of ``Model.step_constants``) and the
-exact sign of each difference are memoised by operand ids. Each distinct
-value is thus built, divided by rho and ordered once per closure, and equal
-values in the graph share one element. Vertices are keyed by length id and
-neighbour ids. The table is dropped with the closure, so every closure
-starts from the field alone.
+rational enclosure, and the steps x = d_l - c, x + rho and (a - b) / rho
+(``vec_mat`` with the table's 1/rho matrix) and the exact sign of each
+difference are memoised by operand ids. The table also holds its ids in one
+ascending order: ``sort_unique`` places each new id by bisection on the
+exact signs and then sorts a vertex's ids by their place alone. Two
+enclosures that do not overlap decide a sign; only where they overlap does
+the field's ``sign_of`` decide it. Each distinct value is thus built,
+divided by rho and ordered once per closure, and equal values in the graph
+share one element. Vertices are keyed by length id and neighbour ids. The
+table is dropped with the closure, so every closure starts from the field
+alone.
 
 Products are taken on compiled matrices. ``compile_matrix`` turns a dense
 row-tuple matrix into a ``SparseMatrix``: its column count and, per row, the
@@ -43,7 +47,7 @@ from typing import NamedTuple
 
 from .errors import CapExceeded, InternalInconsistency
 from .ifsmodel import Model
-from .exactfield import FieldElement, canonical, minus, plus, sort_unique
+from .exactfield import FieldElement, canonical, minus, plus
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,9 @@ class CharacteristicVector:
     neighbours: tuple[FieldElement, ...]
 
     def key(self):
+        """The length's and neighbours' coefficient tuples. The closure keys
+        vertices by ``ValueTable.key``; this one is read by the benchmark's
+        graph fingerprint and by the tests' fingerprints and references."""
         return (self.length.coeffs, tuple(n.coeffs for n in self.neighbours))
 
     def describe(self, digits=6, shown=None):
@@ -179,30 +186,48 @@ class ValueTable:
     tuples, raw (2 or Fraction(2)) or canonical, to ids, adding new values.
     The memos map operand ids to results: ``sub[a, b]`` is the id of a - b,
     ``shift[a]`` that of a + rho, ``div[a, b]`` that of (a - b) / rho and
-    ``signs[a, b]`` the exact sign of a - b. ``approx`` and ``sign_diff``
-    name the values for ``sort_unique``."""
+    ``signs[a, b]`` the exact sign of a - b. ``order`` lists the ids placed
+    so far, ascending, and ``rank`` maps each to its index there (see
+    ``sort_unique``). ``inv_rho`` is division by rho as a k x k matrix
+    compiled for ``vec_mat``: row i holds the coefficients of rho^i / rho.
+    It takes raw coefficients and leaves integral Fractions uncollapsed;
+    ``ids`` canonicalizes each distinct value once."""
 
     def __init__(self, model: Model):
         f = model.field
-        rho, inv_rho, self.weights = model.step_constants
+        rho, r_inv = f.rho().coeffs, f.inv_rho()
+        inv_rho = self.inv_rho = compile_matrix([
+            (f.element([0] * i + [1]) * r_inv).coeffs
+            for i in range(f.degree)])
+        self.weights = tuple(int(w) if w.denominator == 1 else w
+                             for w in model.normalized)
         v = self.values = []
+        enclosures = []     # value i's rational enclosure, taken once
 
         def new(element):
             v.append(element)
+            enclosures.append(f.interval_eval(element.coeffs))
             return len(v) - 1
 
         def operands(k):
             return v[k[0]].coeffs, v[k[1]].coeffs
+
+        def sign(k):
+            (alo, ahi), (blo, bhi) = enclosures[k[0]], enclosures[k[1]]
+            if ahi < blo:
+                return -1
+            if alo > bhi:
+                return 1
+            return f.sign_of(minus(*operands(k)))
 
         ids = self.ids = _Memo(lambda c: new(FieldElement(f, canonical(c))))
         self.sub = _Memo(lambda k: ids[minus(*operands(k))])
         self.shift = _Memo(lambda a: ids[plus(v[a].coeffs, rho)])
         self.div = _Memo(
             lambda k: ids[tuple(vec_mat(minus(*operands(k)), inv_rho))])
-        self.signs = _Memo(lambda k: f.sign_diff(*operands(k)))
-        # value i's float proposal; one that raises OverflowError is not
-        # kept, so every sort holding that value falls back
-        self.approx = _Memo(lambda i: f.approx(v[i].coeffs)).__getitem__
+        self.signs = _Memo(sign)
+        self.order = []
+        self.rank = {}
         # the field's own 0 and 1, so the root's values are shared too
         self.zero = ids[f.zero.coeffs] = new(f.zero)
         self.one = ids[f.one.coeffs] = new(f.one)
@@ -214,9 +239,31 @@ class ValueTable:
         return ids[cv.length.coeffs], tuple([ids[n.coeffs]
                                              for n in cv.neighbours])
 
-    def sign_diff(self, a, b):
-        """The exact sign of a - b."""
-        return self.signs[a, b]
+
+def sort_unique(values, table: ValueTable):
+    """The distinct ids among ``values``, ascending by their values in
+    ``table``.
+
+    An id not yet in ``table.order`` is placed there once, by bisection on
+    the table's exact signs, and ``table.rank`` is renumbered; the ids are
+    then sorted by rank alone. Distinct ids are distinct values, so the
+    order is strict and exact.
+    """
+    vals = set(values)
+    new = vals.difference(table.rank)
+    if new:
+        order, signs = table.order, table.signs
+        for x in new:
+            lo, hi = 0, len(order)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if signs[x, order[mid]] < 0:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            order.insert(lo, x)
+        table.rank = {x: r for r, x in enumerate(order)}
+    return sorted(vals, key=table.rank.__getitem__)
 
 
 def children(parent: CharacteristicVector, model: Model,
@@ -229,7 +276,7 @@ def children(parent: CharacteristicVector, model: Model,
 
     Map l's image from row neighbour c is [x, x + rho], x = d_l - c. It covers
     child [t, u] iff rank(x) <= rank(t) and rank(x + rho) >= rank(u) in one
-    certified sort (exact; see the module docstring), giving (t - x) / rho.
+    exact sort (see the module docstring), giving (t - x) / rho.
     The arithmetic runs on ``table``, the closure's values; without one the
     step makes its own.
     """

@@ -5,8 +5,8 @@ definitions by enumerating all words of a given length in exact field
 arithmetic: level endpoints, net intervals, neighbour sets, and the
 normalized weight vectors. None of it touches the graph code, so exact
 agreement between the two is meaningful. Points and neighbour offsets are
-ordered by a comparison sort on exact sign tests (``compare``), never by the
-float proposal that the graph closure's ``sort_unique`` tries first. The graph side,
+ordered by a comparison sort on exact sign tests (``compare``), not by the
+graph closure's value table and its ``sort_unique``. The graph side,
 ``expand_graph``, multiplies by each edge's compiled matrix with
 ``netgraph.vec_mat``, the product kernel the dimension code uses too.
 """

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import catalog_model
+from conftest import bernoulli_ifs, catalog_model
 from finitype.errors import (
     MultipleRootsInInterval,
     NoRootInInterval,
@@ -15,11 +15,12 @@ from finitype.errors import (
     NotSquareFree,
     RootNotInUnitInterval,
 )
-from finitype import exactfield
+from finitype import netgraph
 from finitype.exactfield import (
     EQ, GT, LT,
-    FieldElement, NumberField, compare, sort_unique, to_decimal,
+    NumberField, compare, to_decimal,
 )
+from finitype.ifsmodel import validate
 
 
 def golden_field():
@@ -111,19 +112,31 @@ def test_compare_reflexive():
     assert compare(x, x) == EQ
 
 
-def _coeffs(elements):
-    return [e.coeffs for e in elements]
+# ---------------------------------------------- ordering on a closure's table
+
+def _golden_table():
+    """The value table of a golden-ratio closure, and its field."""
+    model = validate(bernoulli_ifs([-1, 1, 1], (Fraction(1, 2), Fraction(7, 10))))
+    return netgraph.ValueTable(model), model.field
+
+
+def _sorted_by_table(table, elements):
+    """``netgraph.sort_unique`` on the ids of ``elements``, as elements."""
+    ids = table.ids
+    return [table.values[i] for i in netgraph.sort_unique(
+        [ids[e.coeffs] for e in elements], table)]
 
 
 def test_sort_unique_dedupes_exactly():
-    f = golden_field()
+    table, f = _golden_table()
     r = f.rho()
-    out = sort_unique(_coeffs([r * r, 1 - r, f.zero, r]), f)  # r*r == 1-r
-    assert out == _coeffs([f.zero, r * r, r])
+    out = _sorted_by_table(table, [r * r, 1 - r, f.zero, r])  # r*r == 1-r
+    assert out == [f.zero, r * r, r]
+    assert table.order == [table.ids[x.coeffs] for x in out]
 
 
 def _float_defeating_pair(kind):
-    """Two elements, larger first, whose float proposal cannot order them."""
+    """Two elements, larger first, whose floats cannot order them."""
     f = golden_field()
     r = f.rho()
     if kind == "tie":      # differ far below a double's resolution
@@ -134,61 +147,36 @@ def _float_defeating_pair(kind):
     return [f.element([10 ** 400, 1]), f.element([10 ** 400])]  # no float
 
 
-# The fallback is the one comparison sort in exactfield, so hooking
-# cmp_to_key there sees whether sort_unique reached it.
-
-@pytest.mark.parametrize("kind", ["tie", "inf", "overflow"])
-def test_sort_unique_falls_back_when_floats_fail(kind, monkeypatch):
-    calls = []
-
-    def counting(cmp):
-        calls.append(cmp)
-        return cmp_to_key(cmp)
-
-    monkeypatch.setattr(exactfield, "cmp_to_key", counting)
-    hi, lo = _float_defeating_pair(kind)
-    assert sort_unique(_coeffs([hi, lo, hi]), hi.field) == _coeffs([lo, hi])
-    assert len(calls) == 1
-
-
-def test_sort_unique_certified_without_fallback(monkeypatch):
-    def fail(cmp):
-        raise AssertionError("fallback reached")
-
-    monkeypatch.setattr(exactfield, "cmp_to_key", fail)
-    f = golden_field()
-    r = f.rho()
-    assert sort_unique(_coeffs([f.one, r, 2 * r - 1, f.zero, r * r]), f) == \
-        _coeffs([f.zero, 2 * r - 1, r * r, r, f.one])
-
-
-_SORT_FIELDS = {
-    "golden": golden_field(),
-    "cubic": NumberField([-1, 0, 1, 1], (Fraction(7, 10), Fraction(4, 5))),
+_SORT_MODELS = {
+    "golden": validate(bernoulli_ifs([-1, 1, 1],
+                                     (Fraction(1, 2), Fraction(7, 10)))),
+    "cubic": validate(bernoulli_ifs([-1, 0, 1, 1],
+                                    (Fraction(7, 10), Fraction(4, 5)))),
 }
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), name=st.sampled_from(sorted(_SORT_FIELDS)))
+@given(data=st.data(), name=st.sampled_from(sorted(_SORT_MODELS)))
 def test_sort_unique_matches_exact_sort(data, name):
-    f = _SORT_FIELDS[name]
+    model = _SORT_MODELS[name]
+    f = model.field
     coeffs = st.lists(st.integers(-6, 6), min_size=f.degree,
                       max_size=f.degree)
     elems = [f.element(c) for c in data.draw(st.lists(coeffs, max_size=12))]
-    # a twin just above each value, listed first, ties it in floats in the
-    # wrong order, so the second list takes the comparison sort
+    # a twin just above each value, listed first, ties it in floats; the
+    # second sort places the twins among the values the first one placed
     twins = [e + Fraction(1, 2 ** 70) for e in elems]
+    table = netgraph.ValueTable(model)
     for values in (elems, twins + elems):
-        out = [FieldElement(f, c) for c in sort_unique(_coeffs(values), f)]
-        assert set(out) == set(values)
-        assert all(compare(a, b) == LT for a, b in zip(out, out[1:]))
+        assert _sorted_by_table(table, values) == \
+            sorted(set(values), key=cmp_to_key(compare))
 
 
 def test_sort_unique_orders_a_tiny_value_with_huge_coefficients():
     # rho^3001 = -F_3000 + F_3001 rho for golden rho: 627-digit coefficients
-    # with no float, and a value near 10^-627 that no fixed number of
-    # refinement rounds separates from 0
-    f = golden_field()
+    # with no float, and a value near 10^-627 whose enclosure overlaps 0's
+    # until the field refines rho far enough
+    table, f = _golden_table()
     a, b = 0, 1
     for _ in range(3000):
         a, b = b, a + b
@@ -197,7 +185,8 @@ def test_sort_unique_orders_a_tiny_value_with_huge_coefficients():
     for _ in range(3001):
         power = power * f.rho()
     assert power.coeffs == tiny
-    assert sort_unique([tiny, (0, 0)], f) == [(0, 0), tiny]
+    ids = [table.ids[tiny], table.zero]
+    assert netgraph.sort_unique(ids, table) == ids[::-1]
 
 
 # ------------------------------------------------------------------ rendering

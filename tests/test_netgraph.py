@@ -1,5 +1,6 @@
 """Graph construction against hand-checked exact structure."""
 
+import gc
 import logging
 from fractions import Fraction
 from functools import cmp_to_key
@@ -8,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finitype import exactfield, netgraph
+from finitype import netgraph
 from finitype.catalog import example_names
 from finitype.dimcalc import mat_mul
 from finitype.errors import CapExceeded, InternalInconsistency
-from finitype.exactfield import FieldElement, NumberField, canonical, sort_unique
+from finitype.exactfield import NumberField, canonical, compare
 from finitype.ifsmodel import Ifs, uniform_probabilities, validate
 from finitype.loopclasses import classify_all
 from finitype.netgraph import (
@@ -307,9 +308,10 @@ def test_edges_compile_lazily_once(golden_square_skewed_model):
 
 # ------------------------------------------ children against the pair scan
 
-def _sorted_elements(elements, f):
-    return [FieldElement(f, c)
-            for c in sort_unique([e.coeffs for e in elements], f)]
+def _sorted_elements(elements):
+    """Distinct elements in their exact order, by a comparison sort on
+    ``compare``: no code of the closure's value table."""
+    return sorted(elements, key=cmp_to_key(compare))
 
 
 def _reference_children(parent, model):
@@ -332,7 +334,7 @@ def _reference_children(parent, model):
             cands.append(base + rho)
     inside = [x for x in {e.coeffs: e for e in cands}.values()
               if x.sign() > 0 and (ell - x).sign() > 0]
-    cuts = [f.zero] + _sorted_elements(inside, f) + [ell]
+    cuts = [f.zero] + _sorted_elements(inside) + [ell]
 
     out = []
     for i in range(len(cuts) - 1):
@@ -353,7 +355,7 @@ def _reference_children(parent, model):
                     seen[k] = (a, [])
                 seen[k][1].append((j, l))
         assert seen
-        neigh = _sorted_elements([v[0] for v in seen.values()], f)
+        neigh = _sorted_elements([v[0] for v in seen.values()])
         J, K = len(parent.neighbours), len(neigh)
         rows = [[0] * K for _ in range(J)]
         for k_idx, a in enumerate(neigh):
@@ -384,10 +386,11 @@ def test_children_match_reference(name, golden_square_skewed_model,
     else:
         model, graph = catalog_model(name), catalog_graph(name)
     calls = []
+    sort_unique = netgraph.sort_unique
 
-    def counted(values, field):
+    def counted(values, table):
         calls.append(len(values))
-        return sort_unique(values, field)
+        return sort_unique(values, table)
 
     monkeypatch.setattr(netgraph, "sort_unique", counted)
     # one table across the closure, in its discovery order, as build_graph
@@ -397,7 +400,7 @@ def test_children_match_reference(name, golden_square_skewed_model,
         parent = graph.cv(vid)
         del calls[:]
         kids = children(parent, model, table)
-        assert len(calls) == 1, (name, vid)   # one certified sort per vertex
+        assert len(calls) == 1, (name, vid)   # one exact sort per vertex
         assert _exact_repr(kids) == _exact_repr(
             _reference_children(parent, model)), (name, vid)
 
@@ -464,7 +467,7 @@ _RAW_COORDS = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70),
 def test_inv_rho_matrix_matches_field_product(data, name):
     model = _INV_RHO_MODELS[name]
     f = model.field
-    _, inv_rho, _ = model.step_constants
+    inv_rho = netgraph.ValueTable(model).inv_rho
     v = data.draw(st.lists(_RAW_COORDS, min_size=f.degree, max_size=f.degree))
     expected = (f.element(v) * f.inv_rho()).coeffs
     raw = vec_mat(v, inv_rho)
@@ -497,26 +500,41 @@ def test_equal_graph_values_are_one_object(name, golden_square_skewed_model):
 
 
 @pytest.mark.parametrize("kind", ["tie", "inf", "overflow"])
-def test_value_table_sort_is_exact_when_floats_fail(kind, golden_model,
-                                                    monkeypatch):
-    calls = []
-
-    def counting(cmp):
-        calls.append(cmp)
-        return cmp_to_key(cmp)
-
-    monkeypatch.setattr(exactfield, "cmp_to_key", counting)
+def test_value_table_sort_is_exact_when_floats_fail(kind, golden_model):
     table = netgraph.ValueTable(golden_model)
     hi, lo = (table.ids[x.coeffs] for x in _float_defeating_pair(kind))
-    assert sort_unique([hi, lo, hi], table) == [lo, hi]
-    assert len(calls) == 1
+    assert netgraph.sort_unique([hi, lo, hi], table) == [lo, hi]
+    assert table.order == [lo, hi]
+
+
+def test_value_table_goes_with_its_closure(golden_square_model):
+    # the table holds no reference cycle, so it is freed when build_graph
+    # returns, not at some later garbage collection
+    def tables():
+        return sum(isinstance(o, netgraph.ValueTable)
+                   for o in gc.get_objects())
+
+    gc.disable()
+    try:
+        before = tables()
+        build_graph(golden_square_model)
+        assert tables() == before
+    finally:
+        gc.enable()
 
 
 def test_closure_work_is_bounded(monkeypatch):
-    # counts, not timings: the parent of the value table took 108,823 sign
-    # tests and 54,376 divisions by rho on this 1809-vertex graph
-    model = catalog_model("bc_x3_plus_x2_minus_1")
-    counts = {"sign_of": 0, "vec_mat": 0}
+    # counts, not timings: before the value table this 1809-vertex graph
+    # took 108,823 sign tests and 54,376 divisions by rho; before the
+    # table's enclosures, 847 sign tests
+    model = catalog_model("bc_x3_plus_x2_minus_1")   # a fresh field
+    counts = {"sign_of": 0, "interval_eval": 0, "vec_mat": 0}
+    tables = []
+
+    class Recorded(netgraph.ValueTable):
+        def __init__(self, model):
+            super().__init__(model)
+            tables.append(self)
 
     def counted(name, fn):
         def call(*args):
@@ -526,8 +544,14 @@ def test_closure_work_is_bounded(monkeypatch):
 
     monkeypatch.setattr(NumberField, "sign_of",
                         counted("sign_of", NumberField.sign_of))
+    monkeypatch.setattr(NumberField, "interval_eval",
+                        counted("interval_eval", NumberField.interval_eval))
     monkeypatch.setattr(netgraph, "vec_mat",
                         counted("vec_mat", netgraph.vec_mat))
+    monkeypatch.setattr(netgraph, "ValueTable", Recorded)
     assert len(build_graph(model)) == 1809
-    assert counts["sign_of"] <= 15_000
+    [table] = tables
+    assert counts["sign_of"] <= 100
+    # one enclosure per distinct value, and none inside sign_of
+    assert counts["interval_eval"] <= len(table.values)
     assert counts["vec_mat"] <= 1_000
