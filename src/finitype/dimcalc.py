@@ -11,18 +11,20 @@ smaller dimensions.
 Products are taken with ``netgraph.vec_mat`` on compiled matrices
 (``netgraph.SparseMatrix``: per row, the ``(column, entry)`` pairs of the
 nonzero entries). An edge's compiled matrix is its ``sparse`` attribute,
-built once; a matrix formed here, such as a shifted block or its square, is
-compiled once where it is formed. Products come back dense, as row tuples.
+built once; a matrix formed here, such as a shifted block, is compiled once
+where it is formed. Products come back dense, as row tuples.
 
-Spectral radii come with certified rational enclosures: Collatz-Wielandt
-quotients of an exactly-computed iteration on each irreducible diagonal block,
-with a unit shift to kill periodicity, and repeated squaring as a fallback
-accelerator. Norm products are evaluated exactly, and no exact value becomes
-a float: per-step values are carried as logs (``_flog``), ``_dims`` turns
-them into dimension ends padded outward for rounding, and per-step floats are
-for display only. Float logs of each walk's smallest and largest column sum
-screen which cycles the search certifies, but never become reported values.
-The search returns its walks as plain edge paths and certifies no others.
+Spectral radii come with certified rational enclosures of relative width at
+most ``_REL_TOL``: Collatz-Wielandt quotients of an exact integer iteration
+on each irreducible diagonal block, with a unit shift to kill periodicity,
+and where the iteration stalls, Sturm bisection of its bracket to the
+largest real root of the block's characteristic polynomial. Norm products
+are evaluated exactly, and no exact value becomes a float: per-step values
+are carried as logs (``_flog``), ``_dims`` turns them into dimension ends
+padded outward for rounding, and per-step floats are for display only.
+Float logs of each walk's smallest and largest column sum screen which
+cycles the search certifies, but never become reported values. The search
+returns its walks as plain edge paths and certifies no others.
 
 Norm bounds never walk every admissible path. Each row- or column-sum
 functional is monotone in the row vector carried along a walk, and every
@@ -53,11 +55,11 @@ from .errors import (
     SubsetInvalidForClass,
     ZeroRow,
 )
+from .exactfield import largest_root
 from .ifsmodel import Model
 from .loopclasses import LoopClass, classify_all, strongly_connected_components
 from .netgraph import SparseMatrix, TransitionGraph, compile_matrix, vec_mat
 
-_EXACT_SQRT_SCALE = 10 ** 40
 _REL_TOL = Fraction(1, 10 ** 10)   # relative width of a converged enclosure
 
 
@@ -68,6 +70,22 @@ _REL_TOL = Fraction(1, 10 ** 10)   # relative width of a converged enclosure
 def mat_mul(A, B: SparseMatrix):
     """Product of a row-tuple matrix and a compiled matrix, as row tuples."""
     return tuple([tuple(vec_mat(row, B)) for row in A])
+
+
+def char_poly(matrix):
+    """Ascending coefficients of det(xI - matrix), exactly, by
+    Faddeev-LeVerrier: M_1 = I, M_k = A M_(k-1) + c_(n-k+1) I and
+    c_(n-k) = -tr(A M_k) / k, with c_n = 1."""
+    n = len(matrix)
+    S = compile_matrix(matrix)
+    coeffs = [0] * n + [1]
+    AM = [[0] * n] * n  # A M_0
+    for k in range(1, n + 1):
+        c = coeffs[n - k + 1]
+        AM = mat_mul([[x + c if i == j else x for j, x in enumerate(row)]
+                      for i, row in enumerate(AM)], S)
+        coeffs[n - k] = -Fraction(sum(AM[i][i] for i in range(n)), k)
+    return coeffs
 
 
 def product_along(edges):
@@ -102,18 +120,6 @@ def _exp(y: float) -> float:
 # certified spectral radius
 # ----------------------------------------------------------------------------
 
-def _sqrt_bounds(f: Fraction, lower: bool) -> Fraction:
-    """Directed rational square root via integer isqrt."""
-    num = f.numerator * _EXACT_SQRT_SCALE * _EXACT_SQRT_SCALE
-    q, r = divmod(num, f.denominator)
-    root = math.isqrt(q)
-    if lower:
-        return Fraction(root, _EXACT_SQRT_SCALE)
-    if root * root < q or r:
-        root += 1
-    return Fraction(root, _EXACT_SQRT_SCALE)
-
-
 def _quotient_extremes(w, v):
     """min and max of the quotients w_i / v_i, for positive integers v_i, as
     Fractions; compared by cross-multiplication, so only the two extremes
@@ -128,55 +134,31 @@ def _quotient_extremes(w, v):
     return Fraction(lo_w, lo_v), Fraction(hi_w, hi_v)
 
 
-def _iter_bounds(A: SparseMatrix):
-    """Collatz-Wielandt enclosure of sp(A) for A nonnegative with positive
-    diagonal (so aperiodic on each irreducible piece); A is used as given."""
-    v = [1] * len(A.rows)
+def _block_spectral_bounds(block):
+    """Certified enclosure of sp(block) for an irreducible nonnegative block,
+    of relative width at most ``_REL_TOL``. A Collatz-Wielandt iteration runs
+    in integers on d (block + I), d the lcm of the entries' denominators: the
+    unit shift removes periodicity, sp(block + I) = sp(block) + 1. Where it
+    stalls, with eigenvalues close to the Perron root, its bracket is
+    bisected to the largest real root of det(xI - block), the Perron root."""
+    if len(block) == 1:
+        return (Fraction(block[0][0]),) * 2
+    d = math.lcm(*(x.denominator for row in block for x in row))
+    A = compile_matrix([[int(x * d) + (d if i == j else 0)
+                         for j, x in enumerate(row)]
+                        for i, row in enumerate(block)])
+    v = [1] * len(block)
     for _ in range(300):
         w = vec_mat(v, A)
         lo, hi = _quotient_extremes(w, v)
         if hi - lo <= _REL_TOL / 4 * hi:
             break
-        v = _rescale_positive(w)
+        shift = max(w).bit_length() - 256  # past 512 bits, back to 256
+        v = [max(1, x >> shift) for x in w] if shift > 256 else w
+    lo, hi = lo / d - 1, hi / d - 1
+    if hi - lo > _REL_TOL * hi:
+        lo, hi = largest_root(char_poly(block), lo, hi, _REL_TOL)
     return lo, hi
-
-
-def _rescale_positive(w):
-    """Round a positive rational vector to bounded integers; keeps positivity."""
-    scale = 1
-    for x in w:
-        if isinstance(x, Fraction):
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
-    ints = [int(x * scale) for x in w]
-    top = max(ints)
-    if top.bit_length() > 512:
-        shift = top.bit_length() - 256
-        ints = [max(1, x >> shift) for x in ints]
-    return ints
-
-
-def _block_spectral_bounds(block):
-    """Certified enclosure of sp(block) for an irreducible nonnegative block;
-    repeated squaring accelerates a slowly mixing block, up to 2 ** 6."""
-    n = len(block)
-    if n == 1:
-        x = Fraction(block[0][0])
-        return x, x
-    # unit shift removes periodicity; sp(block + I) = sp(block) + 1
-    A = tuple(tuple(block[i][j] + (1 if i == j else 0) for j in range(n))
-              for i in range(n))
-    exponent = 0  # A is (block + I) ** (2 ** exponent)
-    while True:
-        S = compile_matrix(A)
-        lo, hi = _iter_bounds(S)
-        for _ in range(exponent):
-            lo = _sqrt_bounds(lo, lower=True)
-            hi = _sqrt_bounds(hi, lower=False)
-        lo, hi = lo - 1, hi - 1
-        if hi <= 0 or hi - lo <= _REL_TOL * hi or exponent >= 6:
-            return max(lo, Fraction(0)), max(hi, Fraction(0))
-        A = mat_mul(A, S)
-        exponent += 1
 
 
 def spectral_radius(matrix):
@@ -199,16 +181,14 @@ def spectral_radius(matrix):
         return [w + 1 for w in range(n) if matrix[v - 1][w]]
 
     comps = strongly_connected_components(n, outs)
-    best_lo = Fraction(0)
-    best_hi = Fraction(0)
+    best_lo = best_hi = Fraction(0)
     for comp in comps:
         idx = [v - 1 for v in comp]
         if len(idx) == 1 and not matrix[idx[0]][idx[0]]:
             continue  # transient vertex, contributes 0
         block = tuple(tuple(matrix[i][j] for j in idx) for i in idx)
         lo, hi = _block_spectral_bounds(block)
-        best_lo = max(best_lo, lo)
-        best_hi = max(best_hi, hi)
+        best_lo, best_hi = max(best_lo, lo), max(best_hi, hi)
     return best_lo, best_hi
 
 
@@ -311,11 +291,6 @@ def _screen(L, cols):
     return _flog(min(cols)) / L, _flog(max(cols)) / L
 
 
-def _narrow(c):
-    """Whether a walk's per-step enclosure is within the screen margin."""
-    return c.log_hi - c.log_lo <= _SCREEN_MARGIN
-
-
 def _steps_home(s, into):
     """Fewest steps from each vertex back to ``s`` through vertices > s,
     keyed by vertex; ``into[v]`` holds the vertices with an edge into v."""
@@ -361,13 +336,12 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
     a lower screen exceeds the best log so far (``CycleDim.log_lo`` once
     certified) plus ``_SCREEN_MARGIN``; the maximum mirrors this. So every
     walk left out is strictly beaten by a certified one, and every walk tied
-    with an extreme is certified. The extremes are taken over the certified
-    walks that are ``_narrow``, as every converged one is; of walks with
-    equal float logs, the first generated wins. A walk whose enclosure
-    stopped at the squaring cap can be wider, its lower end even 0; it sets
-    no best value, so the extremes may then miss a narrow walk. ``cycles``
-    holds every walk found as an edge-index path, in generation order; the
-    walks left out of the screen cost no product and no enclosure.
+    with an extreme is certified. Every enclosure is within ``_REL_TOL``, so
+    each certified walk's per-step logs lie within the margin of each other.
+    The extremes are taken over the certified walks; of walks with equal
+    float logs, the first generated wins. ``cycles`` holds every walk found
+    as an edge-index path, in generation order; the walks left out of the
+    screen cost no product and no enclosure.
 
     Precondition: no edge matrix of the class has an all-zero row, as in
     every built graph (``netgraph.children`` rejects one), so no product
@@ -439,18 +413,16 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
     for i in sorted(range(len(found)), key=lambda i: screens[i][0]):
         if screens[i][0] > low + _SCREEN_MARGIN:
             break
-        if _narrow(c := certify(i)):
-            low = min(low, c.log_lo)
+        low = min(low, certify(i).log_lo)
     high = max((lo for lo, _ in screens), default=-math.inf)
     for i in sorted(range(len(found)), key=lambda i: screens[i][1],
                     reverse=True):
         if screens[i][1] + _SCREEN_MARGIN < high:
             break
-        if _narrow(c := certify(i)):
-            high = max(high, c.log_hi)
-    certified = [c for _, c in sorted(dims.items()) if _narrow(c)]
-    if not certified:
+        high = max(high, certify(i).log_hi)
+    if not dims:
         return CycleEnumeration(tuple(found), truncated, *[None] * 6)
+    certified = [c for _, c in sorted(dims.items())]
     lo = min(certified, key=lambda c: c.log_lo)
     hi = max(certified, key=lambda c: c.log_hi)
     return CycleEnumeration(  # dimension falls as the per-step value rises

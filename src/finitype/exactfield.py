@@ -33,6 +33,7 @@ enclosure.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add, sub
 
@@ -126,19 +127,26 @@ def _gcdex(a, b):
 
 
 def _sturm_chain(poly):
-    """Sturm chain of a nonconstant polynomial; ends in gcd(poly, poly')."""
-    chain = [_poly_trim(poly), _poly_trim(_poly_deriv(poly))]
-    while True:
-        _, r = _poly_divmod(chain[-2], chain[-1])
-        if not r:
-            return chain
-        chain.append([-x for x in r])
+    """Sturm chain of a nonconstant polynomial, each member scaled by a
+    positive rational to coprime integers; ends in gcd(poly, poly')."""
+    chain, r = [], _poly_trim(poly)
+    while r:
+        d = math.lcm(*(x.denominator for x in r))
+        ints = [int(x * d) for x in r]
+        g = math.gcd(*ints)
+        chain.append([x // g for x in ints])
+        r = (_poly_deriv(chain[0]) if len(chain) == 1
+             else [-x for x in _poly_divmod(chain[-2], chain[-1])[1]])
+    return chain
 
 
 def _eval_poly(c, x):
-    acc = Fraction(0)
+    """q^deg(c) c(x) for x = p/q, q > 0: the sign of c(x), in integers when
+    c's coefficients are."""
+    p, q = x.numerator, x.denominator
+    acc, qk = 0, 1
     for coef in reversed(c):
-        acc = acc * x + coef
+        acc, qk = acc * p + coef * qk, qk * q
     return acc
 
 
@@ -168,6 +176,25 @@ def count_roots(chain, lo, hi):
     """Number of distinct real roots in (lo, hi] of the polynomial whose
     Sturm chain is ``chain``; assumes it does not vanish at lo."""
     return _sign_changes(chain, lo) - _sign_changes(chain, hi)
+
+
+def largest_root(poly, lo, hi, rel):
+    """Bisect [lo, hi], which holds the largest real root r > 0 of ``poly``,
+    until hi - lo <= rel * hi. Each step keeps the upper half when it holds
+    a root, counted on the Sturm chain of poly's square-free part, whose
+    counts in (a, b] hold even where a is a root; hi's count is carried."""
+    chain = _sturm_chain(poly)
+    if len(chain[-1]) > 1:  # a repeated root: count on the square-free part
+        chain = _sturm_chain(_poly_divmod(poly, chain[-1])[0])
+    v_hi = _sign_changes(chain, hi)
+    while hi - lo > rel * hi:
+        mid = (lo + hi) / 2
+        v_mid = _sign_changes(chain, mid)
+        if v_mid > v_hi:
+            lo = mid
+        else:
+            hi, v_hi = mid, v_mid
+    return lo, hi
 
 
 # ----------------------------------------------------------------------------
@@ -277,7 +304,7 @@ class NumberField:
             alo, ahi = min(cands) + c, max(cands) + c
         return alo, ahi
 
-    def _narrow(self, coeffs, width):
+    def _enclose(self, coeffs, width):
         """``interval_eval`` of ``coeffs``, refining the root enclosure until
         the interval is no wider than ``width`` or the root is exact."""
         lo, hi = self.interval_eval(coeffs)
@@ -453,7 +480,7 @@ class FieldElement:
         return to_decimal(self, digits)
 
     def __float__(self):
-        lo, hi = self.field._narrow(self.coeffs, Fraction(1, 10**20))
+        lo, hi = self.field._enclose(self.coeffs, Fraction(1, 10**20))
         return float((lo + hi) / 2)
 
     def __repr__(self):
@@ -488,7 +515,7 @@ def to_decimal(a: FieldElement, digits: int) -> str:
         q = Fraction(scaled.coeffs[0])
         n = (2 * q.numerator + q.denominator) // (2 * q.denominator)  # half-up
     else:
-        lo, hi = a.field._narrow(scaled.coeffs, Fraction(1, 8))
+        lo, hi = a.field._enclose(scaled.coeffs, Fraction(1, 8))
         n = int((lo + hi) / 2 + Fraction(1, 2))
         # certify n by exact sign tests against the two half-unit boundaries
         while (scaled - (Fraction(2 * n - 1, 2))).sign() < 0:

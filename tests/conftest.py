@@ -6,6 +6,7 @@ from functools import lru_cache
 
 import pytest
 
+from finitype import dimcalc
 from finitype.catalog import load_document
 from finitype.cli import parse_document
 from finitype.dimcalc import periodic_dimension
@@ -108,6 +109,20 @@ def walk_vertices(graph, path):
 def certify_walk(graph, path):
     """``periodic_dimension`` of a walk given as an edge-index path."""
     return periodic_dimension(graph.model, [graph.edges[j] for j in path])
+
+
+def record_bisections(mp):
+    """Hook ``dimcalc.largest_root`` through the MonkeyPatch ``mp``; the
+    returned list gets the bracket (lo, hi) of each call."""
+    calls = []
+    real = dimcalc.largest_root
+
+    def recorded(poly, lo, hi, rel):
+        calls.append((lo, hi))
+        return real(poly, lo, hi, rel)
+
+    mp.setattr(dimcalc, "largest_root", recorded)
+    return calls
 
 
 @pytest.fixture(scope="session")

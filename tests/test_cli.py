@@ -360,12 +360,15 @@ def _weighted(tmp_path, weights, name="cantor_r3_m3_uniform"):
 
 def test_extreme_regular_weights_exit_0(tmp_path, capsys):
     # at 1 : 10^40 : 10^40 : 1 some walks' spectral enclosures pass every
-    # float; their per-step values still come out, and reach 10^40
+    # float; their per-step values still come out, and reach 10^40. The
+    # walk of the smallest per-step value is enclosed to the same width as
+    # every other, so the inner range reaches the outer upper end
     n = 10 ** 40
     classes = _report(_weighted(tmp_path, [1, n, n, 1]))["classes"]
     ess = next(c for c in classes if c["is_essential"])
     assert ess["spectral_range_inner"][1] == pytest.approx(1e40)
     assert ess["spectral_range_outer"][1] == pytest.approx(1e40)
+    assert ess["dim_inner"][1] == ess["dim_outer"][1] == 42.54899524
 
 
 def test_outer_range_holds_the_class_point_at_extreme_weights(tmp_path,
@@ -447,10 +450,10 @@ def test_per_step_values_past_the_float_range_exit_0(tmp_path, capsys):
 
 def test_zero_lower_enclosure_exits_0(tmp_path, capsys):
     # at 10^40 : 1 : 10^40 : 1 the walk through both self-loops of vertex 3
-    # has spectral radius about 2.6e-40, and its enclosure stops at the
-    # squaring cap with lower end 0; its per-step lower end is then 0.0,
-    # not a complex root, and the walk is too loosely enclosed to set an
-    # extreme of the inner range, which stays inside the outer one
+    # has spectral radius about 2.6e-40, and the iteration leaves it in the
+    # bracket [1e-40, 3.3e-3]; the bracket is bisected to a relative width
+    # of 1e-10, so its per-step lower end is positive, and the inner range
+    # it sets stays inside the outer one
     n = 10 ** 40
     path = _weighted(tmp_path, [n, 1, n, 1])
     classes = _report(path, "--allow-irregular", "--cycle-len=2")["classes"]

@@ -5,8 +5,8 @@ search it replaced.
 reference: it walks every closed edge path, drops rotations through a set of
 canonical keys, and certifies every cycle it keeps through
 ``periodic_dimension``. It picks the extremes as the search does: over the
-narrow walks, the smallest ``log_lo`` and the largest ``log_hi``, the first
-generated on ties, with the dimension ends of those two walks.
+certified walks, the smallest ``log_lo`` and the largest ``log_hi``, the
+first generated on ties, with the dimension ends of those two walks.
 """
 
 import math
@@ -54,11 +54,13 @@ def _reference_enumerate(graph, members, max_len):
                 if len(new_path) < max_len:
                     stack.append((e.child, new_path))
     dims = [certify_walk(graph, path) for path in found]
-    narrow = [c for c in dims if dimcalc._narrow(c)]
-    if not narrow:
+    # every enclosure converges, so the screen margin holds each certified
+    # walk's per-step logs
+    assert all(c.log_hi - c.log_lo <= dimcalc._SCREEN_MARGIN for c in dims)
+    if not dims:
         return CycleEnumeration(tuple(found), False, *[None] * 6)
-    lo = min(narrow, key=lambda c: c.log_lo)
-    hi = max(narrow, key=lambda c: c.log_hi)
+    lo = min(dims, key=lambda c: c.log_lo)
+    hi = max(dims, key=lambda c: c.log_hi)
     return CycleEnumeration(
         cycles=tuple(found), truncated=False,
         per_step_min=lo.per_step_lo, per_step_max=hi.per_step_hi,

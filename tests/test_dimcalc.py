@@ -15,6 +15,7 @@ from conftest import (
     catalog_model,
     certify_walk,
     golden_square_ifs,
+    record_bisections,
     walk_vertices,
 )
 from finitype import dimcalc
@@ -144,24 +145,54 @@ def test_spectral_radius_zero_row():
         spectral_radius(((0, 0), (1, 1)))
 
 
-def test_spectral_radius_squares_a_slowly_mixing_block(monkeypatch):
+def test_spectral_radius_bisects_a_slowly_mixing_block(monkeypatch):
     # the eigenvalues (1999 +- sqrt 5) / 2 lie so close that 300 rounds on
-    # the shifted block leave a relative width near 5e-4; the enclosure must
-    # square the block (5 times here, through mat_mul), and its iterates
-    # pass 512 bits, so they are shifted back on the way
-    products = []
-    real = dimcalc.mat_mul
-
-    def counted(A, B):
-        products.append(None)
-        return real(A, B)
-
-    monkeypatch.setattr(dimcalc, "mat_mul", counted)
+    # the shifted block leave a relative width near 5e-4; the bracket is
+    # bisected to the larger root of x^2 - 1999 x + 998999
+    calls = record_bisections(monkeypatch)
     lo, hi = spectral_radius(((1000, 1), (1, 999)))
-    assert products
+    assert calls
     # lo <= (1999 + sqrt 5) / 2 <= hi, exactly: both 2x - 1999 are positive
     assert (2 * lo - 1999) ** 2 <= 5 <= (2 * hi - 1999) ** 2
     assert hi - lo <= Fraction(1, 10 ** 10) * hi
+
+
+def test_spectral_radius_bisects_to_the_perron_root(monkeypatch):
+    # 10^6 I plus a small irreducible block with a spread diagonal: its
+    # eigenvalues sit within a few units of each other against 10^6, so the
+    # iteration stalls, mostly with several real eigenvalues in its
+    # bracket, of which only the largest is sp
+    calls = record_bisections(monkeypatch)
+    rng = np.random.default_rng(23)
+    crowded = 0
+    for _ in range(30):
+        n = int(rng.integers(2, 7))
+        m = (rng.integers(0, 2, size=(n, n))
+             + np.diag(rng.integers(0, 10, size=n)))
+        for i in range(n):
+            m[i][(i + 1) % n] |= 1  # a cycle through every index
+        block = tuple(tuple(int(x) + 10 ** 6 * (i == j)
+                            for j, x in enumerate(row))
+                      for i, row in enumerate(m))
+        del calls[:]
+        lo, hi = spectral_radius(block)
+        ref = _numpy_sp(block)
+        assert lo - 1e-6 <= ref <= hi + 1e-6
+        assert hi - lo <= dimcalc._REL_TOL * hi
+        eigs = np.linalg.eigvals(np.array(block, dtype=float))
+        crowded += any(sum(abs(e.imag) < 1e-6 and a <= e.real <= b
+                           for e in eigs) > 1 for a, b in calls)
+    assert crowded > 10
+
+
+def test_char_poly_matches_numpy():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n = int(rng.integers(1, 7))
+        m = rng.integers(0, 5, size=(n, n))
+        block = tuple(tuple(Fraction(int(x), 3) for x in row) for row in m)
+        ref = np.poly(np.array(block, dtype=float))[::-1]
+        assert np.allclose([float(c) for c in dimcalc.char_poly(block)], ref)
 
 
 def test_spectral_radius_fractional_entries():

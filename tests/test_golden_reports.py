@@ -19,6 +19,7 @@ import tempfile
 
 import pytest
 
+from conftest import record_bisections
 from finitype.catalog import load_document
 from finitype.cli import parse_document, run
 from finitype.ifsmodel import validate
@@ -58,13 +59,16 @@ def report_bytes(name: str, workdir: pathlib.Path) -> tuple[bytes, bytes]:
 
 @pytest.fixture(scope="module")
 def reports(tmp_path_factory):
-    """Both reports of every golden example, each computed once."""
+    """Both reports of every golden example, each computed once, and the
+    number of spectral brackets bisected on the way."""
     workdir = tmp_path_factory.mktemp("golden")
     cache = {}
 
     def get(name):
         if name not in cache:
-            cache[name] = report_bytes(name, workdir)
+            with pytest.MonkeyPatch.context() as mp:
+                calls = record_bisections(mp)
+                cache[name] = (*report_bytes(name, workdir), len(calls))
         return cache[name]
     return get
 
@@ -77,6 +81,13 @@ def test_golden_report_unchanged(name, reports):
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_golden_text_report_unchanged(name, reports):
     assert reports(name)[1] == (GOLDEN_DIR / f"{name}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_golden_enclosures_converge_without_bisection(name, reports):
+    """The power iteration alone encloses every catalog spectral radius, so
+    the Sturm bisection never moves a golden number."""
+    assert reports(name)[2] == 0
 
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
