@@ -11,7 +11,8 @@ smaller dimensions.
 Products are taken with ``netgraph.vec_mat`` on compiled matrices
 (``netgraph.SparseMatrix``: per row, the ``(column, entry)`` pairs of the
 nonzero entries). An edge's compiled matrix is its ``sparse`` attribute,
-built once; a matrix formed here, such as a shifted block, is compiled once
+built once per distinct matrix of the graph, so edges with equal matrices
+share it; a matrix formed here, such as a shifted block, is compiled once
 where it is formed. Products come back dense, as row tuples.
 
 Spectral radii come with certified rational enclosures of relative width at
@@ -32,8 +33,9 @@ matrix is nonnegative, so one sweep per side over layers and vertices keeps,
 for every functional at once, only a frontier of carried vectors at each
 vertex: a vector dominated by a kept one (from above for the max functional,
 from below for the min ones) cannot set the extreme and is dropped. Within a
-layer each edge multiplies each distinct carried vector once, whichever
-functionals carry it. This is the per-vertex multinorm view of a joint
+layer each distinct matrix multiplies each distinct carried vector once,
+whichever functionals carry it and whichever of the matrix's edges it
+crosses. This is the per-vertex multinorm view of a joint
 spectral radius under constrained switching (Philippe, Essick, Dullerud and
 Jungers 2016). The bounds equal those of full enumeration.
 Isolation is decided on certified values with one tolerance, POINT_TOL.
@@ -75,7 +77,8 @@ def mat_mul(A, B: SparseMatrix):
 def char_poly(matrix):
     """Ascending coefficients of det(xI - matrix), exactly, by
     Faddeev-LeVerrier: M_1 = I, M_k = A M_(k-1) + c_(n-k+1) I and
-    c_(n-k) = -tr(A M_k) / k, with c_n = 1."""
+    c_(n-k) = -tr(A M_k) / k, with c_n = 1. Integral coefficients are
+    ints, so an integer block's are all ints."""
     n = len(matrix)
     S = compile_matrix(matrix)
     coeffs = [0] * n + [1]
@@ -84,7 +87,10 @@ def char_poly(matrix):
         c = coeffs[n - k + 1]
         AM = mat_mul([[x + c if i == j else x for j, x in enumerate(row)]
                       for i, row in enumerate(AM)], S)
-        coeffs[n - k] = -Fraction(sum(AM[i][i] for i in range(n)), k)
+        c = -Fraction(sum(AM[i][i] for i in range(n)), k)
+        # an integral coefficient stays int, so an integer block's products
+        # stay integer products
+        coeffs[n - k] = c.numerator if c.denominator == 1 else c
     return coeffs
 
 
@@ -121,9 +127,9 @@ def _exp(y: float) -> float:
 # ----------------------------------------------------------------------------
 
 def _quotient_extremes(w, v):
-    """min and max of the quotients w_i / v_i, for positive integers v_i, as
-    Fractions; compared by cross-multiplication, so only the two extremes
-    become Fractions."""
+    """The min and max of the quotients w_i / v_i, for positive integers
+    v_i, as pairs ``(lo_w, lo_v, hi_w, hi_v)`` of the min's and the max's
+    w_i and v_i, compared by cross-multiplication; no Fraction is built."""
     lo_w = hi_w = w[0]
     lo_v = hi_v = v[0]
     for x, y in zip(w, v):
@@ -131,7 +137,7 @@ def _quotient_extremes(w, v):
             lo_w, lo_v = x, y
         elif x * hi_v > hi_w * y:
             hi_w, hi_v = x, y
-    return Fraction(lo_w, lo_v), Fraction(hi_w, hi_v)
+    return lo_w, lo_v, hi_w, hi_v
 
 
 def _block_spectral_bounds(block):
@@ -147,15 +153,18 @@ def _block_spectral_bounds(block):
     A = compile_matrix([[int(x * d) + (d if i == j else 0)
                          for j, x in enumerate(row)]
                         for i, row in enumerate(block)])
+    num, den = _REL_TOL.numerator, _REL_TOL.denominator
     v = [1] * len(block)
     for _ in range(300):
         w = vec_mat(v, A)
-        lo, hi = _quotient_extremes(w, v)
-        if hi - lo <= _REL_TOL / 4 * hi:
+        lo_w, lo_v, hi_w, hi_v = _quotient_extremes(w, v)
+        # hi - lo <= _REL_TOL / 4 * hi, in integers
+        if 4 * den * (hi_w * lo_v - lo_w * hi_v) <= num * hi_w * lo_v:
             break
         shift = max(w).bit_length() - 256  # past 512 bits, back to 256
         v = [max(1, x >> shift) for x in w] if shift > 256 else w
-    lo, hi = lo / d - 1, hi / d - 1
+    lo = Fraction(lo_w, lo_v) / d - 1
+    hi = Fraction(hi_w, hi_v) / d - 1
     if hi - lo > _REL_TOL * hi:
         lo, hi = largest_root(char_poly(block), lo, hi, _REL_TOL)
     return lo, hi
@@ -532,8 +541,10 @@ def _norm_pass(into, families, depth, budget_state):
     nonnegative, so a dominated vector leads only to values its dominator
     matches or beats, and dropping it keeps the extreme of full enumeration.
     The last layer's products fold into each extreme edge by edge, unpruned
-    and unstored. Within a layer each edge multiplies each distinct vector
-    once, for every family that carries it.
+    and unstored. Within a layer each distinct matrix (one object, as a
+    built graph's equal matrices are) multiplies each distinct vector once,
+    for every family and every edge of that matrix that carries it; its
+    products are dropped after its last edge of the layer.
     ``budget_state`` is ``[units charged, cap]``, shared by both sides. A
     family is charged one unit per (frontier vector, out-edge) pair, before
     each layer's products, and a side charges its largest family total;
@@ -542,6 +553,9 @@ def _norm_pass(into, families, depth, budget_state):
     exceeds the number of walk prefixes, and on a simple loop equals it.
     """
     outdeg = Counter(v for sources in into.values() for v, _ in sources)
+    # each matrix's last edge in the sweep's order, counted from 0
+    last_edge = {id(matrix): k for k, (_, matrix) in enumerate(
+        e for sources in into.values() for e in sources)}
     frontiers = [{v: _prune(vecs, upper) for v, vecs in starts.items()}
                  for upper, _, starts in families]
     spent, cap = budget_state
@@ -556,15 +570,20 @@ def _norm_pass(into, families, depth, budget_state):
                 raise PathExplosion(cap)
         last = step == depth - 1
         layers = [{} for _ in families]
+        memos = {}  # id(matrix) -> {vector: vector times matrix}
+        k = -1
         for w, sources in into.items():
             for v, matrix in sources:
-                products = {}
+                k += 1
+                products = memos.setdefault(id(matrix), {})
                 for frontier, cand in zip(frontiers, cands):
                     for u in frontier.get(v, ()):
                         p = products.get(u)
                         if p is None:
                             p = products[u] = tuple(vec_mat(u, matrix))
                         cand.append(p)
+                if last_edge[id(matrix)] == k:
+                    del memos[id(matrix)]
                 if last:
                     for i, (upper, value, _) in enumerate(families):
                         if cands[i]:
@@ -599,7 +618,7 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subsets=(),
     Each side has one reversed adjacency of compiled matrices:
     ``col_into[w]`` holds ``(v, M)`` for every internal edge ``v -> w`` and
     gives the column sums of the products; ``row_into[v]`` holds
-    ``(w, M^T)``, transposed from the edge's compiled ``M``, and gives the
+    ``(w, M^T)``, transposed once per distinct compiled ``M``, and gives the
     column sums of the transposed products, which are the row sums. Each
     side is one ``_norm_pass`` sweep of the same ``(upper, value, starts)``
     families: the max column sum, the min column sum, then one restricted
@@ -632,9 +651,12 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subsets=(),
         for _, e in internal[v]:
             col_into[e.child].append((v, e.sparse))
     row_into = {v: [] for v in ms}
+    transposed = {}  # id(M) -> M^T, one per distinct compiled matrix
     for w, sources in col_into.items():
         for v, matrix in sources:
-            row_into[v].append((w, matrix.transposed()))
+            if id(matrix) not in transposed:
+                transposed[id(matrix)] = matrix.transposed()
+            row_into[v].append((w, transposed[id(matrix)]))
 
     ones = {v: [(1,) * n] for v, n in sizes.items()}
     families = [(True, max, ones), (False, min, ones)] + [

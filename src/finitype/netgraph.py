@@ -29,18 +29,24 @@ share one element. Vertices are keyed by length id and neighbour ids. The
 table is dropped with the closure, so every closure starts from the field
 alone.
 
+Finite type also means few distinct matrices. The table interns each
+matrix row, and each matrix by the tuple of its rows' ids, so equal rows and
+equal matrices in the graph are one object each. Every entry is int 0 or one
+of the table's canonical weights, so equal rows have equal entry types.
+
 Products are taken on compiled matrices. ``compile_matrix`` turns a dense
 row-tuple matrix into a ``SparseMatrix``: its column count and, per row, the
 ``(column, entry)`` pairs of the nonzero entries, columns ascending.
-``vec_mat``, the one product kernel, multiplies a row vector by one. Each
-edge compiles its matrix the first time ``TransitionEdge.sparse`` is read,
-so a graph that is only built and classified holds no compiled form.
+``vec_mat``, the one product kernel, multiplies a row vector by one. A
+matrix is compiled the first time ``TransitionEdge.sparse`` is read on one
+of its edges, once per distinct matrix of the graph, so a graph that is only
+built and classified holds no compiled form.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -84,6 +90,9 @@ class TransitionEdge:
 
     ``offsets`` holds the parent-normalized left endpoint of each merged
     instance, left to right, so the level geometry stays reconstructible.
+    ``compiled`` maps ``id(matrix)`` to its ``SparseMatrix``. The edges of
+    one built graph share one such dict; they are made together and each
+    holds its matrix, so an id there never stands for another edge's matrix.
     """
 
     parent: int
@@ -91,11 +100,16 @@ class TransitionEdge:
     matrix: tuple[tuple[Fraction | int, ...], ...]
     multiplicity: int
     offsets: tuple[FieldElement, ...]
+    compiled: dict = field(default_factory=dict, repr=False, compare=False)
 
     @cached_property
     def sparse(self) -> SparseMatrix:
-        """``matrix`` compiled for ``vec_mat``, once per edge."""
-        return compile_matrix(self.matrix)
+        """``matrix`` compiled for ``vec_mat`` on first read, once per
+        distinct matrix of the graph: edges with equal matrices share it."""
+        S = self.compiled.get(id(self.matrix))
+        if S is None:
+            S = self.compiled[id(self.matrix)] = compile_matrix(self.matrix)
+        return S
 
 
 class SparseMatrix(NamedTuple):
@@ -191,7 +205,11 @@ class ValueTable:
     ``sort_unique``). ``inv_rho`` is division by rho as a k x k matrix
     compiled for ``vec_mat``: row i holds the coefficients of rho^i / rho.
     It takes raw coefficients and leaves integral Fractions uncollapsed;
-    ``ids`` canonicalizes each distinct value once."""
+    ``ids`` canonicalizes each distinct value once.
+
+    ``row_ids`` interns matrix rows, tuples of int 0 and ``weights``, as
+    ids into ``rows``; ``matrices`` maps a tuple of row ids to the one
+    matrix of those rows (see ``matrix``)."""
 
     def __init__(self, model: Model):
         f = model.field
@@ -232,6 +250,20 @@ class ValueTable:
         self.zero = ids[f.zero.coeffs] = new(f.zero)
         self.one = ids[f.one.coeffs] = new(f.one)
         self.translations = [ids[d.coeffs] for d in model.translations]
+        rows = self.rows = []
+
+        def new_row(r):
+            rows.append(r)
+            return len(rows) - 1
+
+        self.row_ids = _Memo(new_row)
+        self.matrices = _Memo(lambda k: tuple([rows[i] for i in k]))
+
+    def matrix(self, rows):
+        """The interned matrix with these rows (lists or tuples), keyed by
+        the ids of its interned rows rather than by its entries."""
+        row_ids = self.row_ids
+        return self.matrices[tuple([row_ids[tuple(r)] for r in rows])]
 
     def key(self, cv: CharacteristicVector):
         """A vector's length id and neighbour ids."""
@@ -277,8 +309,8 @@ def children(parent: CharacteristicVector, model: Model,
     Map l's image from row neighbour c is [x, x + rho], x = d_l - c. It covers
     child [t, u] iff rank(x) <= rank(t) and rank(x + rho) >= rank(u) in one
     exact sort (see the module docstring), giving (t - x) / rho.
-    The arithmetic runs on ``table``, the closure's values; without one the
-    step makes its own.
+    The arithmetic runs on ``table``, the closure's values, which also
+    interns each matrix; without one the step makes its own.
     """
     T = ValueTable(model) if table is None else table
     L = len(T.translations)
@@ -308,11 +340,10 @@ def children(parent: CharacteristicVector, model: Model,
         for k, rx in enumerate(order):
             for j, l in covering[rx]:
                 rows[j][k] = weights[l]
-        matrix = tuple(tuple(r) for r in rows)
-        for r in matrix:
-            if not any(r):
-                raise InternalInconsistency(
-                    "transition matrix has an all-zero row; invalid model or bug")
+        if not all(map(any, rows)):
+            raise InternalInconsistency(
+                "transition matrix has an all-zero row; invalid model or bug")
+        matrix = T.matrix(rows)
         length = T.div[u, t]
         neighbours = [T.div[t, pool[rx]] for rx in order]
         _check_cv(length, neighbours, T)
@@ -341,8 +372,8 @@ def build_graph(model: Model, cap_cvs: int = 10000) -> TransitionGraph:
     """Breadth-first closure from the unit interval's vector (1, (0)).
 
     One ``ValueTable`` serves the whole closure and is dropped with it:
-    equal values in the graph share one element, and the next call starts
-    from the field alone.
+    equal values in the graph share one element, equal matrices one tuple
+    and one compiled form, and the next call starts from the field alone.
 
     Every 1,000 new vertices it logs, at DEBUG on this module's logger, the
     vertices found, the vertices still queued and the edges so far."""
@@ -354,11 +385,12 @@ def build_graph(model: Model, cap_cvs: int = 10000) -> TransitionGraph:
     ids = {table.key(root): 1}
     cvs = [root]
     edges = []
+    compiled: dict = {}     # the edges' shared ``TransitionEdge.compiled``
     queue = deque([1])
     while queue:
         vid = queue.popleft()
         raw = children(cvs[vid - 1], model, table)
-        merged: dict = {}
+        merged: dict = {}   # (child, id(matrix)) -> (child, matrix, offsets)
         for cv, matrix, t in raw:
             ck = table.key(cv)
             child_id = ids.get(ck)
@@ -376,11 +408,13 @@ def build_graph(model: Model, cap_cvs: int = 10000) -> TransitionGraph:
                     logging.getLogger(__name__).debug(
                         "graph closure: %d vertices, %d queued, %d edges",
                         child_id, len(queue), len(edges))
-            merged.setdefault((child_id, matrix), []).append(t)
-        for (child_id, matrix), offs in merged.items():
+            merged.setdefault((child_id, id(matrix)),
+                              (child_id, matrix, []))[2].append(t)
+        for child_id, matrix, offs in merged.values():
             edges.append(TransitionEdge(
                 parent=vid, child=child_id, matrix=matrix,
-                multiplicity=len(offs), offsets=tuple(offs)))
+                multiplicity=len(offs), offsets=tuple(offs),
+                compiled=compiled))
     return TransitionGraph(model, cvs, edges)
 
 

@@ -195,6 +195,42 @@ def test_char_poly_matches_numpy():
         assert np.allclose([float(c) for c in dimcalc.char_poly(block)], ref)
 
 
+def _det_at(block, x):
+    """det(x I - block) by exact Gaussian elimination."""
+    n = len(block)
+    a = [[Fraction(x if i == j else 0) - block[i][j] for j in range(n)]
+         for i in range(n)]
+    det = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [y - f * z for y, z in zip(a[i], a[k])]
+    return det
+
+
+def test_char_poly_of_an_integer_block_is_all_int():
+    # the coefficients are the characteristic polynomial's, checked at n + 1
+    # points against an elimination determinant, and every one is an int
+    assert dimcalc.char_poly(((1, 1), (1, 0))) == [-1, -1, 1]
+    rng = random.Random(7)
+    for _ in range(30):
+        n = rng.randint(1, 7)
+        block = tuple(tuple(rng.randint(0, 9) for _ in range(n))
+                      for _ in range(n))
+        coeffs = dimcalc.char_poly(block)
+        assert all(type(c) is int for c in coeffs)
+        for x in range(n + 1):
+            assert sum(c * x ** k for k, c in enumerate(coeffs)) == \
+                _det_at(block, x)
+
+
 def test_spectral_radius_fractional_entries():
     m = ((Fraction(1, 2), Fraction(3, 2)), (1, 1))
     lo, hi = spectral_radius(m)
@@ -594,13 +630,15 @@ def test_fractional_weight_norm_bounds_match_brute_force(skewed_graph,
     st.one_of(st.integers(1, 4), st.integers(1, 2 ** 520))),
     min_size=1, max_size=30))
 def test_quotient_extremes_match_fraction_min_max(pairs):
-    # the integer cross-multiplication picks the same extremes as building
-    # every quotient w_i / v_i as a Fraction; small ranges force ties
+    # the integer cross-multiplication picks pairs whose quotients are the
+    # extremes of building every quotient w_i / v_i as a Fraction; small
+    # ranges force ties
     w, v = zip(*pairs)
     quotients = [Fraction(x, y) for x, y in pairs]
-    lo, hi = _quotient_extremes(w, v)
-    assert (lo, hi) == (min(quotients), max(quotients))
-    assert type(lo) is Fraction and type(hi) is Fraction
+    lo_w, lo_v, hi_w, hi_v = _quotient_extremes(w, v)
+    assert (lo_w, lo_v) in pairs and (hi_w, hi_v) in pairs
+    assert Fraction(lo_w, lo_v) == min(quotients)
+    assert Fraction(hi_w, hi_v) == max(quotients)
 
 
 # ------------------------------------------------- frontier pass and budget
@@ -663,14 +701,18 @@ def _step_graphs(draw):
 
 
 def _into_families(steps, starts, subsets):
-    """The adjacency ``steps`` reversed into ``into`` with each matrix
-    compiled, as ``norm_bounds`` does, and one ``(upper, value, starts)``
-    family per indicator of ``starts`` (max and min of the full one, then a
-    restricted min per subset)."""
+    """The adjacency ``steps`` reversed into ``into`` with each distinct
+    matrix object compiled once, as a built graph's edges share one compiled
+    form per distinct matrix, and one ``(upper, value, starts)`` family per
+    indicator of ``starts`` (max and min of the full one, then a restricted
+    min per subset)."""
+    compiled = {}
     into = {v: [] for v in steps}
     for v, outs in steps.items():
         for w, matrix in outs:
-            into[w].append((v, compile_matrix(matrix)))
+            if id(matrix) not in compiled:
+                compiled[id(matrix)] = compile_matrix(matrix)
+            into[w].append((v, compiled[id(matrix)]))
 
     def family(i):
         init = {}
@@ -781,6 +823,21 @@ def test_norm_bounds_shares_products_across_families(vec_mat_calls):
     nb = norm_bounds(graph, members, 8, subsets=subsets)
     assert vec_mat_calls[0] == 20_175
     assert nb.charged == 9_993
+
+
+def test_norm_bounds_shares_products_across_equal_matrices(vec_mat_calls):
+    # the 535-member essential class of the 538-vertex graph at depth 8:
+    # its 1,141 internal edges carry 198 distinct matrices. 48,069 products
+    # when each edge takes its own, 20,670 when each distinct matrix
+    # multiplies each distinct vector of a layer once; the charge is the same
+    graph = catalog_graph("bc_x4_minus_2x2_minus_x_plus_1")
+    members = essential_class(graph).members
+    internal = graph.internal_out(members)
+    edges = [e for out in internal.values() for _, e in out]
+    assert (len(edges), len({id(e.matrix) for e in edges})) == (1141, 198)
+    nb = norm_bounds(graph, members, 8)
+    assert vec_mat_calls[0] == 20_670
+    assert nb.charged == 34_530
 
 
 def test_norm_pass_frontier_by_hand():

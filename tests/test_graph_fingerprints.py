@@ -20,6 +20,7 @@ import sys
 import pytest
 
 from conftest import catalog_graph
+from finitype.netgraph import build_graph
 
 FIXTURE = pathlib.Path(__file__).parent / "golden" / "graph_fingerprints.json"
 
@@ -47,9 +48,20 @@ FINGERPRINT_NAMES = (
 )
 
 
+# the graph of conftest's golden_square_skewed_model, whose weights 2/7, 3/7,
+# 2/7 put Fraction entries in the matrices; no catalog document does
+SKEWED_FINGERPRINT = (
+    "2fa14f812ac11dfcff467f733d8a5677b9451786f4f2b2d488263399a9c07fb1")
+
+
 def graph_fingerprint(name: str) -> str:
     """SHA-256 of the keys and edges of a catalog example's graph."""
-    graph = catalog_graph(name)
+    return fingerprint(catalog_graph(name))
+
+
+def fingerprint(graph) -> str:
+    """SHA-256 of a graph's keys and edges; the text of each matrix tells
+    1 from Fraction(1)."""
     h = hashlib.sha256()
     for cv in graph.cvs:
         h.update(repr(cv.key()).encode())
@@ -65,6 +77,12 @@ def graph_fingerprint(name: str) -> str:
 def test_graph_fingerprint_unchanged(name):
     expected = json.loads(FIXTURE.read_text())
     assert graph_fingerprint(name) == expected[name]
+
+
+def test_skewed_graph_fingerprint_unchanged(golden_square_skewed_model):
+    graph = build_graph(golden_square_skewed_model)
+    assert (len(graph), len(graph.edges)) == (40, 81)
+    assert fingerprint(graph) == SKEWED_FINGERPRINT
 
 
 if __name__ == "__main__":

@@ -499,6 +499,35 @@ def test_equal_graph_values_are_one_object(name, golden_square_skewed_model):
     assert len({id(x) for x in values}) == len({x.coeffs for x in values})
 
 
+@pytest.mark.parametrize("name", ["bc_x4_minus_2x2_minus_x_plus_1",
+                                  "golden_square_skewed"])
+def test_equal_rows_and_matrices_are_one_object(name,
+                                                 golden_square_skewed_model):
+    # rows and matrices are told apart by their text, in which 1 and
+    # Fraction(1) differ: equal ones are one object, and no two of different
+    # entry types were merged
+    graph = (build_graph(golden_square_skewed_model)
+             if name == "golden_square_skewed" else catalog_graph(name))
+    rows = [r for e in graph.edges for r in e.matrix]
+    matrices = [e.matrix for e in graph.edges]
+    assert len({id(r) for r in rows}) == len({repr(r) for r in rows})
+    assert len({id(m) for m in matrices}) == len({repr(m) for m in matrices})
+    if name == "bc_x4_minus_2x2_minus_x_plus_1":
+        # 1,150 edges, 4,297 rows: 198 distinct matrices of 41 distinct rows
+        assert (len(matrices), len(rows)) == (1150, 4297)
+        assert len({id(m) for m in matrices}) == 198
+        assert len({id(r) for r in rows}) == 41
+
+
+def test_edges_with_equal_matrices_share_one_compiled_form():
+    graph = catalog_graph("bc_x4_minus_2x2_minus_x_plus_1")
+    compiled = {}
+    for e in graph.edges:
+        assert compiled.setdefault(id(e.matrix), e.sparse) is e.sparse
+        assert e.sparse == compile_matrix(e.matrix)
+    assert len(compiled) == 198
+
+
 @pytest.mark.parametrize("kind", ["tie", "inf", "overflow"])
 def test_value_table_sort_is_exact_when_floats_fail(kind, golden_model):
     table = netgraph.ValueTable(golden_model)
