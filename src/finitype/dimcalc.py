@@ -94,14 +94,18 @@ def char_poly(matrix):
     return coeffs
 
 
-def product_along(edges):
-    """Matrix product along consecutive edges; validates adjacency."""
-    if not edges:
-        raise NotACycle("empty edge path")
+def _check_admissible(edges):
     for e, f in zip(edges, edges[1:]):
         if e.child != f.parent:
             raise EdgesNotAdmissible(
                 f"edge into {e.child} followed by edge out of {f.parent}")
+
+
+def product_along(edges):
+    """Matrix product along consecutive edges; validates adjacency."""
+    if not edges:
+        raise NotACycle("empty edge path")
+    _check_admissible(edges)
     P = edges[0].matrix
     for e in edges[1:]:
         P = mat_mul(P, e.sparse)
@@ -262,11 +266,23 @@ class CycleDim:
 
 def periodic_dimension(model: Model, cycle_edges) -> CycleDim:
     """Dimension of the periodic point tracing the given closed edge path,
-    from the certified spectral enclosure of its product."""
+    from a certified spectral enclosure of its product P. The column sums
+    1^T P come first, as in the cycle search: the dense first matrix's,
+    then one ``vec_mat`` per step. Where they all equal one c, 1 is a
+    positive left eigenvector of P, so sp(P) = c exactly (Collatz-Wielandt
+    with x = 1) and neither the product nor ``spectral_radius`` is taken;
+    otherwise the enclosure is ``spectral_radius`` of the product."""
     edges = list(cycle_edges)
     if not edges or edges[0].parent != edges[-1].child:
         raise NotACycle("edge path does not close up")
-    sp_lo, sp_hi = spectral_radius(product_along(edges))
+    _check_admissible(edges)
+    sums = [sum(col) for col in zip(*edges[0].matrix)]
+    for e in edges[1:]:
+        sums = vec_mat(sums, e.sparse)
+    if min(sums) == max(sums):
+        sp_lo = sp_hi = sums[0]
+    else:
+        sp_lo, sp_hi = spectral_radius(product_along(edges))
     L = len(edges)
     vertices = (edges[0].parent,) + tuple(e.child for e in edges)
     return CycleDim(vertices, _flog(sp_lo) / L, _flog(sp_hi) / L,
@@ -350,7 +366,10 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
     The extremes are taken over the certified walks; of walks with equal
     float logs, the first generated wins. ``cycles`` holds every walk found
     as an edge-index path, in generation order; the walks left out of the
-    screen cost no product and no enclosure.
+    screen cost no product and no enclosure. Certifying a walk
+    (``periodic_dimension``) costs one ``vec_mat`` per step when its column
+    sums are all equal, their common value being its exact spectral radius,
+    and otherwise its exact product and ``spectral_radius``.
 
     Precondition: no edge matrix of the class has an all-zero row, as in
     every built graph (``netgraph.children`` rejects one), so no product
@@ -506,8 +525,19 @@ def _prune(candidates, upper):
     duplicates collapse. Candidates are taken in order of their sums, the
     largest first when ``upper``, so a dominating vector comes before the
     vectors it dominates, and each is checked against the first
-    ``_DOMINANCE_WINDOW`` kept vectors only."""
+    ``_DOMINANCE_WINDOW`` kept vectors only. One or two candidates, most
+    of the calls, skip the dedupe and the sort with the same result; a list
+    of one comes back as it is."""
+    if len(candidates) == 1:
+        return candidates
     holds = operator.ge if upper else operator.le
+    if len(candidates) == 2:
+        a, b = candidates
+        if a == b:
+            return [a]
+        if sum(b) > sum(a) if upper else sum(b) < sum(a):
+            a, b = b, a
+        return [a] if all(map(holds, a, b)) else [a, b]
     kept = []
     for u in sorted(dict.fromkeys(candidates), key=sum, reverse=upper):
         if not any(all(map(holds, w, u))
@@ -545,6 +575,11 @@ def _norm_pass(into, families, depth, budget_state):
     built graph's equal matrices are) multiplies each distinct vector once,
     for every family and every edge of that matrix that carries it; its
     products are dropped after its last edge of the layer.
+    A layer that leaves a family's frontier unchanged (the same vectors in
+    the same order at every vertex) settles it: every later layer would
+    repeat it, so the family takes no more products or prunes, and its
+    extreme is read from that frontier, whose pruned-away vectors each have
+    a kept dominator, so this is the value the last layer's fold would give.
     ``budget_state`` is ``[units charged, cap]``, shared by both sides. A
     family is charged one unit per (frontier vector, out-edge) pair, before
     each layer's products, and a side charges its largest family total;
@@ -561,7 +596,13 @@ def _norm_pass(into, families, depth, budget_state):
     spent, cap = budget_state
     charges = [0] * len(families)
     bests = [None] * len(families)
-    cands = [[] for _ in families]
+    settled = [False] * len(families)
+
+    def fold(i, vecs):
+        pick = max if families[i][0] else min
+        x = pick(map(families[i][1], vecs))
+        bests[i] = x if bests[i] is None else pick(bests[i], x)
+
     for step in range(depth):
         for i, frontier in enumerate(frontiers):
             charges[i] += sum(len(vecs) * outdeg[v]
@@ -569,15 +610,20 @@ def _norm_pass(into, families, depth, budget_state):
             if spent + charges[i] > cap:
                 raise PathExplosion(cap)
         last = step == depth - 1
-        layers = [{} for _ in families]
+        live = [i for i, done in enumerate(settled) if not done]
+        layers = [frontier if done else {}
+                  for frontier, done in zip(frontiers, settled)]
         memos = {}  # id(matrix) -> {vector: vector times matrix}
         k = -1
         for w, sources in into.items():
+            cands = [[] for _ in live]
             for v, matrix in sources:
                 k += 1
-                products = memos.setdefault(id(matrix), {})
-                for frontier, cand in zip(frontiers, cands):
-                    for u in frontier.get(v, ()):
+                products = memos.get(id(matrix))
+                if products is None:
+                    products = memos[id(matrix)] = {}
+                for i, cand in zip(live, cands):
+                    for u in frontiers[i].get(v, ()):
                         p = products.get(u)
                         if p is None:
                             p = products[u] = tuple(vec_mat(u, matrix))
@@ -585,19 +631,21 @@ def _norm_pass(into, families, depth, budget_state):
                 if last_edge[id(matrix)] == k:
                     del memos[id(matrix)]
                 if last:
-                    for i, (upper, value, _) in enumerate(families):
-                        if cands[i]:
-                            pick = max if upper else min
-                            x = pick(map(value, cands[i]))
-                            bests[i] = (x if bests[i] is None
-                                        else pick(bests[i], x))
-                            cands[i].clear()
+                    for i, cand in zip(live, cands):
+                        if cand:
+                            fold(i, cand)
+                            cand.clear()
             if not last:
-                for (upper, _, _), cand, layer in zip(families, cands, layers):
+                for i, cand in zip(live, cands):
                     if cand:
-                        layer[w] = _prune(cand, upper)
-                        cand.clear()
+                        layers[i][w] = _prune(cand, families[i][0])
+        if not last:
+            for i in live:
+                settled[i] = layers[i] == frontiers[i]
         frontiers = layers
+    for i, frontier in enumerate(frontiers):
+        if settled[i] and frontier:
+            fold(i, [u for vecs in frontier.values() for u in vecs])
     budget_state[0] += max(charges)
     return bests
 

@@ -126,9 +126,26 @@ def _gcdex(a, b):
         r0, r1, s0, s1 = r1, r, s1, _poly_trim(s)
 
 
+def _pseudo_rem(a, b):
+    """The remainder of |lc(b)|^k a by b in integers, for int lists a and b
+    (trimmed), k the steps taken: a positive multiple of a mod b."""
+    m, sign = abs(b[-1]), 1 if b[-1] > 0 else -1
+    r = list(a)
+    while len(r) >= len(b):
+        f, k = sign * r[-1], len(r) - len(b)
+        r = [x * m for x in r]
+        for i, bc in enumerate(b):
+            r[i + k] -= f * bc
+        r.pop()  # m r[-1] - f lc(b) == 0
+        r = _poly_trim(r)
+    return r
+
+
 def _sturm_chain(poly):
     """Sturm chain of a nonconstant polynomial, each member scaled by a
-    positive rational to coprime integers; ends in gcd(poly, poly')."""
+    positive rational to coprime integers; ends in gcd(poly, poly'). Integer
+    pseudo-remainders stand for the rational remainders: each is a positive
+    multiple of one, so the signs and the scaled members are the same."""
     chain, r = [], _poly_trim(poly)
     while r:
         d = math.lcm(*(x.denominator for x in r))
@@ -136,7 +153,7 @@ def _sturm_chain(poly):
         g = math.gcd(*ints)
         chain.append([x // g for x in ints])
         r = (_poly_deriv(chain[0]) if len(chain) == 1
-             else [-x for x in _poly_divmod(chain[-2], chain[-1])[1]])
+             else [-x for x in _pseudo_rem(chain[-2], chain[-1])])
     return chain
 
 

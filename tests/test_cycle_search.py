@@ -113,35 +113,36 @@ def test_matches_exhaustive_search(graph, max_len):
 
 
 @pytest.fixture()
-def spectral_calls(monkeypatch):
+def certified(monkeypatch):
+    """The ``(edges, CycleDim)`` of every walk the search certifies."""
     calls = []
-    real = dimcalc.spectral_radius
+    real = dimcalc.periodic_dimension
 
-    def counted(matrix, *args, **kwargs):
-        calls.append(matrix)
-        return real(matrix, *args, **kwargs)
+    def recorded(model, edges):
+        calls.append((list(edges), real(model, edges)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(dimcalc, "spectral_radius", counted)
+    monkeypatch.setattr(dimcalc, "periodic_dimension", recorded)
     return calls
 
 
-def test_ties_are_all_certified(cantor5_uniform_model, spectral_calls):
+def test_ties_are_all_certified(cantor5_uniform_model, certified):
     # every cycle of this class has the same per-step value, so each one
     # could be the extreme and none may be skipped
     graph = build_graph(cantor5_uniform_model)
     enum = enumerate_cycles(graph, essential_class(graph).members, max_len=6)
-    assert len(spectral_calls) == len(enum.cycles) == 118
+    assert len(certified) == len(enum.cycles) == 118
 
 
 def test_len_certifies_nothing_and_iteration_certifies_once(
-        cantor5_binomial_model, spectral_calls):
+        cantor5_binomial_model, certified):
     # the search certifies the screened walks only; the rest stay edge paths
     graph = build_graph(cantor5_binomial_model)
     enum = enumerate_cycles(graph, essential_class(graph).members, max_len=6)
-    eager = len(spectral_calls)
+    eager = len(certified)
     assert 0 < eager < len(enum.cycles)
     assert len(enum.cycles) == 231
-    assert len(spectral_calls) == eager
+    assert len(certified) == eager
 
 
 def _one_vertex_graph(model, matrices):
@@ -182,17 +183,20 @@ def test_zero_row_product_is_certified(golden_model):
         enumerate_cycles(graph, (1,), max_len=1)
 
 
-def test_overflowing_product_is_certified(golden_model, spectral_calls):
+def test_overflowing_product_is_certified(golden_model, certified):
     # the walk (big, big) has product 10^400, which no float can hold: its
     # screen overflows, so it must reach the certified enclosure, and its
     # per-step value 10^200 must come out of it without overflowing; the
     # walk (tiny, tiny) has product 10^-400, whose float is 0, and its
-    # per-step value 10^-200 must come out too, not a complex root
+    # per-step value 10^-200 must come out too, not a complex root. Both
+    # are 1x1, so their column sum is their exact spectral radius
     big, tiny = ((10 ** 200,),), ((Fraction(1, 10 ** 200),),)
     graph = _one_vertex_graph(golden_model, (((2,),), big, tiny))
     enum = enumerate_cycles(graph, (1,), max_len=2)
-    assert ((10 ** 400,),) in spectral_calls
-    assert ((Fraction(1, 10 ** 400),),) in spectral_calls
+    logs = {tuple(e.matrix for e in edges): (c.log_lo, c.log_hi)
+            for edges, c in certified}
+    assert logs[big, big] == (math.log(10 ** 400) / 2,) * 2
+    assert logs[tiny, tiny] == (-math.log(10 ** 400) / 2,) * 2
     assert enum.per_step_max == pytest.approx(1e200)
     assert enum.per_step_min == pytest.approx(1e-200)
     # a per-step value of 10^-400 lies below every float, but its log does

@@ -1,5 +1,6 @@
 """Spectral radii, cycle dimensions, pseudo-norm bounds: frozen exact values."""
 
+import operator
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -331,6 +332,85 @@ def test_periodic_dimension_rejects_disconnected_edges(golden_model,
     e43 = _edges_between(golden_graph, (4, 3))[0][0]
     with pytest.raises(EdgesNotAdmissible):
         product_along([e12, e43])
+
+
+def _loops(matrices):
+    """One self-loop of vertex 1 per matrix, as a built graph's edges."""
+    return [SimpleNamespace(parent=1, child=1, matrix=m,
+                            sparse=compile_matrix(m)) for m in matrices]
+
+
+@pytest.fixture()
+def spectral_calls(monkeypatch):
+    calls = []
+    real = dimcalc.spectral_radius
+
+    def counted(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(dimcalc, "spectral_radius", counted)
+    return calls
+
+
+def _enclosed(model, edges, lo, hi):
+    """The ``CycleDim`` of a closed walk whose product has enclosure
+    ``(lo, hi)``."""
+    L = len(edges)
+    return dimcalc.CycleDim((1,) * (L + 1), dimcalc._flog(lo) / L,
+                            dimcalc._flog(hi) / L,
+                            *dimcalc._dims(model, lo, hi, L))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_equal_column_sums_certify_without_spectral_radius(
+        golden_model, spectral_calls, seed):
+    # positive integer matrices whose columns all sum to one c: every walk's
+    # product has equal column sums, its spectral radius, so the walk is
+    # certified from them alone and gets spectral_radius's own enclosure
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+
+    def equal_sums():
+        c = rng.randint(n, 9)
+        cols = []
+        for _ in range(n):
+            cuts = sorted(rng.sample(range(1, c), n - 1))
+            cols.append([b - a for a, b in zip([0] + cuts, cuts + [c])])
+        return tuple(zip(*cols))
+
+    loops = _loops([equal_sums() for _ in range(3)])
+    for _ in range(8):
+        edges = [rng.choice(loops) for _ in range(rng.randint(1, 4))]
+        got = periodic_dimension(golden_model, edges)
+        assert not spectral_calls
+        lo, hi = spectral_radius(product_along(edges))
+        assert lo == hi
+        assert got == _enclosed(golden_model, edges, lo, hi)
+        spectral_calls.clear()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_unequal_column_sums_take_spectral_radius(golden_model,
+                                                  spectral_calls, seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    loops = _loops([tuple(tuple(rng.randint(1, 5) for _ in range(n))
+                          for _ in range(n)) for _ in range(3)])
+    checked = 0
+    for _ in range(8):
+        edges = [rng.choice(loops) for _ in range(rng.randint(1, 4))]
+        product = product_along(edges)
+        sums = [sum(col) for col in zip(*product)]
+        if min(sums) == max(sums):
+            continue
+        got = periodic_dimension(golden_model, edges)
+        assert spectral_calls == [product]
+        spectral_calls.clear()
+        assert got == _enclosed(golden_model, edges,
+                                *spectral_radius(product))
+        checked += 1
+    assert checked
 
 
 # ----------------------------------------------------------- cycle search
@@ -829,14 +909,16 @@ def test_norm_bounds_shares_products_across_equal_matrices(vec_mat_calls):
     # the 535-member essential class of the 538-vertex graph at depth 8:
     # its 1,141 internal edges carry 198 distinct matrices. 48,069 products
     # when each edge takes its own, 20,670 when each distinct matrix
-    # multiplies each distinct vector of a layer once; the charge is the same
+    # multiplies each distinct vector of a layer once, and 19,569 when a
+    # family whose frontier stops changing takes no more; the charge is the
+    # same
     graph = catalog_graph("bc_x4_minus_2x2_minus_x_plus_1")
     members = essential_class(graph).members
     internal = graph.internal_out(members)
     edges = [e for out in internal.values() for _, e in out]
     assert (len(edges), len({id(e.matrix) for e in edges})) == (1141, 198)
     nb = norm_bounds(graph, members, 8)
-    assert vec_mat_calls[0] == 20_670
+    assert vec_mat_calls[0] == 19_569
     assert nb.charged == 34_530
 
 
@@ -856,6 +938,113 @@ def test_norm_pass_frontier_by_hand():
     assert _pass(steps, starts, 3, [], budget) == (27, 1, 8, [])
     assert budget[0] == 18
     assert _brute_norm_pass(steps, starts, 3, [])[1] == 39
+
+
+def _rank_one(p):
+    """The matrix whose every column is ``p``: u times it is (u . p) 1."""
+    return tuple((x,) * len(p) for x in p)
+
+
+def _unit_column_graph(model):
+    """Two vertices of three neighbours each, and four edges whose matrices
+    have unit column sums: 1 -> 1 and 2 -> 1 rank one, 1 -> 2 a cyclic
+    shift and 2 -> 2 a mixing matrix."""
+    h, q, t = Fraction(1, 2), Fraction(1, 4), Fraction(1, 3)
+    matrices = {(1, 1): _rank_one((h, q, q)),
+                (1, 2): ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
+                (2, 1): _rank_one((q, q, h)),
+                (2, 2): ((h, 0, t), (h, h, t), (0, h, t))}
+    edges = [SimpleNamespace(parent=v, child=w, matrix=m,
+                             sparse=compile_matrix(m))
+             for (v, w), m in matrices.items()]
+    for e in edges:
+        assert all(sum(col) == 1 for col in zip(*e.matrix))
+    return SimpleNamespace(
+        model=model, edges=edges,
+        cv=lambda v: SimpleNamespace(neighbours=(0, 0, 0)),
+        out_edges=lambda v: [e for e in edges if e.parent == v],
+        internal_out=lambda ms: {v: [(i, e) for i, e in enumerate(edges)
+                                     if e.parent == v] for v in ms})
+
+
+def test_settled_families_match_brute_force(golden_model, with_functionals):
+    # every column-sum family settles (max and min at once, the window
+    # after two layers) while no row-sum family does
+    graph = _unit_column_graph(golden_model)
+    for depth in range(1, 7):
+        nb, functionals = with_functionals(graph, (1, 2), depth, [(1, 2)])
+        ref, count = _brute_norm_functionals(graph, (1, 2), depth, [(1, 2)])
+        assert functionals == ref
+        assert nb.path_count == count
+    assert (ref["max_col"], ref["min_col"], ref["sub_col"]) == \
+        (1, 1, {(1, 2): Fraction(1, 2)})
+
+
+def test_settled_family_takes_no_more_products(golden_model, vec_mat_calls):
+    # a family whose frontier a layer leaves unchanged takes no product
+    # after that layer, and is still charged one unit per (vector, edge)
+    graph = _unit_column_graph(golden_model)
+    steps = {v: [(e.child, e.matrix) for e in graph.out_edges(v)]
+             for v in (1, 2)}
+    starts = [(v, ((1, 1, 1), (1, 1, 0))) for v in (1, 2)]
+    into, (top, low, window) = _into_families(steps, starts, [(1, 2)])
+
+    def run(family, depth):
+        vec_mat_calls[0] = 0
+        budget = [0, 10 ** 9]
+        best, = _norm_pass(into, [family], depth, budget)
+        return vec_mat_calls[0], budget[0], best
+
+    # the ones vector is fixed by every matrix, so max and min settle at the
+    # first layer; the window's frontier changes twice, then settles
+    for depth in range(1, 7):
+        assert run(top, depth) == (4, 4 * depth, 1)
+        assert run(low, depth) == (4, 4 * depth, 1)
+    assert [run(window, depth) for depth in range(1, 7)] == [
+        (4, 4, 0), (10, 10, Fraction(1, 2)), (14, 14, Fraction(1, 2)),
+        (14, 18, Fraction(1, 2)), (14, 22, Fraction(1, 2)),
+        (14, 26, Fraction(1, 2))]
+
+
+@pytest.mark.parametrize("depth", range(1, 6))
+def test_norm_pass_settles_no_frontier_that_changed(depth):
+    # one vector at one vertex at every layer, but a new one each time:
+    # only an unchanged frontier settles
+    steps = {0: [(0, ((2, 0), (0, 1)))]}
+    starts = [(0, ((1, 1),))]
+    ref = _brute_norm_pass(steps, starts, depth, [])[0]
+    assert _pass(steps, starts, depth, [], [0, 10 ** 9]) == ref == \
+        (1, 1, 2 ** depth, [])
+
+
+def _prune_in_full(candidates, upper):
+    """``_prune`` without its one- and two-candidate shortcuts."""
+    holds = operator.ge if upper else operator.le
+    kept = []
+    for u in sorted(dict.fromkeys(candidates), key=sum, reverse=upper):
+        if not any(all(map(holds, w, u))
+                   for w in kept[:dimcalc._DOMINANCE_WINDOW]):
+            kept.append(u)
+    return kept
+
+
+_entries = st.one_of(st.integers(0, 3),
+                     st.sampled_from([Fraction(1), Fraction(3, 2)]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(width=st.integers(1, 3), upper=st.booleans(), data=st.data())
+def test_prune_shortcuts_match_the_full_prune(width, upper, data):
+    # small entries make duplicates, equal sums and dominance common; 1 and
+    # Fraction(1) are equal keys of different types, and the first one seen
+    # must be the one kept
+    vectors = st.lists(_entries, min_size=width, max_size=width).map(tuple)
+    candidates = data.draw(st.lists(vectors, min_size=1, max_size=4))
+    got = dimcalc._prune(candidates, upper)
+    want = _prune_in_full(candidates, upper)
+    assert got == want
+    assert [list(map(type, u)) for u in got] == \
+        [list(map(type, u)) for u in want]
 
 
 def _explodes(graph, members, depth, subsets, cap):

@@ -1,5 +1,6 @@
 """Exact field arithmetic: construction, ordering, rendering, algebra laws."""
 
+import math
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 
@@ -18,7 +19,8 @@ from finitype.errors import (
 from finitype import netgraph
 from finitype.exactfield import (
     EQ, GT, LT,
-    NumberField, compare, to_decimal,
+    NumberField, _poly_deriv, _poly_divmod, _poly_trim, _sturm_chain,
+    compare, count_roots, to_decimal,
 )
 from finitype.ifsmodel import validate
 
@@ -88,6 +90,60 @@ def test_make_field_interval_outside_unit():
 def test_make_field_endpoint_root_rejected():
     with pytest.raises(MultipleRootsInInterval):
         NumberField([-1, 2], (Fraction(1, 2), Fraction(3, 4)))
+
+
+# --------------------------------------------------------------- Sturm chains
+
+def _fraction_sturm_chain(poly):
+    """The Sturm chain on Fraction remainders, each member scaled to coprime
+    integers: the reference for the integer pseudo-remainder chain."""
+    chain, r = [], _poly_trim(poly)
+    while r:
+        d = math.lcm(*(Fraction(x).denominator for x in r))
+        ints = [int(x * d) for x in r]
+        g = math.gcd(*ints)
+        chain.append([x // g for x in ints])
+        r = (_poly_deriv(chain[0]) if len(chain) == 1
+             else [-x for x in _poly_divmod(chain[-2], chain[-1])[1]])
+    return chain
+
+
+_coefficients = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly=st.lists(_coefficients, min_size=2, max_size=9).filter(
+           lambda c: c[-1] != 0),
+       roots=st.lists(st.integers(-5, 5), max_size=3),
+       points=st.lists(st.fractions(min_value=-60, max_value=60,
+                                    max_denominator=50),
+                       min_size=2, max_size=6))
+def test_sturm_chain_matches_the_fraction_chain(poly, roots, points):
+    # repeated roots come up through the (x - r) factors, so some chains
+    # end in a nonconstant gcd
+    for r in roots:
+        poly = [0] + poly
+        for i in range(len(poly) - 1):
+            poly[i] -= r * poly[i + 1]
+    chain, ref = _sturm_chain(poly), _fraction_sturm_chain(poly)
+    assert all(type(x) is int for member in chain for x in member)
+    assert chain == ref
+    points.sort()
+    for lo, hi in zip(points, points[1:]):
+        assert count_roots(chain, lo, hi) == count_roots(ref, lo, hi)
+
+
+def test_sturm_chain_of_an_integer_polynomial_is_all_int():
+    # (x - 1)^2 (x + 2) (2x - 3): a repeated root, so the chain ends in a
+    # constant multiple of x - 1; its roots -2, 1 and 3/2 count in order
+    chain = _sturm_chain([-6, 13, -6, -3, 2, 0])
+    assert all(type(x) is int for member in chain for x in member)
+    assert chain[-1] == [-1, 1]
+    assert count_roots(chain, Fraction(-3), Fraction(0)) == 1
+    assert count_roots(chain, Fraction(0), Fraction(5, 4)) == 1
+    assert count_roots(chain, Fraction(-3), Fraction(2)) == 3
 
 
 # ------------------------------------------------------------------- ordering
