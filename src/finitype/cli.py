@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 validation or input error (including an oracle
 mismatch and a command-line usage error), 2 when a cap or enumeration budget
 is exceeded. Rationals travel through JSON as strings so nothing is ever
 contaminated by floating point.
+
+Reports are strict JSON of floats to 10 significant digits: ``null`` marks a
+value that is absent, or a per-step display value past the float range,
+where the certified dimension ends stay finite.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import math
 import os
 import sys
 import tempfile
@@ -26,7 +31,7 @@ from .closedforms import (
     x_min_location,
 )
 from .dimcalc import (
-    DimensionReport, ISOLATED, POINT_TOL, UNDECIDED, assemble_report,
+    DimensionReport, ISOLATED, POINT_TOL, UNDECIDED, assemble_report, per_step,
 )
 from .errors import (
     BudgetExceeded,
@@ -158,7 +163,8 @@ def document_from_ifs(ifs: Ifs) -> dict:
 # ----------------------------------------------------------------------------
 
 def _r10(x):
-    if x is None:
+    """x to 10 significant digits; None (null) for None and for inf."""
+    if x is None or not math.isfinite(x):
         return None
     return float(f"{x:.10g}")
 
@@ -167,10 +173,19 @@ def _pair(p):
     return None if p is None else [_r10(p[0]), _r10(p[1])]
 
 
+def _spectral_ranges(cs):
+    """A class's per-step display ranges (inner, outer), None where none."""
+    lo, hi, nb = cs.min_cycle, cs.max_cycle, cs.outer
+    return (lo and (per_step(lo.sp_lo, lo.L), per_step(hi.sp_hi, hi.L)),
+            nb and (per_step(nb.min_norm, nb.depth),
+                    per_step(nb.max_norm, nb.depth)))
+
+
 def report_to_document(report: DimensionReport, parameters: dict) -> dict:
     classes = []
     for cs in report.classes:
         lc = cs.loop_class
+        inner, outer = _spectral_ranges(cs)
         classes.append({
             "members": list(lc.members),
             "is_essential": lc.is_essential,
@@ -179,13 +194,13 @@ def report_to_document(report: DimensionReport, parameters: dict) -> dict:
             "positivity": (lc.positivity.verdict.value
                            if lc.positivity is not None else None),
             "certified_interval": lc.positive,
-            "spectral_range_inner": _pair(cs.spectral_inner),
-            "spectral_range_outer": _pair(cs.spectral_outer),
+            "spectral_range_inner": _pair(inner),
+            "spectral_range_outer": _pair(outer),
             "dim_inner": _pair(cs.dim_inner),
             "dim_outer": _pair(cs.dim_outer),
             "exact_point": _r10(cs.exact_point),
-            "min_cycle": list(cs.min_cycle) if cs.min_cycle else None,
-            "max_cycle": list(cs.max_cycle) if cs.max_cycle else None,
+            "min_cycle": list(cs.min_cycle.vertices) if cs.min_cycle else None,
+            "max_cycle": list(cs.max_cycle.vertices) if cs.max_cycle else None,
             "cycle_len": cs.cycle_len,
             "bound_len": cs.bound_len,
             "cycles_truncated": cs.cycles_truncated,
@@ -280,6 +295,7 @@ def render_text(report: DimensionReport, graph=None, show_matrices=False) -> str
 
 def _class_block(cs) -> list[str]:
     lc = cs.loop_class
+    inner, outer = _spectral_ranges(cs)
     lines = []
     if lc.positivity is not None:
         if lc.positive:
@@ -292,27 +308,27 @@ def _class_block(cs) -> list[str]:
         else:
             lines.append("Positivity undecided within the search budget.")
     if lc.is_simple_loop:
+        p = cs.point
+        value = (per_step(p.sp_lo, p.L) + per_step(p.sp_hi, p.L)) / 2
         lines.append("The class is a simple loop.")
-        lines.append(f"Its per-step spectral value is exactly "
-                     f"{_fmt(cs.exact_point_per_step)}; these points have "
-                     f"local dimension {_fmt(cs.exact_point)}.")
+        lines.append(f"Its per-step spectral value is exactly {_fmt(value)}; "
+                     f"these points have local dimension "
+                     f"{_fmt(cs.exact_point)}.")
     else:
         lines.append("The class is not a simple loop.")
-    if cs.spectral_inner:
+    if inner:
         lines.append(f"Cycle search (length <= {cs.cycle_len}) shows the "
-                     f"per-step spectral range includes "
-                     f"{_fmt_iv(cs.spectral_inner)}.")
-        lines.append(f"  minimum from the loop {list(cs.min_cycle)}, maximum "
-                     f"from the loop {list(cs.max_cycle)}")
+                     f"per-step spectral range includes {_fmt_iv(inner)}.")
+        lines.append(f"  minimum from the loop {list(cs.min_cycle.vertices)}, "
+                     f"maximum from the loop {list(cs.max_cycle.vertices)}")
         lines.append(f"  giving local dimensions that include "
                      f"{_fmt_iv(cs.dim_inner)}.")
     if cs.cycles_truncated:
         lines.append("The cycle search stopped at its step budget; any "
                      "inner range here comes from a truncated search.")
-    if cs.spectral_outer:
+    if outer:
         lines.append(f"Pseudo-norm products of length {cs.bound_len} confine "
-                     f"the per-step spectral range to "
-                     f"{_fmt_iv(cs.spectral_outer)}.")
+                     f"the per-step spectral range to {_fmt_iv(outer)}.")
         lines.append(f"  so these local dimensions are contained in "
                      f"{_fmt_iv(cs.dim_outer)}.")
     if not lc.positive and not lc.is_simple_loop:
@@ -437,7 +453,8 @@ def _cmd_analyze(args) -> int:
         _write_atomic(args.dot_out, export_dot(graph, classes=classes))
     if args.json_out:
         out = report_to_document(report, parameters)
-        _write_atomic(args.json_out, json.dumps(out, indent=2) + "\n")
+        _write_atomic(args.json_out,
+                      json.dumps(out, indent=2, allow_nan=False) + "\n")
     if args.text:
         sys.stdout.write(render_text(report, graph=graph,
                                      show_matrices=args.matrices))

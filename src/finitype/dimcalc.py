@@ -20,12 +20,15 @@ most ``_REL_TOL``: Collatz-Wielandt quotients of an exact integer iteration
 on each irreducible diagonal block, with a unit shift to kill periodicity,
 and where the iteration stalls, Sturm bisection of its bracket to the
 largest real root of the block's characteristic polynomial. Norm products
-are evaluated exactly, and no exact value becomes a float: per-step values
-are carried as logs (``_flog``), ``_dims`` turns them into dimension ends
-padded outward for rounding, and per-step floats are for display only.
-Float logs of each walk's smallest and largest column sum screen which
-cycles the search certifies, but never become reported values. The search
-returns its walks as plain edge paths and certifies no others.
+are evaluated exactly. The records keep each certified value once, exactly:
+a walk's edge path with its enclosure of sp(P), a norm depth with its two
+extreme functionals. Floats are made at the edge only: ``_dims`` turns an
+exact L-step value into dimension ends padded outward for rounding, and
+``per_step`` into a per-step value for display. Float logs (``_flog``) rank
+the certified walks, and the logs of each walk's smallest and largest column
+sum screen which cycles the search certifies; neither becomes a reported
+value. The search returns its walks as plain edge paths and certifies no
+others.
 
 Norm bounds never walk every admissible path. Each row- or column-sum
 functional is monotone in the row vector carried along a walk, and every
@@ -118,10 +121,11 @@ def _flog(x) -> float:
     return math.log(x.numerator) - math.log(x.denominator) if x else -math.inf
 
 
-def _exp(y: float) -> float:
-    """exp(y) for display, inf past the float range."""
+def per_step(x, L: int) -> float:
+    """x ** (1 / L) of an exact L-step value x >= 0, for display only: from
+    log x, so inf past the float range and 0.0 below it."""
     try:
-        return math.exp(y)
+        return math.exp(_flog(x) / L)
     except OverflowError:
         return math.inf
 
@@ -241,34 +245,25 @@ def _dims(model: Model, lo, hi, L: int):
 
 @dataclass(frozen=True)
 class CycleDim:
-    vertices: tuple[int, ...]     # closed: first == last
-    log_lo: float                 # log of the per-step enclosure's ends,
-    log_hi: float                 # rounded; they rank walks, and per_step_*
-    dim_lo: float                 # display them; dim_lo and dim_hi are
-    dim_hi: float                 # certified, from _dims
+    edges: tuple                  # the closed walk's edges, in order
+    sp_lo: Fraction | int         # certified enclosure of sp(P), P the
+    sp_hi: Fraction | int         # product along the edges
 
     @property
-    def per_step_lo(self) -> float:
-        return _exp(self.log_lo)
+    def L(self) -> int:
+        return len(self.edges)
 
     @property
-    def per_step_hi(self) -> float:
-        return _exp(self.log_hi)
-
-    @property
-    def per_step(self) -> float:
-        return (self.per_step_lo + self.per_step_hi) / 2
-
-    @property
-    def dimension(self) -> float:
-        return (self.dim_lo + self.dim_hi) / 2
+    def vertices(self) -> tuple[int, ...]:  # closed: first == last
+        return (self.edges[0].parent,) + tuple(e.child for e in self.edges)
 
 
-def periodic_dimension(model: Model, cycle_edges) -> CycleDim:
-    """Dimension of the periodic point tracing the given closed edge path,
-    from a certified spectral enclosure of its product P. The column sums
-    1^T P come first, as in the cycle search: the dense first matrix's,
-    then one ``vec_mat`` per step. Where they all equal one c, 1 is a
+def periodic_dimension(cycle_edges) -> CycleDim:
+    """The periodic point tracing the given closed edge path, with a
+    certified spectral enclosure of its product P; its dimension ends are
+    ``_dims(model, sp_lo, sp_hi, L)``. The column sums 1^T P come first, as
+    in the cycle search: the dense first matrix's, then one ``vec_mat`` per
+    step. Where they all equal one c, 1 is a
     positive left eigenvector of P, so sp(P) = c exactly (Collatz-Wielandt
     with x = 1) and neither the product nor ``spectral_radius`` is taken;
     otherwise the enclosure is ``spectral_radius`` of the product."""
@@ -283,10 +278,7 @@ def periodic_dimension(model: Model, cycle_edges) -> CycleDim:
         sp_lo = sp_hi = sums[0]
     else:
         sp_lo, sp_hi = spectral_radius(product_along(edges))
-    L = len(edges)
-    vertices = (edges[0].parent,) + tuple(e.child for e in edges)
-    return CycleDim(vertices, _flog(sp_lo) / L, _flog(sp_hi) / L,
-                    *_dims(model, sp_lo, sp_hi, L))
+    return CycleDim(tuple(edges), sp_lo, sp_hi)
 
 
 # ----------------------------------------------------------------------------
@@ -297,12 +289,8 @@ def periodic_dimension(model: Model, cycle_edges) -> CycleDim:
 class CycleEnumeration:
     cycles: tuple[tuple[int, ...], ...]   # edge paths, generation order
     truncated: bool
-    per_step_min: float | None
-    per_step_max: float | None
-    dim_min: float | None
-    dim_max: float | None
-    min_cycle: tuple[int, ...] | None
-    max_cycle: tuple[int, ...] | None
+    min_cycle: CycleDim | None            # least and greatest per-step
+    max_cycle: CycleDim | None            # value; None when none certified
 
 
 # Margin of the cycle screen in log units: above the enclosures' 1e-10 width
@@ -358,13 +346,14 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
     the walk's screen. The minimum is found by branch and bound (Gripenberg
     1996): walks are certified in increasing order of their lower screen,
     starting from the smallest upper screen as the best per-step log, until
-    a lower screen exceeds the best log so far (``CycleDim.log_lo`` once
+    a lower screen exceeds the best log so far (``_flog(sp_lo) / L`` once
     certified) plus ``_SCREEN_MARGIN``; the maximum mirrors this. So every
     walk left out is strictly beaten by a certified one, and every walk tied
     with an extreme is certified. Every enclosure is within ``_REL_TOL``, so
     each certified walk's per-step logs lie within the margin of each other.
-    The extremes are taken over the certified walks; of walks with equal
-    float logs, the first generated wins. ``cycles`` holds every walk found
+    The extremes are the certified walks of least ``_flog(sp_lo) / L`` and
+    of greatest ``_flog(sp_hi) / L``; of walks with equal float logs, the
+    first generated wins. ``cycles`` holds every walk found
     as an edge-index path, in generation order; the walks left out of the
     screen cost no product and no enclosure. Certifying a walk
     (``periodic_dimension``) costs one ``vec_mat`` per step when its column
@@ -431,8 +420,7 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
 
     def certify(i):
         if i not in dims:
-            dims[i] = periodic_dimension(
-                graph.model, [graph.edges[j] for j in found[i]])
+            dims[i] = periodic_dimension([graph.edges[j] for j in found[i]])
         return dims[i]
 
     # most promising first; stop at the first screen that cannot come
@@ -441,23 +429,22 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
     for i in sorted(range(len(found)), key=lambda i: screens[i][0]):
         if screens[i][0] > low + _SCREEN_MARGIN:
             break
-        low = min(low, certify(i).log_lo)
+        c = certify(i)
+        low = min(low, _flog(c.sp_lo) / c.L)
     high = max((lo for lo, _ in screens), default=-math.inf)
     for i in sorted(range(len(found)), key=lambda i: screens[i][1],
                     reverse=True):
         if screens[i][1] + _SCREEN_MARGIN < high:
             break
-        high = max(high, certify(i).log_hi)
+        c = certify(i)
+        high = max(high, _flog(c.sp_hi) / c.L)
     if not dims:
-        return CycleEnumeration(tuple(found), truncated, *[None] * 6)
+        return CycleEnumeration(tuple(found), truncated, None, None)
     certified = [c for _, c in sorted(dims.items())]
-    lo = min(certified, key=lambda c: c.log_lo)
-    hi = max(certified, key=lambda c: c.log_hi)
-    return CycleEnumeration(  # dimension falls as the per-step value rises
-        cycles=tuple(found), truncated=truncated,
-        per_step_min=lo.per_step_lo, per_step_max=hi.per_step_hi,
-        dim_min=hi.dim_lo, dim_max=lo.dim_hi,
-        min_cycle=lo.vertices, max_cycle=hi.vertices)
+    return CycleEnumeration(
+        tuple(found), truncated,
+        min(certified, key=lambda c: _flog(c.sp_lo) / c.L),
+        max(certified, key=lambda c: _flog(c.sp_hi) / c.L))
 
 
 # ----------------------------------------------------------------------------
@@ -503,10 +490,6 @@ class NormBounds:
     depth: int
     min_norm: Fraction | int          # best lower functional over all products
     max_norm: Fraction | int          # best upper functional over all products
-    per_step_lo: float                # for display only: the certified
-    per_step_hi: float                # ends are dim_lo and dim_hi
-    dim_lo: float
-    dim_hi: float
     path_count: int
     charged: int                      # units charged against path_budget
 
@@ -722,11 +705,7 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subsets=(),
     lo_best = max(x for x in [min_col, min_row] + sub_col + sub_row
                   if x is not None)
     hi_best = min(max_col, max_row)
-    dim_lo, dim_hi = _dims(graph.model, lo_best, hi_best, depth)
     return NormBounds(depth=depth, min_norm=lo_best, max_norm=hi_best,
-                      per_step_lo=_exp(_flog(lo_best) / depth),
-                      per_step_hi=_exp(_flog(hi_best) / depth),
-                      dim_lo=dim_lo, dim_hi=dim_hi,
                       path_count=_walk_count(col_into, depth),
                       charged=budget_state[0])
 
@@ -738,21 +717,23 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subsets=(),
 @dataclass(frozen=True)
 class ClassDimSet:
     loop_class: LoopClass
-    spectral_inner: tuple[float, float] | None    # per-step, for display
-    spectral_outer: tuple[float, float] | None    # per-step, for display
-    dim_inner: tuple[float, float] | None
+    min_cycle: CycleDim | None            # the cycle search's extremes
+    max_cycle: CycleDim | None
+    outer: NormBounds | None              # None when no depth fits
+    point: CycleDim | None                # a simple loop's own cycle
+    dim_inner: tuple[float, float] | None  # certified ends, from _dims
     dim_outer: tuple[float, float] | None
-    exact_point: float | None
-    exact_point_per_step: float | None            # for display
-    min_cycle: tuple[int, ...] | None
-    max_cycle: tuple[int, ...] | None
+    exact_point: float | None             # the midpoint of point's ends
     cycle_len: int
-    bound_len: int
     cycles_truncated: bool = False
 
     @property
     def members(self):
         return self.loop_class.members
+
+    @property
+    def bound_len(self) -> int:
+        return self.outer.depth if self.outer else 0
 
 
 ISOLATED = "ISOLATED"
@@ -850,22 +831,20 @@ def analyze_class(graph: TransitionGraph, lc: LoopClass, cycle_len: int,
     search_len = (min(cycle_len, len(members)) if lc.is_simple_loop
                   else cycle_len)
     enum = enumerate_cycles(graph, members, search_len, budget=cycle_budget)
-    point = (periodic_dimension(graph.model,
-                                _simple_loop_cycle(graph, members))
+    lo, hi = enum.min_cycle, enum.max_cycle
+    point = (periodic_dimension(_simple_loop_cycle(graph, members))
              if lc.is_simple_loop else None)
-    return ClassDimSet(
-        loop_class=lc,
-        spectral_inner=(enum.per_step_min, enum.per_step_max)
-        if enum.per_step_min is not None else None,
-        spectral_outer=(nb.per_step_lo, nb.per_step_hi) if nb else None,
-        dim_inner=(enum.dim_min, enum.dim_max)
-        if enum.dim_min is not None else None,
-        dim_outer=(nb.dim_lo, nb.dim_hi) if nb else None,
-        exact_point=point and point.dimension,
-        exact_point_per_step=point and point.per_step,
-        min_cycle=enum.min_cycle, max_cycle=enum.max_cycle,
-        cycle_len=cycle_len, bound_len=bl if nb else 0,
-        cycles_truncated=enum.truncated)
+
+    def dims(c):
+        return _dims(graph.model, c.sp_lo, c.sp_hi, c.L)
+
+    return ClassDimSet(  # dimension falls as the per-step value rises
+        loop_class=lc, min_cycle=lo, max_cycle=hi, outer=nb, point=point,
+        dim_inner=(dims(hi)[0], dims(lo)[1]) if lo else None,
+        dim_outer=_dims(graph.model, nb.min_norm, nb.max_norm, nb.depth)
+        if nb else None,
+        exact_point=sum(dims(point)) / 2 if point else None,
+        cycle_len=cycle_len, cycles_truncated=enum.truncated)
 
 
 def assemble_report(model: Model, graph: TransitionGraph, classes=None,

@@ -9,7 +9,7 @@ import pytest
 from finitype import dimcalc
 from finitype.catalog import load_document
 from finitype.cli import parse_document
-from finitype.dimcalc import periodic_dimension
+from finitype.dimcalc import _dims, per_step, periodic_dimension
 from finitype.exactfield import NumberField
 from finitype.ifsmodel import Ifs, uniform_probabilities, validate
 from finitype.netgraph import build_graph
@@ -108,7 +108,26 @@ def walk_vertices(graph, path):
 
 def certify_walk(graph, path):
     """``periodic_dimension`` of a walk given as an edge-index path."""
-    return periodic_dimension(graph.model, [graph.edges[j] for j in path])
+    return periodic_dimension([graph.edges[j] for j in path])
+
+
+def cycle_dims(model, c):
+    """The certified dimension ends (lo, hi) of a ``CycleDim``."""
+    return _dims(model, c.sp_lo, c.sp_hi, c.L)
+
+
+def norm_dims(model, nb):
+    """The certified dimension ends (lo, hi) of a ``NormBounds``."""
+    return _dims(model, nb.min_norm, nb.max_norm, nb.depth)
+
+
+def inner_values(model, enum):
+    """A cycle search's (least per-step value, greatest per-step value,
+    least dimension, greatest dimension), as the report derives them from
+    its two extremes."""
+    lo, hi = enum.min_cycle, enum.max_cycle
+    return (per_step(lo.sp_lo, lo.L), per_step(hi.sp_hi, hi.L),
+            cycle_dims(model, hi)[0], cycle_dims(model, lo)[1])
 
 
 def record_bisections(mp):

@@ -23,6 +23,7 @@ from finitype.dimcalc import (
     dim_at_zero,
     enumerate_cycles,
     norm_bounds,
+    per_step,
     periodic_dimension,
 )
 from finitype.errors import CapExceeded, Mismatch
@@ -38,6 +39,7 @@ from finitype.netgraph import TransitionGraph, build_graph
 from finitype.oracle import check_graph_against_oracle
 
 import invariants as inv
+from conftest import inner_values, norm_dims
 from conftest import catalog_graph
 
 
@@ -75,12 +77,14 @@ def test_criterion_1_golden():
         assert abs(dim_at_zero(model) - 1.440420090) <= 1e-8
 
         enum = enumerate_cycles(graph, ess[0].members, max_len=4)
-        assert enum.dim_min <= 0.940420091 + 1e-8
-        assert enum.dim_max >= 1.440420090 - 1e-8
+        _, _, dim_min, dim_max = inner_values(model, enum)
+        assert dim_min <= 0.940420091 + 1e-8
+        assert dim_max >= 1.440420090 - 1e-8
 
         nb = norm_bounds(graph, ess[0].members, depth=10)
-        assert nb.dim_lo >= 0.864252053 - 1e-8
-        assert nb.dim_hi <= 1.440420091 + 1e-8
+        dim_lo, dim_hi = norm_dims(model, nb)
+        assert dim_lo >= 0.864252053 - 1e-8
+        assert dim_hi <= 1.440420091 + 1e-8
 
         report = assemble_report(model, graph, classes=classes,
                                  cycle_len=4, bound_len=10)
@@ -149,23 +153,24 @@ def test_criterion_4_isolated_point_convolution():
         ess = essential_class(graph)
 
         enum = enumerate_cycles(graph, ess.members, max_len=10)
-        assert enum.dim_min <= 0.970222 + 1e-5
-        assert enum.dim_max >= 1.077704 - 1e-5
+        _, _, dim_min, dim_max = inner_values(model, enum)
+        assert dim_min <= 0.970222 + 1e-5
+        assert dim_max >= 1.077704 - 1e-5
 
         hi_part = norm_bounds(graph, ess.members, depth=10)
         lo_part = norm_bounds(graph, ess.members, depth=15,
                               subsets=[(2, 3, 4)])
-        assert hi_part.dim_lo >= 0.848301 - 1e-6
-        assert lo_part.dim_hi <= 1.532659 + 1e-6
+        assert norm_dims(model, hi_part)[0] >= 0.848301 - 1e-6
+        assert norm_dims(model, lo_part)[1] <= 1.532659 + 1e-6
 
         classes = maximal_loop_classes(graph)
         big = [c for c in classes if len(c.members) == 23]
         two = [c for c in classes if len(c.members) == 2]
         assert len(big) == 1 and len(two) == 1
         big_enum = enumerate_cycles(graph, big[0].members, max_len=10)
-        assert abs(big_enum.per_step_max - 1.380277569) <= 1e-8
+        assert abs(inner_values(model, big_enum)[1] - 1.380277569) <= 1e-8
         two_enum = enumerate_cycles(graph, two[0].members, max_len=2)
-        assert abs(two_enum.per_step_max - 1.380277569) <= 1e-8
+        assert abs(inner_values(model, two_enum)[1] - 1.380277569) <= 1e-8
 
         report = assemble_report(model, graph, cycle_len=10, bound_len=15,
                                  subset=(2, 3, 4))
@@ -191,10 +196,11 @@ ACTUAL_MAX = {3: (1.13354, 1.13354), 4: (1.05874, 1.05874),
 
 
 def _cantor_outer(m, depth):
+    """The certified dimension ends of the essential class's norm bounds."""
     model = _model(f"cantor_r3_m{m}_binomial")
     graph = build_graph(model)
     ess = essential_class(graph)
-    return norm_bounds(graph, ess.members, depth=depth)
+    return norm_dims(model, norm_bounds(graph, ess.members, depth=depth))
 
 
 def test_criterion_5_cantor_tables_fast():
@@ -204,20 +210,20 @@ def test_criterion_5_cantor_tables_fast():
             assert abs(bhm_min_formula(params) - MIN_FORMULA[m]) < 1e-5
             assert abs(bhm_max_formula(params) - MAX_FORMULA[m]) < 1e-5
         for m in (3, 4, 5, 6):
-            nb = _cantor_outer(m, depth=5)
-            assert nb.dim_lo <= ACTUAL_MIN[m][0] + 1e-5
-            assert nb.dim_hi >= ACTUAL_MAX[m][1] - 1e-5
-        nb5 = _cantor_outer(5, depth=5)
-        assert bhm_min_formula(CantorParams.binomial(3, 5)) > nb5.dim_hi
+            dim_lo, dim_hi = _cantor_outer(m, depth=5)
+            assert dim_lo <= ACTUAL_MIN[m][0] + 1e-5
+            assert dim_hi >= ACTUAL_MAX[m][1] - 1e-5
+        _, dim_hi5 = _cantor_outer(5, depth=5)
+        assert bhm_min_formula(CantorParams.binomial(3, 5)) > dim_hi5
 
 
 @pytest.mark.slow
 def test_criterion_5_cantor_tables_slow():
     with criterion(5, "pipeline containment, m = 7..10"):
         for m in (7, 8, 9, 10):
-            nb = _cantor_outer(m, depth=5)
-            assert nb.dim_lo <= ACTUAL_MIN[m][0] + 1e-5
-            assert nb.dim_hi >= ACTUAL_MAX[m][1] - 1e-5
+            dim_lo, dim_hi = _cantor_outer(m, depth=5)
+            assert dim_lo <= ACTUAL_MIN[m][0] + 1e-5
+            assert dim_hi >= ACTUAL_MAX[m][1] - 1e-5
 
 
 def test_criterion_6_convolution_square():
@@ -234,12 +240,12 @@ def test_criterion_6_convolution_square():
                 cands = [e for e in graph.out_edges(a) if e.child == b]
                 assert len(cands) == 1
                 edges.append(cands[0])
-            return periodic_dimension(model, edges)
+            c = periodic_dimension(edges)
+            # the midpoint of the per-step enclosure, as the report shows it
+            return (per_step(c.sp_lo, c.L) + per_step(c.sp_hi, c.L)) / 2
 
-        c1 = cycle((29, 35, 39, 29))
-        c2 = cycle((28, 33, 28))
-        assert abs(c1.per_step - 2.46916) <= 1e-4
-        assert abs(c2.per_step - 2.48119) <= 1e-4
+        assert abs(cycle((29, 35, 39, 29)) - 2.46916) <= 1e-4
+        assert abs(cycle((28, 33, 28)) - 2.48119) <= 1e-4
 
         assert abs(dim_at_zero(model) - 2.88084) <= 1e-4
         report = assemble_report(model, graph, cycle_len=3, bound_len=10,
@@ -248,11 +254,12 @@ def test_criterion_6_convolution_square():
         assert len(vals) == 1 and abs(vals[0] - 2.88084) <= 1e-4
         # the published depth-10 lower bound for the essential class
         nb = norm_bounds(graph, ess.members, depth=10, subsets=[(3, 4)])
-        assert abs(nb.dim_lo - 0.815721) <= 1e-5
+        assert abs(norm_dims(model, nb)[0] - 0.815721) <= 1e-5
 
         enum = enumerate_cycles(graph, ess.members, max_len=3)
-        assert enum.dim_min <= 0.992400 + 1e-5
-        assert enum.dim_max >= 1.00250 - 1e-5
+        _, _, dim_min, dim_max = inner_values(model, enum)
+        assert dim_min <= 0.992400 + 1e-5
+        assert dim_max >= 1.00250 - 1e-5
 
 
 FAST_ORACLE = ["golden", "bc_x3_minus_x2_plus_2x_minus_1",

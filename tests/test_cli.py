@@ -448,6 +448,27 @@ def test_per_step_values_past_the_float_range_exit_0(tmp_path, capsys):
     assert lo - 1e-9 <= ess["dim_inner"][0] <= ess["dim_inner"][1] <= hi + 1e-9
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_report_past_the_float_range_is_strict_json(tmp_path, capsys):
+    # at 1 : 10^400 : 10^400 : 1 the essential class's largest per-step
+    # values reach 10^400, past every float: the report writes them as
+    # null, not as Infinity, and its certified dimension ends stay finite
+    n = 10 ** 400
+    path = _weighted(tmp_path, [1, n, n, 1])
+    out = tmp_path / "report.json"
+    assert run(["analyze", "--input", str(path), "--json", str(out)]) == 0
+    doc = json.loads(out.read_text(), parse_constant=_refuse_constant)
+    ess = next(c for c in doc["classes"] if c["is_essential"])
+    assert ess["spectral_range_inner"][1] is None
+    assert ess["spectral_range_outer"][1] is None
+    for c in doc["classes"]:
+        for key in ("dim_inner", "dim_outer"):
+            assert c[key] is None or all(map(math.isfinite, c[key]))
+
+
 def test_zero_lower_enclosure_exits_0(tmp_path, capsys):
     # at 10^40 : 1 : 10^40 : 1 the walk through both self-loops of vertex 3
     # has spectral radius about 2.6e-40, and the iteration leaves it in the

@@ -5,8 +5,8 @@ search it replaced.
 reference: it walks every closed edge path, drops rotations through a set of
 canonical keys, and certifies every cycle it keeps through
 ``periodic_dimension``. It picks the extremes as the search does: over the
-certified walks, the smallest ``log_lo`` and the largest ``log_hi``, the
-first generated on ties, with the dimension ends of those two walks.
+certified walks, the smallest ``_flog(sp_lo) / L`` and the largest
+``_flog(sp_hi) / L``, the first generated on ties.
 """
 
 import math
@@ -22,7 +22,18 @@ from finitype.errors import ZeroRow
 from finitype.loopclasses import classify_all, essential_class
 from finitype.netgraph import build_graph, compile_matrix
 
-from conftest import catalog_model, certify_walk, walk_vertices
+from conftest import (
+    catalog_model,
+    certify_walk,
+    cycle_dims,
+    inner_values,
+    walk_vertices,
+)
+
+
+def _logs(c):
+    """The per-step logs of a ``CycleDim``'s enclosure, which rank walks."""
+    return dimcalc._flog(c.sp_lo) / c.L, dimcalc._flog(c.sp_hi) / c.L
 
 
 def _canonical_rotation(edge_path, graph, start):
@@ -56,16 +67,14 @@ def _reference_enumerate(graph, members, max_len):
     dims = [certify_walk(graph, path) for path in found]
     # every enclosure converges, so the screen margin holds each certified
     # walk's per-step logs
-    assert all(c.log_hi - c.log_lo <= dimcalc._SCREEN_MARGIN for c in dims)
+    margin = dimcalc._SCREEN_MARGIN
+    assert all(hi - lo <= margin for lo, hi in map(_logs, dims))
     if not dims:
-        return CycleEnumeration(tuple(found), False, *[None] * 6)
-    lo = min(dims, key=lambda c: c.log_lo)
-    hi = max(dims, key=lambda c: c.log_hi)
+        return CycleEnumeration(tuple(found), False, None, None)
     return CycleEnumeration(
         cycles=tuple(found), truncated=False,
-        per_step_min=lo.per_step_lo, per_step_max=hi.per_step_hi,
-        dim_min=hi.dim_lo, dim_max=lo.dim_hi,
-        min_cycle=lo.vertices, max_cycle=hi.vertices)
+        min_cycle=min(dims, key=lambda c: _logs(c)[0]),
+        max_cycle=max(dims, key=lambda c: _logs(c)[1]))
 
 
 def _necklace(vertices):
@@ -107,9 +116,15 @@ def test_matches_exhaustive_search(graph, max_len):
                         for p in got.cycles)
                 == Counter(_necklace(walk_vertices(graph, p))
                            for p in ref.cycles))
-        for field in ("truncated", "per_step_min", "per_step_max", "dim_min",
-                      "dim_max", "min_cycle", "max_cycle"):
-            assert getattr(got, field) == getattr(ref, field), field
+        assert got.truncated == ref.truncated
+        assert (got.min_cycle is None) == (ref.min_cycle is None)
+        if got.min_cycle is not None:
+            assert (inner_values(graph.model, got)
+                    == inner_values(graph.model, ref))
+            for field in ("min_cycle", "max_cycle"):
+                g, r = getattr(got, field), getattr(ref, field)
+                assert (g.vertices, g.sp_lo, g.sp_hi) == \
+                    (r.vertices, r.sp_lo, r.sp_hi), field
 
 
 @pytest.fixture()
@@ -118,8 +133,8 @@ def certified(monkeypatch):
     calls = []
     real = dimcalc.periodic_dimension
 
-    def recorded(model, edges):
-        calls.append((list(edges), real(model, edges)))
+    def recorded(edges):
+        calls.append((list(edges), real(edges)))
         return calls[-1][1]
 
     monkeypatch.setattr(dimcalc, "periodic_dimension", recorded)
@@ -168,8 +183,8 @@ def test_near_ties_are_certified(golden_model, first, other):
         ((first,),), ((1, 2), (1, 2)), ((other,),)))
     got = enumerate_cycles(graph, (1,), max_len=1)
     ref = _reference_enumerate(graph, (1,), max_len=1)
-    assert (got.per_step_min, got.per_step_max) == \
-        (ref.per_step_min, ref.per_step_max)
+    assert (inner_values(golden_model, got)[:2]
+            == inner_values(golden_model, ref)[:2])
 
 
 def test_zero_row_product_is_certified(golden_model):
@@ -193,23 +208,27 @@ def test_overflowing_product_is_certified(golden_model, certified):
     big, tiny = ((10 ** 200,),), ((Fraction(1, 10 ** 200),),)
     graph = _one_vertex_graph(golden_model, (((2,),), big, tiny))
     enum = enumerate_cycles(graph, (1,), max_len=2)
-    logs = {tuple(e.matrix for e in edges): (c.log_lo, c.log_hi)
+    logs = {tuple(e.matrix for e in edges): _logs(c)
             for edges, c in certified}
     assert logs[big, big] == (math.log(10 ** 400) / 2,) * 2
     assert logs[tiny, tiny] == (-math.log(10 ** 400) / 2,) * 2
-    assert enum.per_step_max == pytest.approx(1e200)
-    assert enum.per_step_min == pytest.approx(1e-200)
+    per_step_min, per_step_max, _, _ = inner_values(golden_model, enum)
+    assert per_step_max == pytest.approx(1e200)
+    assert per_step_min == pytest.approx(1e-200)
     # a per-step value of 10^-400 lies below every float, but its log does
     # not: it is enclosed exactly, so its dimensions are finite and it sets
     # the extremes; only its display value underflows to 0
     graph = _one_vertex_graph(golden_model, (((Fraction(1, 10 ** 400),),),))
-    cd = dimcalc.periodic_dimension(golden_model, graph.edges)
-    assert cd.log_lo == cd.log_hi == pytest.approx(-400 * math.log(10))
-    assert cd.dim_lo < cd.dim_hi
-    assert cd.dim_lo == pytest.approx(1915.43, abs=0.01)
-    assert cd.dim_hi == pytest.approx(1915.43, abs=0.01)
+    cd = dimcalc.periodic_dimension(graph.edges)
+    log_lo, log_hi = _logs(cd)
+    assert log_lo == log_hi == pytest.approx(-400 * math.log(10))
+    dim_lo, dim_hi = cycle_dims(golden_model, cd)
+    assert dim_lo < dim_hi
+    assert dim_lo == pytest.approx(1915.43, abs=0.01)
+    assert dim_hi == pytest.approx(1915.43, abs=0.01)
     enum = enumerate_cycles(graph, (1,), max_len=1)
-    assert (enum.per_step_min, enum.dim_max) == (0.0, cd.dim_hi)
+    per_step_min, _, _, dim_max = inner_values(golden_model, enum)
+    assert (per_step_min, dim_max) == (0.0, dim_hi)
 
 
 def test_zero_row_loop_is_certified_in_longer_walks(golden_model):
@@ -258,5 +277,5 @@ def test_certified_values_lie_inside_the_column_screen(graph, monkeypatch):
         enum = enumerate_cycles(graph, lc.members, max_len=6)
         assert len(screens) == len(enum.cycles)
         for (lo, hi), path in zip(screens, enum.cycles):
-            c = certify_walk(graph, path)
-            assert lo - margin <= c.log_lo <= c.log_hi <= hi + margin
+            log_lo, log_hi = _logs(certify_walk(graph, path))
+            assert lo - margin <= log_lo <= log_hi <= hi + margin

@@ -1,5 +1,6 @@
 """Spectral radii, cycle dimensions, pseudo-norm bounds: frozen exact values."""
 
+import itertools
 import operator
 import random
 from decimal import Decimal, localcontext
@@ -15,12 +16,15 @@ from conftest import (
     catalog_graph,
     catalog_model,
     certify_walk,
+    cycle_dims,
     golden_square_ifs,
+    inner_values,
+    norm_dims,
     record_bisections,
     walk_vertices,
 )
 from finitype import dimcalc
-from finitype.catalog import load_document
+from finitype.catalog import SLOW_EXAMPLES, example_names, load_document
 from finitype.cli import parse_document
 from finitype.dimcalc import (
     ISOLATED,
@@ -37,6 +41,7 @@ from finitype.dimcalc import (
     enumerate_cycles,
     mat_mul,
     norm_bounds,
+    per_step,
     periodic_dimension,
     product_along,
     pseudo_norm,
@@ -254,8 +259,8 @@ def _first_cycle(graph, path):
 
 def test_golden_dim_at_zero(golden_model, golden_graph):
     assert abs(dim_at_zero(golden_model) - 1.4404200904) < 1e-9
-    cd = periodic_dimension(golden_model, _first_cycle(golden_graph, (2, 2)))
-    assert abs(cd.dimension - 1.440420090) < 1e-8
+    cd = periodic_dimension(_first_cycle(golden_graph, (2, 2)))
+    assert abs(sum(cycle_dims(golden_model, cd)) / 2 - 1.440420090) < 1e-8
     assert len(cd.vertices) - 1 == 1
 
 
@@ -306,24 +311,25 @@ def test_golden_essential_unit_cycle(golden_model, golden_graph):
     # dimension equal to the endpoint dimension
     e35 = _edges_between(golden_graph, (3, 5))[0][0]
     e53 = [e for e in golden_graph.out_edges(5) if e.child == 3]
-    cd = periodic_dimension(golden_model, [e35, e53[0]])
-    assert abs(cd.dimension - 1.440420090) < 1e-8
-    assert cd.per_step_hi < 1 + 1e-9
+    cd = periodic_dimension([e35, e53[0]])
+    assert abs(sum(cycle_dims(golden_model, cd)) / 2 - 1.440420090) < 1e-8
+    assert per_step(cd.sp_hi, cd.L) < 1 + 1e-9
 
 
 def test_golden_min_dimension_cycle(golden_model, golden_graph):
     # 3 -> 5 -> 3 -> 5 -> 3 mixing both return edges: radius phi^2
     e35 = _edges_between(golden_graph, (3, 5))[0][0]
     a, b = [e for e in golden_graph.out_edges(5) if e.child == 3]
-    cd = periodic_dimension(golden_model, [e35, a, e35, b])
-    assert abs(cd.dimension - 0.9404200909) < 1e-8
-    assert abs(cd.per_step - 1.272019649) < 1e-8
+    cd = periodic_dimension([e35, a, e35, b])
+    assert abs(sum(cycle_dims(golden_model, cd)) / 2 - 0.9404200909) < 1e-8
+    assert abs((per_step(cd.sp_lo, cd.L) + per_step(cd.sp_hi, cd.L)) / 2
+               - 1.272019649) < 1e-8
 
 
 def test_periodic_dimension_rejects_open_path(golden_model, golden_graph):
     e35 = _edges_between(golden_graph, (3, 5))[0][0]
     with pytest.raises(NotACycle):
-        periodic_dimension(golden_model, [e35])
+        periodic_dimension([e35])
 
 
 def test_periodic_dimension_rejects_disconnected_edges(golden_model,
@@ -353,15 +359,6 @@ def spectral_calls(monkeypatch):
     return calls
 
 
-def _enclosed(model, edges, lo, hi):
-    """The ``CycleDim`` of a closed walk whose product has enclosure
-    ``(lo, hi)``."""
-    L = len(edges)
-    return dimcalc.CycleDim((1,) * (L + 1), dimcalc._flog(lo) / L,
-                            dimcalc._flog(hi) / L,
-                            *dimcalc._dims(model, lo, hi, L))
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_equal_column_sums_certify_without_spectral_radius(
         golden_model, spectral_calls, seed):
@@ -382,11 +379,11 @@ def test_equal_column_sums_certify_without_spectral_radius(
     loops = _loops([equal_sums() for _ in range(3)])
     for _ in range(8):
         edges = [rng.choice(loops) for _ in range(rng.randint(1, 4))]
-        got = periodic_dimension(golden_model, edges)
+        got = periodic_dimension(edges)
         assert not spectral_calls
         lo, hi = spectral_radius(product_along(edges))
         assert lo == hi
-        assert got == _enclosed(golden_model, edges, lo, hi)
+        assert got == dimcalc.CycleDim(tuple(edges), lo, hi)
         spectral_calls.clear()
 
 
@@ -404,11 +401,10 @@ def test_unequal_column_sums_take_spectral_radius(golden_model,
         sums = [sum(col) for col in zip(*product)]
         if min(sums) == max(sums):
             continue
-        got = periodic_dimension(golden_model, edges)
+        got = periodic_dimension(edges)
         assert spectral_calls == [product]
         spectral_calls.clear()
-        assert got == _enclosed(golden_model, edges,
-                                *spectral_radius(product))
+        assert got == dimcalc.CycleDim(tuple(edges), *spectral_radius(product))
         checked += 1
     assert checked
 
@@ -419,21 +415,25 @@ def test_golden_cycle_enumeration(golden_model, golden_graph):
     ess = essential_class(golden_graph)
     enum = enumerate_cycles(golden_graph, ess.members, max_len=4)
     assert not enum.truncated
-    assert abs(enum.per_step_min - 1.0) < 1e-9
-    assert abs(enum.per_step_max - 1.272019649) < 1e-8
-    assert abs(enum.dim_min - 0.9404200909) < 1e-8
-    assert abs(enum.dim_max - 1.440420090) < 1e-8
+    per_step_min, per_step_max, dim_min, dim_max = inner_values(golden_model,
+                                                                enum)
+    assert abs(per_step_min - 1.0) < 1e-9
+    assert abs(per_step_max - 1.272019649) < 1e-8
+    assert abs(dim_min - 0.9404200909) < 1e-8
+    assert abs(dim_max - 1.440420090) < 1e-8
 
 
 def test_cantor5_cycle_enumeration(cantor5_binomial_model, cantor5_graph):
     ess = essential_class(cantor5_graph)
     assert ess.members == (4, 5)
     enum = enumerate_cycles(cantor5_graph, ess.members, max_len=3)
-    assert abs(enum.per_step_min - 10.34846923) < 1e-7
-    assert abs(enum.per_step_max - 10.99217650) < 1e-7
+    per_step_min, per_step_max, _, _ = inner_values(cantor5_binomial_model,
+                                                    enum)
+    assert abs(per_step_min - 10.34846923) < 1e-7
+    assert abs(per_step_max - 10.99217650) < 1e-7
     # extremes arise from two-step self-loop walks mixing the parallel edges
-    assert enum.min_cycle == (5, 5, 5)
-    assert enum.max_cycle == (4, 4, 4)
+    assert enum.min_cycle.vertices == (5, 5, 5)
+    assert enum.max_cycle.vertices == (4, 4, 4)
 
 
 def test_cycle_rotation_dedup(golden_graph):
@@ -448,8 +448,8 @@ def test_cycle_rotation_dedup(golden_graph):
 
 def test_self_loop_cycle(sixmap_graph):
     enum = enumerate_cycles(sixmap_graph, (2,), max_len=5)
-    assert all(abs(certify_walk(sixmap_graph, p).per_step_lo - 1) < 1e-9
-               for p in enum.cycles)
+    assert all(abs(per_step(c.sp_lo, c.L) - 1) < 1e-9
+               for c in (certify_walk(sixmap_graph, p) for p in enum.cycles))
 
 
 def test_simple_loop_search_stops_at_loop_length(golden_model, golden_graph):
@@ -497,41 +497,46 @@ def test_pseudo_norm_supermultiplicative_on_squares():
 def test_cantor5_norm_bounds_depth5(cantor5_binomial_model, cantor5_graph):
     ess = essential_class(cantor5_graph)
     nb = norm_bounds(cantor5_graph, ess.members, depth=5)
-    assert abs(nb.per_step_lo - 10.29826851) < 1e-7
-    assert abs(nb.per_step_hi - 10.99526948) < 1e-7
-    assert abs(nb.dim_lo - 0.972381959) < 1e-8
-    assert abs(nb.dim_hi - 1.031992942) < 1e-8
+    dim_lo, dim_hi = norm_dims(cantor5_binomial_model, nb)
+    assert abs(per_step(nb.min_norm, 5) - 10.29826851) < 1e-7
+    assert abs(per_step(nb.max_norm, 5) - 10.99526948) < 1e-7
+    assert abs(dim_lo - 0.972381959) < 1e-8
+    assert abs(dim_hi - 1.031992942) < 1e-8
 
 
 def test_golden_norm_bounds_depth10(golden_model, golden_graph):
     ess = essential_class(golden_graph)
     nb = norm_bounds(golden_graph, ess.members, depth=10)
-    assert abs(nb.per_step_lo - 1.0) < 1e-12
-    assert abs(nb.per_step_hi - 1.319507911) < 1e-8
-    assert abs(nb.dim_lo - 0.8642520535) < 1e-8
-    assert abs(nb.dim_hi - 1.440420090) < 1e-8
+    dim_lo, dim_hi = norm_dims(golden_model, nb)
+    assert abs(per_step(nb.min_norm, 10) - 1.0) < 1e-12
+    assert abs(per_step(nb.max_norm, 10) - 1.319507911) < 1e-8
+    assert abs(dim_lo - 0.8642520535) < 1e-8
+    assert abs(dim_hi - 1.440420090) < 1e-8
 
 
 def test_sixmap_norm_bounds_exact_two(sixmap_graph):
     ess = essential_class(sixmap_graph)
     nb = norm_bounds(sixmap_graph, ess.members, depth=5)
     assert nb.min_norm == 32 and nb.max_norm == 32  # exactly 2 per step
-    assert abs(nb.per_step_lo - 2) < 1e-12 and abs(nb.per_step_hi - 2) < 1e-12
+    assert (abs(per_step(nb.min_norm, 5) - 2) < 1e-12
+            and abs(per_step(nb.max_norm, 5) - 2) < 1e-12)
 
 
 def test_single_edge_class_degenerate_outer(golden_model, golden_graph):
     nb = norm_bounds(golden_graph, (2,), depth=6)
     assert nb.min_norm == 1 and nb.max_norm == 1
-    assert abs(nb.dim_lo - dim_at_zero(golden_model)) < 1e-9
-    assert abs(nb.dim_hi - dim_at_zero(golden_model)) < 1e-9
+    dim_lo, dim_hi = norm_dims(golden_model, nb)
+    assert abs(dim_lo - dim_at_zero(golden_model)) < 1e-9
+    assert abs(dim_hi - dim_at_zero(golden_model)) < 1e-9
 
 
-def test_norm_bounds_monotone_width(golden_graph):
+def test_norm_bounds_monotone_width(golden_model, golden_graph):
     ess = essential_class(golden_graph)
     widths = []
     for depth in (2, 4, 8):
         nb = norm_bounds(golden_graph, ess.members, depth=depth)
-        widths.append(nb.dim_hi - nb.dim_lo)
+        dim_lo, dim_hi = norm_dims(golden_model, nb)
+        widths.append(dim_hi - dim_lo)
     assert widths[0] >= widths[1] - 1e-12 >= widths[2] - 1e-12
 
 
@@ -575,13 +580,13 @@ def test_norm_bounds_flavors_recorded(plastic_graph, with_functionals):
     assert functionals["max_row"] == 40
     assert functionals["max_col"] == 81
     assert nb.max_norm == 40
-    assert abs(nb.per_step_hi - 1.446125550) < 1e-8
+    assert abs(per_step(nb.max_norm, 10) - 1.446125550) < 1e-8
     nb15, functionals = with_functionals(g, ess.members, depth=15,
                                          subsets=[(2, 3, 4)])
     assert functionals["sub_row"][(2, 3, 4)] == 5
-    assert abs(nb15.per_step_lo - 1.113263577) < 1e-8
-    assert abs(nb15.dim_hi - 1.532658865) < 1e-8
-    assert abs(nb.dim_lo - 0.8483019061) < 1e-8
+    assert abs(per_step(nb15.min_norm, 15) - 1.113263577) < 1e-8
+    assert abs(norm_dims(g.model, nb15)[1] - 1.532658865) < 1e-8
+    assert abs(norm_dims(g.model, nb)[0] - 0.8483019061) < 1e-8
 
 
 def _internal_paths(graph, members, depth):
@@ -1152,10 +1157,9 @@ def test_points_within_point_tol_are_one_point(golden_model, golden_graph,
 
     def point_class(graph, lc, *args):
         return ClassDimSet(
-            loop_class=lc, spectral_inner=None, spectral_outer=None,
-            dim_inner=None, dim_outer=None, exact_point=points[lc.members],
-            exact_point_per_step=None, min_cycle=None, max_cycle=None,
-            cycle_len=1, bound_len=1)
+            loop_class=lc, min_cycle=None, max_cycle=None, outer=None,
+            point=None, dim_inner=None, dim_outer=None,
+            exact_point=points[lc.members], cycle_len=1)
 
     monkeypatch.setattr(dimcalc, "analyze_class", point_class)
     rep = assemble_report(golden_model, golden_graph, classes=[
@@ -1175,3 +1179,56 @@ def test_inner_within_outer(golden_model, golden_graph, cantor5_binomial_model,
                 assert cs.dim_inner[1] <= cs.dim_outer[1] + 1e-9
             assert (cs.dim_outer is None
                     or cs.dim_outer[1] <= rep.dim_zero + 1e-9)
+
+
+@pytest.fixture(scope="module")
+def catalog_reports():
+    """The default report of every catalog document outside SLOW_EXAMPLES,
+    with its graph, by name."""
+    return {name: (assemble_report(g.model, g), g)
+            for name in example_names() if name not in SLOW_EXAMPLES
+            for g in [catalog_graph(name)]}
+
+
+def test_inner_extremes_and_points_lie_in_the_outer_bounds_exactly(
+        catalog_reports):
+    # per step, each extreme walk's and each simple loop's enclosure
+    # [sp_lo, sp_hi] ** (1 / L) meets the outer range
+    # [min_norm, max_norm] ** (1 / d): compared as exact powers, no tolerance
+    pairs = 0
+    for name, (report, _) in catalog_reports.items():
+        for cs in report.classes:
+            nb, d = cs.outer, cs.outer.depth
+            for lo, hi in ((cs.min_cycle, cs.max_cycle), (cs.point, cs.point)):
+                if lo is None:
+                    continue
+                assert lo.sp_hi ** d >= nb.min_norm ** lo.L, (name, cs.members)
+                assert hi.sp_lo ** d <= nb.max_norm ** hi.L, (name, cs.members)
+                pairs += 1
+    assert pairs == 50 + 34  # every class's extremes, every loop's point
+
+
+def test_reported_extremes_rebuild_from_their_edge_paths(catalog_reports):
+    for name, (report, _) in catalog_reports.items():
+        for cs in report.classes:
+            if cs.min_cycle is None:
+                continue
+            lo = periodic_dimension(cs.min_cycle.edges)
+            hi = periodic_dimension(cs.max_cycle.edges)
+            assert (lo, hi) == (cs.min_cycle, cs.max_cycle), name
+            assert (dimcalc._dims(report.model, hi.sp_lo, hi.sp_hi, hi.L)[0],
+                    dimcalc._dims(report.model, lo.sp_lo, lo.sp_hi, lo.L)[1]
+                    ) == cs.dim_inner, name
+    # cantor_r3_m4_binomial's maximum runs through the vertices (3, 3, 3, 3),
+    # as do all 27 walks over vertex 3's three self-loops, whose dimensions
+    # run from its reported lower end 0.8928 to 1.0587: only its edge path
+    # names the walk of that end
+    report, graph = catalog_reports["cantor_r3_m4_binomial"]
+    top = report.essential.max_cycle
+    assert top.vertices == (3, 3, 3, 3)
+    loops = [e for e in graph.out_edges(3) if e.child == 3]
+    lows = {cycle_dims(report.model, periodic_dimension(walk))[0]
+            for walk in itertools.product(loops, repeat=3)}
+    assert len(loops) == 3
+    assert min(lows) == report.essential.dim_inner[0] < 0.893
+    assert max(lows) > 1.058
