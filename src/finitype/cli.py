@@ -31,7 +31,8 @@ from .closedforms import (
     x_min_location,
 )
 from .dimcalc import (
-    DimensionReport, ISOLATED, POINT_TOL, UNDECIDED, assemble_report, per_step,
+    DimensionReport, ISOLATED, POINT_TOL, UNDECIDED, _flog, assemble_report,
+    per_step,
 )
 from .errors import (
     BudgetExceeded,
@@ -174,11 +175,15 @@ def _pair(p):
 
 
 def _spectral_ranges(cs):
-    """A class's per-step display ranges (inner, outer), None where none."""
+    """A class's per-step ranges (inner, outer), None where none; each end
+    is an exact value with its number of steps, as ``per_step`` takes."""
     lo, hi, nb = cs.min_cycle, cs.max_cycle, cs.outer
-    return (lo and (per_step(lo.sp_lo, lo.L), per_step(hi.sp_hi, hi.L)),
-            nb and (per_step(nb.min_norm, nb.depth),
-                    per_step(nb.max_norm, nb.depth)))
+    return (lo and ((lo.sp_lo, lo.L), (hi.sp_hi, hi.L)),
+            nb and ((nb.min_norm, nb.depth), (nb.max_norm, nb.depth)))
+
+
+def _step_pair(p):
+    return None if p is None else _pair([per_step(*end) for end in p])
 
 
 def report_to_document(report: DimensionReport, parameters: dict) -> dict:
@@ -194,8 +199,8 @@ def report_to_document(report: DimensionReport, parameters: dict) -> dict:
             "positivity": (lc.positivity.verdict.value
                            if lc.positivity is not None else None),
             "certified_interval": lc.positive,
-            "spectral_range_inner": _pair(inner),
-            "spectral_range_outer": _pair(outer),
+            "spectral_range_inner": _step_pair(inner),
+            "spectral_range_outer": _step_pair(outer),
             "dim_inner": _pair(cs.dim_inner),
             "dim_outer": _pair(cs.dim_outer),
             "exact_point": _r10(cs.exact_point),
@@ -229,6 +234,25 @@ def _fmt(x):
 
 def _fmt_iv(p):
     return f"[{_fmt(p[0])}, {_fmt(p[1])}]"
+
+
+def _fmt_step(x, L):
+    """``per_step(x, L)`` to 10 significant digits. Past the float range,
+    where that is inf (or 0.0 for an x > 0), from log x / L instead, as a
+    mantissa and a decimal exponent: 10^400 prints as 1e+400."""
+    y = per_step(x, L)
+    if 0 < y < math.inf or not x:
+        return _fmt(y)
+    e = _flog(x) / L / math.log(10)
+    exp = math.floor(e)
+    mantissa = float(f"{10 ** (e - exp):.10g}")
+    if mantissa == 10:  # rounded up to the next power
+        mantissa, exp = 1, exp + 1
+    return f"{mantissa:.10g}e{exp:+03d}"
+
+
+def _fmt_steps(p):
+    return f"[{_fmt_step(*p[0])}, {_fmt_step(*p[1])}]"
 
 
 def render_text(report: DimensionReport, graph=None, show_matrices=False) -> str:
@@ -310,15 +334,17 @@ def _class_block(cs) -> list[str]:
     if lc.is_simple_loop:
         p = cs.point
         value = (per_step(p.sp_lo, p.L) + per_step(p.sp_hi, p.L)) / 2
+        shown = (_fmt(value) if 0 < value < math.inf
+                 else _fmt_step(p.sp_hi, p.L))
         lines.append("The class is a simple loop.")
-        lines.append(f"Its per-step spectral value is exactly {_fmt(value)}; "
+        lines.append(f"Its per-step spectral value is exactly {shown}; "
                      f"these points have local dimension "
                      f"{_fmt(cs.exact_point)}.")
     else:
         lines.append("The class is not a simple loop.")
     if inner:
         lines.append(f"Cycle search (length <= {cs.cycle_len}) shows the "
-                     f"per-step spectral range includes {_fmt_iv(inner)}.")
+                     f"per-step spectral range includes {_fmt_steps(inner)}.")
         lines.append(f"  minimum from the loop {list(cs.min_cycle.vertices)}, "
                      f"maximum from the loop {list(cs.max_cycle.vertices)}")
         lines.append(f"  giving local dimensions that include "
@@ -328,7 +354,7 @@ def _class_block(cs) -> list[str]:
                      "inner range here comes from a truncated search.")
     if outer:
         lines.append(f"Pseudo-norm products of length {cs.bound_len} confine "
-                     f"the per-step spectral range to {_fmt_iv(outer)}.")
+                     f"the per-step spectral range to {_fmt_steps(outer)}.")
         lines.append(f"  so these local dimensions are contained in "
                      f"{_fmt_iv(cs.dim_outer)}.")
     if not lc.positive and not lc.is_simple_loop:

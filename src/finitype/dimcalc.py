@@ -40,7 +40,14 @@ layer each distinct matrix multiplies each distinct carried vector once,
 whichever functionals carry it and whichever of the matrix's edges it
 crosses. This is the per-vertex multinorm view of a joint
 spectral radius under constrained switching (Philippe, Essick, Dullerud and
-Jungers 2016). The bounds equal those of full enumeration.
+Jungers 2016). The column-sum side runs first; the row-sum side then sweeps
+only the functionals that could tighten its bounds, by the branch-and-bound
+rule of the cycle search. One greedy walk per functional, from the class's
+smallest member, attains a row-sum value; a max functional whose walk
+already reaches the column-sum upper bound, or a min functional whose walk
+already falls to the best column-sum lower bound, has an extreme that
+cannot tighten either bound, and is not swept. The bounds equal those of
+full enumeration.
 Isolation is decided on certified values with one tolerance, POINT_TOL.
 """
 
@@ -491,7 +498,8 @@ class NormBounds:
     min_norm: Fraction | int          # best lower functional over all products
     max_norm: Fraction | int          # best upper functional over all products
     path_count: int
-    charged: int                      # units charged against path_budget
+    charged: int                      # units charged against path_budget;
+                                      # row families left out are not charged
 
 
 # How many of the vectors already kept at a vertex each candidate is checked
@@ -633,6 +641,25 @@ def _norm_pass(into, families, depth, budget_state):
     return bests
 
 
+def _probe(col_into, transposed, family, start, depth):
+    """The value of one ``depth``-step walk on the row side from ``start``,
+    taken greedily: each step takes the out-edge whose product of the carried
+    vector has the family's extreme value (the first such edge). The row
+    side's edges out of ``w`` are the column side's edges into it,
+    ``col_into[w]``, each crossed by ``transposed[id(M)]``. None when the
+    walk reaches a vertex with no such edge."""
+    upper, value, starts = family
+    pick = max if upper else min
+    w, u = start, starts[start][0]
+    for _ in range(depth):
+        if not col_into[w]:
+            return None
+        w, u = pick(((v, vec_mat(u, transposed[id(matrix)]))
+                     for v, matrix in col_into[w]),
+                    key=lambda step: value(step[1]))
+    return value(u)
+
+
 def norm_bounds(graph: TransitionGraph, members, depth: int, subsets=(),
                 path_budget: int = 20_000_000) -> NormBounds:
     """Confine the class's per-step spectral range with exact pseudo-norms of
@@ -651,11 +678,22 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subsets=(),
     gives the column sums of the products; ``row_into[v]`` holds
     ``(w, M^T)``, transposed once per distinct compiled ``M``, and gives the
     column sums of the transposed products, which are the row sums. Each
-    side is one ``_norm_pass`` sweep of the same ``(upper, value, starts)``
+    side is one ``_norm_pass`` sweep of ``(upper, value, starts)``
     families: the max column sum, the min column sum, then one restricted
     min per subset, sharing each (edge, vector) product within a layer.
     Each family's extreme, and ``path_count`` from ``_walk_count`` on
     ``col_into``, are those of enumerating every walk.
+
+    The row side sweeps only the families that could tighten the column
+    side's bounds (branch and bound, as in the cycle search). One greedy
+    ``_probe`` walk per family, from the smallest member, gives a value that
+    a real row-side walk attains, so the family's extreme is at least it for
+    the max family and at most it for a min family. A max family whose probe
+    is at least the column max cannot lower ``max_norm``; a min family whose
+    probe is at most the largest column lower value cannot raise
+    ``min_norm``: both are left out of the row sweep, which is not run when
+    no family is left. A probe that cannot finish its walk leaves its family
+    in. So the bounds are those of sweeping every family.
     ``path_budget`` caps the units charged by the column-sum side and then
     the row-sum side, whose total is ``charged``; past it, PathExplosion.
     """
@@ -699,12 +737,21 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subsets=(),
     budget_state = [0, path_budget]
     max_col, min_col, *sub_col = _norm_pass(col_into, families, depth,
                                             budget_state)
-    max_row, min_row, *sub_row = _norm_pass(row_into, families, depth,
-                                            budget_state)
+    lo_col = max(x for x in [min_col] + sub_col if x is not None)
+
+    def beaten(family):
+        x = _probe(col_into, transposed, family, ms[0], depth)
+        return x is not None and (x >= max_col if family[0] else x <= lo_col)
+
+    keep = [not beaten(family) for family in families]
+    swept = [family for family, k in zip(families, keep) if k]
+    row = iter(_norm_pass(row_into, swept, depth, budget_state)
+               if swept else ())
+    max_row, min_row, *sub_row = [next(row) if k else None for k in keep]
 
     lo_best = max(x for x in [min_col, min_row] + sub_col + sub_row
                   if x is not None)
-    hi_best = min(max_col, max_row)
+    hi_best = min(x for x in (max_col, max_row) if x is not None)
     return NormBounds(depth=depth, min_norm=lo_best, max_norm=hi_best,
                       path_count=_walk_count(col_into, depth),
                       charged=budget_state[0])

@@ -469,6 +469,26 @@ def test_report_past_the_float_range_is_strict_json(tmp_path, capsys):
             assert c[key] is None or all(map(math.isfinite, c[key]))
 
 
+@pytest.mark.parametrize("weights,flags,lines", [
+    ((1, 10 ** 400, 10 ** 400, 1), (), [
+        "shows the per-step spectral range includes [1e+200, 1e+400].",
+        "confine the per-step spectral range to [1e+200, 1e+400]."]),
+    ((10 ** 400, 1, 10 ** 400, 1), ("--allow-irregular", "--cycle-len=2"), [
+        "confine the per-step spectral range to [1e-400, 1].",
+        "Its per-step spectral value is exactly 1e-400;"]),
+], ids=["above", "below"])
+def test_text_report_past_the_float_range(tmp_path, capsys, weights, flags,
+                                          lines):
+    # per-step values of 10^400 and 10^-400 pass every float, where
+    # per_step gives inf and 0.0: the text prints them from their logs
+    path = _weighted(tmp_path, list(weights))
+    assert run(["analyze", "--input", str(path), "--text", *flags]) == 0
+    out = capsys.readouterr().out
+    assert "inf" not in out
+    for line in lines:
+        assert line in out
+
+
 def test_zero_lower_enclosure_exits_0(tmp_path, capsys):
     # at 10^40 : 1 : 10^40 : 1 the walk through both self-loops of vertex 3
     # has spectral radius about 2.6e-40, and the iteration leaves it in the

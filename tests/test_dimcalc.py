@@ -547,23 +547,52 @@ def test_norm_bounds_subset_validation(golden_graph):
         # vertex 6 has a single neighbour, so index 2 is invalid
 
 
+def _sides(graph, members, subsets=()):
+    """Both sides' reversed adjacency and the functional families, built as
+    ``norm_bounds`` builds them: ``col_into[w]`` holds ``(v, M)`` for each
+    internal edge ``v -> w``, ``row_into[v]`` holds ``(w, M^T)`` with each
+    distinct ``M`` transposed once (``transposed``, keyed by ``id(M)``), and
+    the families are the max and min sums, then a restricted min per
+    subset."""
+    ms = sorted(members)
+    sizes = {v: len(graph.cv(v).neighbours) for v in ms}
+    internal = graph.internal_out(ms)
+    col_into = {v: [] for v in ms}
+    for v in ms:
+        for _, e in internal[v]:
+            col_into[e.child].append((v, e.sparse))
+    transposed, row_into = {}, {v: [] for v in ms}
+    for w, sources in col_into.items():
+        for v, matrix in sources:
+            if id(matrix) not in transposed:
+                transposed[id(matrix)] = matrix.transposed()
+            row_into[v].append((w, transposed[id(matrix)]))
+    ones = {v: [(1,) * n] for v, n in sizes.items()}
+    families = [(True, max, ones), (False, min, ones)] + [
+        (False, lambda vec, idx=idx: min(vec[k - 1] for k in idx),
+         {v: [tuple(int(j in idx) for j in range(1, n + 1))]
+          for v, n in sizes.items()})
+        for idx in subsets]
+    return col_into, transposed, row_into, families
+
+
 @pytest.fixture()
-def with_functionals(monkeypatch):
-    """``norm_bounds`` returning also each functional's extreme, read from
-    its two ``_norm_pass`` calls: column sums, then row sums."""
-    real = dimcalc._norm_pass
-    passes = []
-
-    def spy(*args):
-        passes.append(real(*args))
-        return passes[-1]
-
-    monkeypatch.setattr(dimcalc, "_norm_pass", spy)
-
+def with_functionals():
+    """``norm_bounds`` returning also each functional's extreme, from a
+    ``_norm_pass`` over every family on each side: column sums, then row
+    sums. The bounds must combine them: the largest lower value and the
+    smaller max, whichever row families ``norm_bounds`` itself sweeps."""
     def run(graph, members, depth, subsets=()):
-        passes.clear()
+        col_into, _, row_into, families = _sides(graph, members, subsets)
+        budget = [0, 10 ** 9]
+        max_col, min_col, *sub_col = _norm_pass(col_into, families, depth,
+                                                budget)
+        max_row, min_row, *sub_row = _norm_pass(row_into, families, depth,
+                                                budget)
         nb = norm_bounds(graph, members, depth, subsets=subsets)
-        (max_col, min_col, *sub_col), (max_row, min_row, *sub_row) = passes
+        lows = [min_col, min_row, *sub_col, *sub_row]
+        assert nb.min_norm == max(x for x in lows if x is not None)
+        assert nb.max_norm == min(max_col, max_row)
         return nb, {"min_col": min_col, "max_col": max_col,
                     "min_row": min_row, "max_row": max_row,
                     "sub_col": dict(zip(subsets, sub_col)),
@@ -897,17 +926,47 @@ def test_norm_pass_window_family_shares_products(vec_mat_calls):
     assert products([lo, window]) < products([lo]) + products([window])
 
 
-def test_norm_bounds_shares_products_across_families(vec_mat_calls):
-    # the Cantor m = 10 essential class at depth 8 with its width-3
-    # windows: 49,674 products when each family takes its own, 20,175 when
-    # each edge multiplies each distinct vector of a layer once
+def _cantor10_class():
+    """The Cantor m = 10 essential class (one vertex, three loops) and its
+    width-3 windows."""
     graph = catalog_graph("cantor_r3_m10_binomial")
     members = essential_class(graph).members
-    subsets = _auto_subsets(min(len(graph.cv(v).neighbours)
-                                for v in members))
+    return graph, members, _auto_subsets(min(len(graph.cv(v).neighbours)
+                                             for v in members))
+
+
+def test_norm_bounds_shares_products_across_families(vec_mat_calls):
+    # the row side of the Cantor m = 10 essential class at depth 8 with its
+    # width-3 windows, where no family prunes: 49,200 products when each
+    # family takes its own, 19,728 when each edge multiplies each distinct
+    # vector of a layer once; every family charges 9,840 units
+    _, _, row_into, families = _sides(*_cantor10_class())
+
+    def products(fams):
+        vec_mat_calls[0] = 0
+        budget = [0, 10 ** 9]
+        _norm_pass(row_into, fams, 8, budget)
+        return vec_mat_calls[0], budget[0]
+
+    assert len(families) == 5
+    assert [products([f]) for f in families] == [(9_840, 9_840)] * 5
+    assert products(families) == (19_728, 9_840)
+
+
+def test_norm_bounds_sweeps_no_row_family_on_cantor10(vec_mat_calls):
+    # every row family's probe is beaten by the column side, so norm_bounds
+    # takes the column pass's 447 products and charge, and one 8-step probe
+    # per family (5 families, 3 edges a step): 447 + 120 = 567 products,
+    # not the 20,175 of sweeping both sides
+    graph, members, subsets = _cantor10_class()
+    col_into, _, _, families = _sides(graph, members, subsets)
+    budget = [0, 10 ** 9]
+    _norm_pass(col_into, families, 8, budget)
+    assert (vec_mat_calls[0], budget[0]) == (447, 153)
+    vec_mat_calls[0] = 0
     nb = norm_bounds(graph, members, 8, subsets=subsets)
-    assert vec_mat_calls[0] == 20_175
-    assert nb.charged == 9_993
+    assert vec_mat_calls[0] == 447 + 5 * 8 * 3 == 567
+    assert nb.charged == 153
 
 
 def test_norm_bounds_shares_products_across_equal_matrices(vec_mat_calls):
@@ -915,15 +974,16 @@ def test_norm_bounds_shares_products_across_equal_matrices(vec_mat_calls):
     # its 1,141 internal edges carry 198 distinct matrices. 48,069 products
     # when each edge takes its own, 20,670 when each distinct matrix
     # multiplies each distinct vector of a layer once, and 19,569 when a
-    # family whose frontier stops changing takes no more; the charge is the
-    # same
+    # family whose frontier stops changing takes no more. Both row families
+    # pass their probes and are swept, so the charge stays 34,530 and the
+    # two 8-step probes add 44 products: 19,613
     graph = catalog_graph("bc_x4_minus_2x2_minus_x_plus_1")
     members = essential_class(graph).members
     internal = graph.internal_out(members)
     edges = [e for out in internal.values() for _, e in out]
     assert (len(edges), len({id(e.matrix) for e in edges})) == (1141, 198)
     nb = norm_bounds(graph, members, 8)
-    assert vec_mat_calls[0] == 19_569
+    assert vec_mat_calls[0] == 19_613
     assert nb.charged == 34_530
 
 
@@ -950,26 +1010,35 @@ def _rank_one(p):
     return tuple((x,) * len(p) for x in p)
 
 
+def _hand_graph(edges, model=None):
+    """A graph of the edges ``(parent, child, matrix)``, parallel ones
+    allowed, with what ``norm_bounds`` and the brute-force references read
+    of a built graph; a vertex has as many neighbours as its matrices'
+    rows."""
+    edges = [SimpleNamespace(parent=v, child=w, matrix=m,
+                             sparse=compile_matrix(m)) for v, w, m in edges]
+    sizes = {e.parent: len(e.matrix) for e in edges}
+    return SimpleNamespace(
+        model=model, edges=edges,
+        cv=lambda v: SimpleNamespace(neighbours=(0,) * sizes[v]),
+        out_edges=lambda v: [e for e in edges if e.parent == v],
+        internal_out=lambda ms: {v: [(i, e) for i, e in enumerate(edges)
+                                     if e.parent == v and e.child in ms]
+                                 for v in ms})
+
+
 def _unit_column_graph(model):
     """Two vertices of three neighbours each, and four edges whose matrices
     have unit column sums: 1 -> 1 and 2 -> 1 rank one, 1 -> 2 a cyclic
     shift and 2 -> 2 a mixing matrix."""
     h, q, t = Fraction(1, 2), Fraction(1, 4), Fraction(1, 3)
-    matrices = {(1, 1): _rank_one((h, q, q)),
-                (1, 2): ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
-                (2, 1): _rank_one((q, q, h)),
-                (2, 2): ((h, 0, t), (h, h, t), (0, h, t))}
-    edges = [SimpleNamespace(parent=v, child=w, matrix=m,
-                             sparse=compile_matrix(m))
-             for (v, w), m in matrices.items()]
-    for e in edges:
+    graph = _hand_graph([(1, 1, _rank_one((h, q, q))),
+                         (1, 2, ((0, 1, 0), (0, 0, 1), (1, 0, 0))),
+                         (2, 1, _rank_one((q, q, h))),
+                         (2, 2, ((h, 0, t), (h, h, t), (0, h, t)))], model)
+    for e in graph.edges:
         assert all(sum(col) == 1 for col in zip(*e.matrix))
-    return SimpleNamespace(
-        model=model, edges=edges,
-        cv=lambda v: SimpleNamespace(neighbours=(0, 0, 0)),
-        out_edges=lambda v: [e for e in edges if e.parent == v],
-        internal_out=lambda ms: {v: [(i, e) for i, e in enumerate(edges)
-                                     if e.parent == v] for v in ms})
+    return graph
 
 
 def test_settled_families_match_brute_force(golden_model, with_functionals):
@@ -1020,6 +1089,97 @@ def test_norm_pass_settles_no_frontier_that_changed(depth):
     ref = _brute_norm_pass(steps, starts, depth, [])[0]
     assert _pass(steps, starts, depth, [], [0, 10 ** 9]) == ref == \
         (1, 1, 2 ** depth, [])
+
+
+# --------------------------------------------------------- row-side gate
+
+def test_norm_bounds_takes_a_row_max_one_unit_below_the_column_max(
+        with_functionals):
+    # one vertex, two loops, depth 2: the largest row sum, 5, is one below
+    # the largest column sum, 6, and the greedy probe reaches it, so the
+    # max row family must be swept and set max_norm
+    graph = _hand_graph([(1, 1, ((1, 2), (0, 1))), (1, 1, ((1, 2), (1, 0)))])
+    col_into, transposed, _, families = _sides(graph, (1,))
+    assert dimcalc._probe(col_into, transposed, families[0], 1, 2) == 5
+    nb, functionals = with_functionals(graph, (1,), 2)
+    assert (functionals["max_col"], functionals["max_row"]) == (6, 5)
+    assert nb.max_norm == 5
+
+
+def test_norm_bounds_takes_a_row_window_one_unit_above_the_column_side(
+        with_functionals):
+    # one vertex, two loops, depth 2, window (1, 2): the row window reaches
+    # 5, one above every column lower value (min 4, window 3), and the
+    # greedy probe finds it, so the window's row family must be swept and
+    # set min_norm; the row min (4) and the row max (30 against 25) cannot
+    # move a bound
+    graph = _hand_graph([(1, 1, ((2, 1, 1), (2, 2, 2), (1, 2, 2))),
+                         (1, 1, ((1, 2, 1), (0, 2, 1), (1, 0, 0)))])
+    col_into, transposed, _, families = _sides(graph, (1,), [(1, 2)])
+    assert dimcalc._probe(col_into, transposed, families[2], 1, 2) == 5
+    nb, functionals = with_functionals(graph, (1,), 2, [(1, 2)])
+    assert functionals == {"max_col": 25, "min_col": 4, "sub_col": {(1, 2): 3},
+                           "max_row": 30, "min_row": 4, "sub_row": {(1, 2): 5}}
+    assert (nb.min_norm, nb.max_norm) == (5, 25)
+
+
+def _row_values_from(graph, members, start, depth, subsets):
+    """Each family's value (max row sum, min row sum, then each subset's
+    restricted min of the transpose) of the product along every
+    ``depth``-step walk that ends at ``start``: the row side's walks from
+    ``start``, reversed."""
+    values = [set() for _ in range(2 + len(subsets))]
+    for path in _internal_paths(graph, members, depth):
+        if path[-1].child == start:
+            P = product_along(path)
+            values[0].add(pseudo_norm(P, NormKind.MAX_ROW))
+            values[1].add(pseudo_norm(P, NormKind.MIN_ROW))
+            for vals, idx in zip(values[2:], subsets):
+                vals.add(pseudo_norm(tuple(zip(*P)), NormKind.SUBSET_MIN,
+                                     idx))
+    return values
+
+
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_probe_values_are_attained(golden_graph, cubic_pisot_graph,
+                                   cantor5_graph, depth):
+    # a probe's value is a real walk's, so it bounds its family's extreme
+    for graph, subsets in ((golden_graph, []), (cubic_pisot_graph, [(1,)]),
+                           (cantor5_graph, [(1,), (1, 2)])):
+        members = essential_class(graph).members
+        start = min(members)
+        col_into, transposed, _, families = _sides(graph, members, subsets)
+        values = _row_values_from(graph, members, start, depth, subsets)
+        for family, vals in zip(families, values):
+            assert dimcalc._probe(col_into, transposed, family, start,
+                                  depth) in vals
+
+
+@pytest.mark.parametrize("depth", range(2, 5))
+def test_unfinished_probe_sweeps_every_row_family(monkeypatch,
+                                                  with_functionals, depth):
+    # the row side's walk from 1 steps to 2 (the edge 2 -> 1), and no edge
+    # enters 2: every probe stops there, so every row family is swept
+    graph = _hand_graph([(2, 1, ((1, 0), (1, 1))),
+                         (1, 3, ((2, 1), (0, 1))),
+                         (3, 3, ((1, 1), (0, 2)))])
+    members, subsets = (1, 2, 3), [(1,), (2,)]
+    col_into, transposed, _, families = _sides(graph, members, subsets)
+    for family in families:
+        assert dimcalc._probe(col_into, transposed, family, 1, depth) is None
+    swept = []
+    real = dimcalc._norm_pass
+
+    def spy(into, families, *args):
+        swept.append(len(families))
+        return real(into, families, *args)
+
+    monkeypatch.setattr(dimcalc, "_norm_pass", spy)
+    nb, functionals = with_functionals(graph, members, depth, subsets)
+    assert swept == [4, 4]  # norm_bounds' column pass, then its row pass
+    ref, count = _brute_norm_functionals(graph, members, depth, subsets)
+    assert functionals == ref
+    assert nb.path_count == count
 
 
 def _prune_in_full(candidates, upper):
@@ -1095,10 +1255,18 @@ def test_norm_budget_charge_at_most_walk_prefixes(golden_graph,
 
 @pytest.mark.parametrize("depth", [1, 4, 7])
 def test_norm_budget_charge_on_simple_loop(plastic_graph, depth):
+    # each side's pass charges every walk prefix, len(members) * depth
+    # units; every row probe is beaten by the column side, so norm_bounds
+    # charges the column side alone, half of walking every path both ways
     members = (22, 30)  # a simple loop through two vertices
+    col_into, _, row_into, families = _sides(plastic_graph, members, [(1,)])
+    for into in (col_into, row_into):
+        budget = [0, 10 ** 9]
+        _norm_pass(into, families, depth, budget)
+        assert budget[0] == len(members) * depth
     charge = _charge(plastic_graph, members, depth, [(1,)])
-    assert charge == _walk_prefixes(plastic_graph, members, depth)
-    assert charge == 2 * len(members) * depth
+    assert 2 * charge == _walk_prefixes(plastic_graph, members, depth)
+    assert charge == len(members) * depth
     assert _explodes(plastic_graph, members, depth, [(1,)], charge - 1)
 
 
