@@ -39,7 +39,6 @@ from .errors import (
     CapExceeded,
     FinitypeError,
     InputDocumentError,
-    PathExplosion,
 )
 from .exactfield import NumberField
 from .ifsmodel import (
@@ -387,7 +386,9 @@ def _build_parser():
     an.add_argument("--input", required=True, help="input document (JSON)")
     an.add_argument("--max-cvs", type=int, default=10000)
     an.add_argument("--cycle-len", type=int, default=10)
-    an.add_argument("--bound-len", type=int, default=8)
+    an.add_argument("--bound-len", type=int, default=8,
+                    help="maximum length of the norm-bound products; the "
+                         "report gives the length their work budget allows")
     an.add_argument("--subset", default=None,
                     help="comma-separated 1-based column indices for the "
                          "restricted lower norm (default: every contiguous "
@@ -576,7 +577,7 @@ def run(argv) -> int:
         if args.command == "formulas":
             return _cmd_formulas(args)
         raise AssertionError(args.command)
-    except (CapExceeded, BudgetExceeded, PathExplosion) as e:
+    except (CapExceeded, BudgetExceeded) as e:
         print(f"{_qual(e)}: {e}", file=sys.stderr)
         return 2
     except FinitypeError as e:

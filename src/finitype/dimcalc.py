@@ -47,7 +47,8 @@ smallest member, attains a row-sum value; a max functional whose walk
 already reaches the column-sum upper bound, or a min functional whose walk
 already falls to the best column-sum lower bound, has an extreme that
 cannot tighten either bound, and is not swept. The bounds equal those of
-full enumeration.
+full enumeration. A side stops before a layer that would take its charge past
+the work budget, and reads its extremes at the depth reached.
 Isolation is decided on certified values with one tolerance, POINT_TOL.
 """
 
@@ -63,7 +64,6 @@ from fractions import Fraction
 from .errors import (
     EdgesNotAdmissible,
     NotACycle,
-    PathExplosion,
     SubsetInvalidForClass,
     ZeroRow,
 )
@@ -498,8 +498,9 @@ class NormBounds:
     min_norm: Fraction | int          # best lower functional over all products
     max_norm: Fraction | int          # best upper functional over all products
     path_count: int
-    charged: int                      # units charged against path_budget;
-                                      # row families left out are not charged
+    charged: int                      # units charged against path_budget by
+                                      # each side to where it stopped; row
+                                      # families left out are not charged
 
 
 # How many of the vectors already kept at a vertex each candidate is checked
@@ -547,9 +548,11 @@ def _walk_count(into, depth):
     return sum(count.values())
 
 
-def _norm_pass(into, families, depth, budget_state):
-    """Extremes of each functional family over the products along every
-    ``depth``-step walk on one side, all families in one layered sweep.
+def _norm_pass(into, families, depth, cap):
+    """``(bests, reached, charged)``: the extremes of each functional family
+    over the products along every ``reached``-step walk on one side, all
+    families in one layered sweep of ``depth`` layers or up to the first
+    that would take the units charged past ``cap``.
 
     ``into[w]`` lists ``(v, matrix)`` for each edge ``v -> w`` of the side,
     with every vertex a key and every matrix compiled. A family
@@ -568,15 +571,14 @@ def _norm_pass(into, families, depth, budget_state):
     products are dropped after its last edge of the layer.
     A layer that leaves a family's frontier unchanged (the same vectors in
     the same order at every vertex) settles it: every later layer would
-    repeat it, so the family takes no more products or prunes, and its
-    extreme is read from that frontier, whose pruned-away vectors each have
-    a kept dominator, so this is the value the last layer's fold would give.
-    ``budget_state`` is ``[units charged, cap]``, shared by both sides. A
-    family is charged one unit per (frontier vector, out-edge) pair, before
-    each layer's products, and a side charges its largest family total;
-    PathExplosion as soon as a family's charge would pass the cap. A
-    family's frontier holds at most one vector per walk, so this never
-    exceeds the number of walk prefixes, and on a simple loop equals it.
+    repeat it, so the family takes no more products or prunes. Its extreme,
+    and every family's where the sweep stops, is read from the frontier it
+    holds, whose pruned-away vectors each have a kept dominator, so this is
+    the value a fold of that layer would give. A family is charged one unit
+    per (frontier vector, out-edge) pair before each layer's products, and
+    the pass charges its largest family total. A family's frontier holds at
+    most one vector per walk, so this never exceeds the number of walk
+    prefixes, and on a simple loop equals it.
     """
     outdeg = Counter(v for sources in into.values() for v, _ in sources)
     # each matrix's last edge in the sweep's order, counted from 0
@@ -584,10 +586,10 @@ def _norm_pass(into, families, depth, budget_state):
         e for sources in into.values() for e in sources)}
     frontiers = [{v: _prune(vecs, upper) for v, vecs in starts.items()}
                  for upper, _, starts in families]
-    spent, cap = budget_state
     charges = [0] * len(families)
     bests = [None] * len(families)
     settled = [False] * len(families)
+    reached = 0
 
     def fold(i, vecs):
         pick = max if families[i][0] else min
@@ -595,11 +597,12 @@ def _norm_pass(into, families, depth, budget_state):
         bests[i] = x if bests[i] is None else pick(bests[i], x)
 
     for step in range(depth):
-        for i, frontier in enumerate(frontiers):
-            charges[i] += sum(len(vecs) * outdeg[v]
-                              for v, vecs in frontier.items())
-            if spent + charges[i] > cap:
-                raise PathExplosion(cap)
+        totals = [charge + sum(len(vecs) * outdeg[v]
+                               for v, vecs in frontier.items())
+                  for charge, frontier in zip(charges, frontiers)]
+        if max(totals) > cap:
+            break
+        charges, reached = totals, step + 1
         last = step == depth - 1
         live = [i for i, done in enumerate(settled) if not done]
         layers = [frontier if done else {}
@@ -634,11 +637,11 @@ def _norm_pass(into, families, depth, budget_state):
             for i in live:
                 settled[i] = layers[i] == frontiers[i]
         frontiers = layers
+    # a live family's frontier is empty after the last layer's fold
     for i, frontier in enumerate(frontiers):
-        if settled[i] and frontier:
+        if frontier:
             fold(i, [u for vecs in frontier.values() for u in vecs])
-    budget_state[0] += max(charges)
-    return bests
+    return bests, reached, max(charges)
 
 
 def _probe(col_into, transposed, family, start, depth):
@@ -661,9 +664,10 @@ def _probe(col_into, transposed, family, start, depth):
 
 
 def norm_bounds(graph: TransitionGraph, members, depth: int, subsets=(),
-                path_budget: int = 20_000_000) -> NormBounds:
+                path_budget: int = 20_000_000) -> NormBounds | None:
     """Confine the class's per-step spectral range with exact pseudo-norms of
-    every admissible product of ``depth`` primitive matrices.
+    every admissible product of ``depth`` primitive matrices, or of fewer
+    where ``path_budget`` stops the sweep; None when not even one step fits.
 
     Because row-sum and column-sum functionals are sound simultaneously
     (min flavors are supermultiplicative lower tools, max flavors
@@ -695,7 +699,10 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subsets=(),
     no family is left. A probe that cannot finish its walk leaves its family
     in. So the bounds are those of sweeping every family.
     ``path_budget`` caps the units charged by the column-sum side and then
-    the row-sum side, whose total is ``charged``; past it, PathExplosion.
+    the row-sum side, whose total is ``charged``. The column side's depth
+    reached is the bounds' ``depth``, at which the probes and the row side
+    run; a row side stopped short of it is dropped, its values being of
+    another depth, and the column side's bounds stand on their own.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -705,7 +712,7 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subsets=(),
     checked: list[tuple[int, ...]] = []
     for s in subsets:
         idx = tuple(sorted(set(int(c) for c in s)))
-        if idx[0] < 1 or idx[-1] > min_neigh:
+        if not idx or idx[0] < 1 or idx[-1] > min_neigh:
             raise SubsetInvalidForClass(
                 f"subset {idx} invalid: some member has only "
                 f"{min_neigh} neighbours")
@@ -734,27 +741,28 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subsets=(),
          {v: [tuple(int(j in idx) for j in range(1, n + 1))]
           for v, n in sizes.items()})
         for idx in checked]
-    budget_state = [0, path_budget]
-    max_col, min_col, *sub_col = _norm_pass(col_into, families, depth,
-                                            budget_state)
+    (max_col, min_col, *sub_col), depth, charged = _norm_pass(
+        col_into, families, depth, path_budget)
+    if not depth:
+        return None
     lo_col = max(x for x in [min_col] + sub_col if x is not None)
 
     def beaten(family):
         x = _probe(col_into, transposed, family, ms[0], depth)
         return x is not None and (x >= max_col if family[0] else x <= lo_col)
 
-    keep = [not beaten(family) for family in families]
-    swept = [family for family, k in zip(families, keep) if k]
-    row = iter(_norm_pass(row_into, swept, depth, budget_state)
-               if swept else ())
-    max_row, min_row, *sub_row = [next(row) if k else None for k in keep]
-
-    lo_best = max(x for x in [min_col, min_row] + sub_col + sub_row
-                  if x is not None)
-    hi_best = min(x for x in (max_col, max_row) if x is not None)
-    return NormBounds(depth=depth, min_norm=lo_best, max_norm=hi_best,
+    swept = [family for family in families if not beaten(family)]
+    lows, highs = [lo_col], [max_col]
+    if swept:
+        bests, reached, units = _norm_pass(row_into, swept, depth,
+                                           path_budget - charged)
+        charged += units
+        if reached == depth:  # else its values are at another depth
+            for (upper, _, _), x in zip(swept, bests):
+                (highs if upper else lows).append(x)
+    return NormBounds(depth=depth, min_norm=max(lows), max_norm=min(highs),
                       path_count=_walk_count(col_into, depth),
-                      charged=budget_state[0])
+                      charged=charged)
 
 
 # ----------------------------------------------------------------------------
@@ -858,22 +866,16 @@ def analyze_class(graph: TransitionGraph, lc: LoopClass, cycle_len: int,
                   path_budget: int) -> ClassDimSet:
     """Inner and outer dimension ranges of one loop class. The lower norm
     tries every width-3 window and, unless ``subset`` is ``"auto"``, that
-    index tuple when no index exceeds a member's neighbour count."""
+    index tuple when no index exceeds a member's neighbour count. The outer
+    range is of ``bound_len`` steps, or as many as ``path_budget`` allows."""
     members = lc.members
     min_neigh = min(len(graph.cv(v).neighbours) for v in members)
     subsets = _auto_subsets(min_neigh)
-    if subset != "auto" and max(subset) <= min_neigh:
+    if subset != "auto" and max(subset, default=0) <= min_neigh:
         subsets.append(tuple(subset))
 
-    bl = bound_len
-    nb = None
-    while bl >= 1:
-        try:
-            nb = norm_bounds(graph, members, bl, subsets=subsets,
-                             path_budget=path_budget)
-            break
-        except PathExplosion:
-            bl //= 2
+    nb = norm_bounds(graph, members, bound_len, subsets=subsets,
+                     path_budget=path_budget)
     # a simple loop's longer walks are powers of its loop, which tie with it
     search_len = (min(cycle_len, len(members)) if lc.is_simple_loop
                   else cycle_len)
@@ -908,8 +910,10 @@ def assemble_report(model: Model, graph: TransitionGraph, classes=None,
 
     tol = POINT_TOL
     # One (inner, outer) span per class; a point class's span is its point.
+    # A class with no outer bound spans every dimension, which are >= 0.
     spans = [((p, p), (p, p)) if (p := cs.exact_point) is not None
-             else (cs.dim_inner, cs.dim_outer) for cs in sets]
+             else (cs.dim_inner, cs.dim_outer or (0.0, math.inf))
+             for cs in sets]
     # Exact points (simple-loop classes) join, in class order, the first
     # group whose point is within tol. A point class spans only its point,
     # so it holds another only within tol, where both are one point: only

@@ -110,14 +110,6 @@ class SubsetInvalidForClass(FinitypeError):
     pass
 
 
-class PathExplosion(FinitypeError):
-    def __init__(self, budget):
-        self.budget = budget
-        super().__init__(
-            f"norm-bound products exceeded the budget of {budget} "
-            f"(frontier vector, edge) steps")
-
-
 # --- oracle -------------------------------------------------------------------
 
 class BudgetExceeded(FinitypeError):

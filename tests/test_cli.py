@@ -588,9 +588,35 @@ def test_text_report_mentions_not_certified(golden_square_model):
     assert "NOT CERTIFIED" in text
 
 
+@pytest.mark.parametrize("name,point", [("golden_square", "2.880840181"),
+                                        ("cantor_r3_m3_binomial",
+                                         "1.892789261")])
+def test_class_without_outer_bound_spans_every_dimension(name, point):
+    # with no norm-bound unit no class has an outer bound: the bracket is
+    # every dimension >= 0, and a simple loop's point, outside every inner
+    # range, is undecided, not isolated
+    model = validate(parse_document(load_document(name)))
+    graph = build_graph(model)
+    report = assemble_report(model, graph, path_budget=0)
+    assert all(cs.outer is None for cs in report.classes)
+    assert report.global_outer == ((0.0, math.inf),)
+    doc = report_to_document(report, {})
+    assert doc["global_outer"] == [[0.0, None]]
+    assert {"value": float(point), "status": "UNDECIDED"} in [
+        {k: p[k] for k in ("value", "status")}
+        for p in doc["isolated_points"]]
+    assert "ISOLATED" not in [p["status"] for p in doc["isolated_points"]]
+    text = render_text(report)
+    assert "global dimension set bracket (outer): [0, inf]" in text
+    assert "distinct points" not in text
+    assert "No isolated point." in text
+    assert f"UNDECIDED point: {point} " in text
+
+
 def test_starved_budgets_are_reported(golden_model):
-    # no cycle-search step and four norm-bound steps: the search truncates
-    # and bound_len is halved until the products fit
+    # no cycle-search step and four norm-bound units: the search truncates
+    # and the norm sweep stops at the depth whose products fit, reported as
+    # bound_len
     graph = build_graph(golden_model)
     report = assemble_report(golden_model, graph, cycle_budget=0,
                              path_budget=4, bound_len=8)

@@ -30,6 +30,7 @@ from finitype.dimcalc import (
     ISOLATED,
     ClassDimSet,
     IsolatedPoint,
+    NormBounds,
     NormKind,
     _auto_subsets,
     _norm_pass,
@@ -50,7 +51,6 @@ from finitype.dimcalc import (
 from finitype.errors import (
     EdgesNotAdmissible,
     NotACycle,
-    PathExplosion,
     SubsetInvalidForClass,
     ZeroRow,
 )
@@ -547,6 +547,16 @@ def test_norm_bounds_subset_validation(golden_graph):
         # vertex 6 has a single neighbour, so index 2 is invalid
 
 
+@pytest.mark.parametrize("call", [
+    lambda g: norm_bounds(g, essential_class(g).members, 3, subsets=[()]),
+    lambda g: assemble_report(g.model, g, cycle_len=2, bound_len=2,
+                              subset=()),
+], ids=["norm_bounds", "assemble_report"])
+def test_empty_subset_is_invalid(golden_graph, call):
+    with pytest.raises(SubsetInvalidForClass):
+        call(golden_graph)
+
+
 def _sides(graph, members, subsets=()):
     """Both sides' reversed adjacency and the functional families, built as
     ``norm_bounds`` builds them: ``col_into[w]`` holds ``(v, M)`` for each
@@ -584,11 +594,11 @@ def with_functionals():
     smaller max, whichever row families ``norm_bounds`` itself sweeps."""
     def run(graph, members, depth, subsets=()):
         col_into, _, row_into, families = _sides(graph, members, subsets)
-        budget = [0, 10 ** 9]
-        max_col, min_col, *sub_col = _norm_pass(col_into, families, depth,
-                                                budget)
-        max_row, min_row, *sub_row = _norm_pass(row_into, families, depth,
-                                                budget)
+        (max_col, min_col, *sub_col), col_depth, _ = _norm_pass(
+            col_into, families, depth, 10 ** 9)
+        (max_row, min_row, *sub_row), row_depth, _ = _norm_pass(
+            row_into, families, depth, 10 ** 9)
+        assert col_depth == row_depth == depth
         nb = norm_bounds(graph, members, depth, subsets=subsets)
         lows = [min_col, min_row, *sub_col, *sub_row]
         assert nb.min_norm == max(x for x in lows if x is not None)
@@ -840,29 +850,35 @@ def _into_families(steps, starts, subsets):
     return into, families
 
 
-def _pass(steps, starts, depth, subsets, budget_state):
-    """``_norm_pass`` and ``_walk_count`` on ``steps`` and ``starts``, in the
-    shape ``_brute_norm_pass`` returns."""
+def _pass(steps, starts, depth, subsets, cap=10 ** 9):
+    """``_norm_pass`` and ``_walk_count`` on ``steps`` and ``starts``: in
+    the shape ``_brute_norm_pass`` returns, at the depth reached, then that
+    depth and the units charged."""
     into, families = _into_families(steps, starts, subsets)
-    hi, lo, *sub = _norm_pass(into, families, depth, budget_state)
-    return _walk_count(into, depth), lo, hi, sub
+    (hi, lo, *sub), reached, charged = _norm_pass(into, families, depth, cap)
+    return (_walk_count(into, reached), lo, hi, sub), reached, charged
 
 
-def _check_families_as_alone(into, families, depth):
-    """One ``_norm_pass`` over all ``families`` gives each family the
-    extreme a pass over it alone gives, and charges the largest of their
-    charges: a cap one below that raises PathExplosion."""
+def _check_families_as_alone(steps, starts, subsets, depth):
+    """One ``_norm_pass`` over every family gives each family the extreme
+    a pass over it alone gives, and charges the largest of their charges. A
+    cap one below that stops it at the depth d below ``depth`` whose layers
+    fit, with what a pass to d charges and the extremes of walking every
+    path of d steps."""
+    into, families = _into_families(steps, starts, subsets)
     alone, charges = [], []
     for family in families:
-        budget = [0, 10 ** 9]
-        alone += _norm_pass(into, [family], depth, budget)
-        charges.append(budget[0])
-    budget = [7, 7 + max(charges)]
-    assert _norm_pass(into, families, depth, budget) == alone
-    assert budget[0] == 7 + max(charges)
-    if max(charges):
-        with pytest.raises(PathExplosion):
-            _norm_pass(into, families, depth, [7, 6 + max(charges)])
+        best, reached, charge = _norm_pass(into, [family], depth, 10 ** 9)
+        assert reached == depth
+        alone += best
+        charges.append(charge)
+    cap = max(charges)
+    assert _norm_pass(into, families, depth, cap) == (alone, depth, cap)
+    if cap:
+        got, reached, charged = _pass(steps, starts, depth, subsets, cap - 1)
+        assert reached < depth
+        assert charged == _pass(steps, starts, reached, subsets)[2] < cap
+        assert got == _brute_norm_pass(steps, starts, reached, subsets)[0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -870,17 +886,11 @@ def _check_families_as_alone(into, families, depth):
 def test_norm_pass_matches_brute_force(case):
     steps, starts, subsets, depth = case
     ref, prefixes = _brute_norm_pass(steps, starts, depth, subsets)
-    budget = [5, 10 ** 9]
-    assert _pass(steps, starts, depth, subsets, budget) == ref
-    charge = budget[0] - 5
+    got, reached, charge = _pass(steps, starts, depth, subsets)
+    assert (got, reached) == (ref, depth)
     assert charge <= prefixes
-    budget = [0, charge]
-    _pass(steps, starts, depth, subsets, budget)
-    assert budget[0] == charge
-    if charge:
-        with pytest.raises(PathExplosion):
-            _pass(steps, starts, depth, subsets, [0, charge - 1])
-    _check_families_as_alone(*_into_families(steps, starts, subsets), depth)
+    assert _pass(steps, starts, depth, subsets, charge) == (ref, depth, charge)
+    _check_families_as_alone(steps, starts, subsets, depth)
 
 
 @pytest.fixture()
@@ -904,21 +914,19 @@ def test_norm_pass_window_family_shares_products(vec_mat_calls):
     # from then on take their products once between them.
     a = ((1, 2, 0), (0, 1, 0), (2, 0, 0))
     b = ((1, 0, 1), (0, 2, 0), (1, 0, 1))
-    steps = {0: [(0, a), (0, b), (1, b)], 1: [(0, a), (1, a)]}
+    at, bt = (tuple(zip(*m)) for m in (a, b))
+    # the row side: each edge reversed, its matrix transposed
+    steps = {0: [(0, at), (0, bt), (1, at)], 1: [(0, bt), (1, at)]}
     starts = [(v, ((1, 1, 1), (1, 1, 0))) for v in steps]
-    into, families = _into_families(steps, starts, [(1, 2)])
-    row_into = {v: [] for v in into}
-    for w, sources in into.items():
-        for v, matrix in sources:
-            row_into[v].append((w, matrix.transposed()))
-    at = compile_matrix(a).transposed()
-    assert vec_mat((1, 1, 0), at) == vec_mat((1, 1, 1), at)
+    row_into, families = _into_families(steps, starts, [(1, 2)])
+    assert vec_mat((1, 1, 0), compile_matrix(at)) == \
+        vec_mat((1, 1, 1), compile_matrix(at))
     for depth in (1, 2, 5):
-        _check_families_as_alone(row_into, families, depth)
+        _check_families_as_alone(steps, starts, [(1, 2)], depth)
 
     def products(fams):
         vec_mat_calls[0] = 0
-        _norm_pass(row_into, fams, 3, [0, 10 ** 9])
+        _norm_pass(row_into, fams, 3, 10 ** 9)
         return vec_mat_calls[0]
 
     # the min family and the window family start apart
@@ -944,9 +952,8 @@ def test_norm_bounds_shares_products_across_families(vec_mat_calls):
 
     def products(fams):
         vec_mat_calls[0] = 0
-        budget = [0, 10 ** 9]
-        _norm_pass(row_into, fams, 8, budget)
-        return vec_mat_calls[0], budget[0]
+        charge = _norm_pass(row_into, fams, 8, 10 ** 9)[2]
+        return vec_mat_calls[0], charge
 
     assert len(families) == 5
     assert [products([f]) for f in families] == [(9_840, 9_840)] * 5
@@ -960,9 +967,8 @@ def test_norm_bounds_sweeps_no_row_family_on_cantor10(vec_mat_calls):
     # not the 20,175 of sweeping both sides
     graph, members, subsets = _cantor10_class()
     col_into, _, _, families = _sides(graph, members, subsets)
-    budget = [0, 10 ** 9]
-    _norm_pass(col_into, families, 8, budget)
-    assert (vec_mat_calls[0], budget[0]) == (447, 153)
+    charge = _norm_pass(col_into, families, 8, 10 ** 9)[2]
+    assert (vec_mat_calls[0], charge) == (447, 153)
     vec_mat_calls[0] = 0
     nb = norm_bounds(graph, members, 8, subsets=subsets)
     assert vec_mat_calls[0] == 447 + 5 * 8 * 3 == 567
@@ -999,9 +1005,7 @@ def test_norm_pass_frontier_by_hand():
     a, b, c = ((2, 0), (0, 1)), ((1, 0), (0, 2)), ((1, 0), (0, 1))
     steps = {0: [(0, a), (0, b), (0, c)]}
     starts = [(0, ((1, 1),))]
-    budget = [0, 10 ** 9]
-    assert _pass(steps, starts, 3, [], budget) == (27, 1, 8, [])
-    assert budget[0] == 18
+    assert _pass(steps, starts, 3, []) == ((27, 1, 8, []), 3, 18)
     assert _brute_norm_pass(steps, starts, 3, [])[1] == 39
 
 
@@ -1065,9 +1069,9 @@ def test_settled_family_takes_no_more_products(golden_model, vec_mat_calls):
 
     def run(family, depth):
         vec_mat_calls[0] = 0
-        budget = [0, 10 ** 9]
-        best, = _norm_pass(into, [family], depth, budget)
-        return vec_mat_calls[0], budget[0], best
+        (best,), reached, charge = _norm_pass(into, [family], depth, 10 ** 9)
+        assert reached == depth
+        return vec_mat_calls[0], charge, best
 
     # the ones vector is fixed by every matrix, so max and min settle at the
     # first layer; the window's frontier changes twice, then settles
@@ -1087,8 +1091,8 @@ def test_norm_pass_settles_no_frontier_that_changed(depth):
     steps = {0: [(0, ((2, 0), (0, 1)))]}
     starts = [(0, ((1, 1),))]
     ref = _brute_norm_pass(steps, starts, depth, [])[0]
-    assert _pass(steps, starts, depth, [], [0, 10 ** 9]) == ref == \
-        (1, 1, 2 ** depth, [])
+    assert _pass(steps, starts, depth, [])[:2] == (ref, depth)
+    assert ref == (1, 1, 2 ** depth, [])
 
 
 # --------------------------------------------------------- row-side gate
@@ -1212,23 +1216,26 @@ def test_prune_shortcuts_match_the_full_prune(width, upper, data):
         [list(map(type, u)) for u in want]
 
 
-def _explodes(graph, members, depth, subsets, cap):
-    try:
-        norm_bounds(graph, members, depth, subsets=subsets, path_budget=cap)
-    except PathExplosion:
-        return True
-    return False
+def _stops_short(graph, members, depth, subsets, cap):
+    """Whether ``norm_bounds`` under ``cap`` stops short of ``depth``: no
+    depth fits (None), the depth reached is below ``depth``, or the row side
+    stopped short, its values were dropped and only ``charged`` differs
+    from an unlimited budget's bounds."""
+    nb = norm_bounds(graph, members, depth, subsets=subsets, path_budget=cap)
+    return nb is None or nb.depth < depth or \
+        nb != norm_bounds(graph, members, depth, subsets=subsets)
 
 
 def _charge(graph, members, depth, subsets=()):
-    """The smallest ``path_budget`` under which ``norm_bounds`` runs."""
+    """The smallest ``path_budget`` under which ``norm_bounds`` reaches
+    ``depth`` on both sides."""
     hi = 1
-    while _explodes(graph, members, depth, subsets, hi):
+    while _stops_short(graph, members, depth, subsets, hi):
         hi *= 2
     lo = 0
     while lo < hi:
         mid = (lo + hi) // 2
-        if _explodes(graph, members, depth, subsets, mid):
+        if _stops_short(graph, members, depth, subsets, mid):
             lo = mid + 1
         else:
             hi = mid
@@ -1249,8 +1256,8 @@ def test_norm_budget_charge_at_most_walk_prefixes(golden_graph,
         members = essential_class(graph).members
         charge = _charge(graph, members, depth, subsets)
         assert charge <= _walk_prefixes(graph, members, depth)
-        assert _explodes(graph, members, depth, subsets, charge - 1)
-        assert not _explodes(graph, members, depth, subsets, charge)
+        assert _stops_short(graph, members, depth, subsets, charge - 1)
+        assert not _stops_short(graph, members, depth, subsets, charge)
 
 
 @pytest.mark.parametrize("depth", [1, 4, 7])
@@ -1261,20 +1268,19 @@ def test_norm_budget_charge_on_simple_loop(plastic_graph, depth):
     members = (22, 30)  # a simple loop through two vertices
     col_into, _, row_into, families = _sides(plastic_graph, members, [(1,)])
     for into in (col_into, row_into):
-        budget = [0, 10 ** 9]
-        _norm_pass(into, families, depth, budget)
-        assert budget[0] == len(members) * depth
+        assert _norm_pass(into, families, depth, 10 ** 9)[1:] == \
+            (depth, len(members) * depth)
     charge = _charge(plastic_graph, members, depth, [(1,)])
     assert 2 * charge == _walk_prefixes(plastic_graph, members, depth)
     assert charge == len(members) * depth
-    assert _explodes(plastic_graph, members, depth, [(1,)], charge - 1)
+    assert _stops_short(plastic_graph, members, depth, [(1,)], charge - 1)
 
 
 @pytest.mark.parametrize("depth", [1, 3, 6])
 def test_norm_bounds_report_units_charged(golden_graph, cubic_pisot_graph,
                                           plastic_graph, depth):
-    # charged is path_budget minus the headroom left: the smallest budget
-    # that runs, found here by bisection on PathExplosion
+    # charged is the smallest budget under which both sides reach the
+    # depth, found here by bisection
     for graph, members, subsets in (
             (golden_graph, essential_class(golden_graph).members, ()),
             (cubic_pisot_graph, essential_class(cubic_pisot_graph).members,
@@ -1282,9 +1288,36 @@ def test_norm_bounds_report_units_charged(golden_graph, cubic_pisot_graph,
             (plastic_graph, (22, 30), [(1,)])):
         nb = norm_bounds(graph, members, depth, subsets=subsets)
         assert nb.charged == _charge(graph, members, depth, subsets)
-        assert _explodes(graph, members, depth, subsets, nb.charged - 1)
+        assert _stops_short(graph, members, depth, subsets, nb.charged - 1)
         assert norm_bounds(graph, members, depth, subsets=subsets,
                            path_budget=nb.charged) == nb
+
+
+def test_norm_bounds_stop_at_the_depth_that_fits():
+    # one vertex, two loops, depth 3. The column side charges 2, 6 and 10
+    # units by the end of each layer; the row side charges 12 in all and
+    # tightens both bounds (max 22 against 28, min 8 against 4)
+    graph = _hand_graph([(1, 1, ((0, 2), (1, 2))), (1, 1, ((2, 1), (0, 2)))])
+    col_into, _, row_into, families = _sides(graph, (1,))
+    assert _norm_pass(col_into, families, 3, 10 ** 9) == ([28, 4], 3, 10)
+    assert _norm_pass(row_into, families, 3, 10 ** 9) == ([22, 8], 3, 12)
+    assert norm_bounds(graph, (1,), 3) == NormBounds(3, 8, 22, 8, 22)
+    # from 10 to 21 units the column side reaches depth 3 and the row side
+    # stops short: its values, of a shallower depth, are dropped, and the
+    # column side's bounds stand at depth 3
+    for cap in range(10, 22):
+        _, row_depth, row_charge = _norm_pass(row_into, families, 3,
+                                              cap - 10)
+        assert row_depth < 3
+        assert norm_bounds(graph, (1,), 3, path_budget=cap) == \
+            NormBounds(3, 4, 28, 8, 10 + row_charge)
+    # below 10 the column side stops at the depth that fits, and below 2
+    # not even one step fits
+    for cap, depth in ((9, 2), (6, 2), (5, 1), (2, 1)):
+        nb = norm_bounds(graph, (1,), 3, path_budget=cap)
+        assert nb == norm_bounds(graph, (1,), depth, path_budget=cap)
+        assert nb.depth == depth
+    assert norm_bounds(graph, (1,), 3, path_budget=1) is None
 
 
 # ---------------------------------------------------------------- reports
