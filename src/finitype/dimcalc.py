@@ -234,7 +234,8 @@ def _dims(model: Model, lo, hi, L: int):
     of p_0 and of x (x's over L), and ``math.log`` of a b-bit int errs by
     under 4.01 u b log 2, so the numerator errs by under 7.01 u M (four logs
     and four roundings); ``model.log_rho`` errs by at most
-    u (1 + 2 |log rho|). The rest covers the division and the pad's own."""
+    u (1 + 2 |log rho|). The rest covers the division and the pad's own.
+    Local dimensions are >= 0, so both padded ends are clamped at 0.0."""
     lr, p0 = model.log_rho, model.probabilities[0]
 
     def bits(q):
@@ -247,7 +248,7 @@ def _dims(model: Model, lo, hi, L: int):
         size = (bits(p0) + bits(x) / L) * math.log(2)
         return d + side * 8 * 2.0 ** -53 * (size + abs(d) * (1 - lr)) / -lr
 
-    return end(hi, -1), end(lo, 1)
+    return max(end(hi, -1), 0.0), max(end(lo, 1), 0.0)
 
 
 @dataclass(frozen=True)
@@ -559,26 +560,27 @@ def _norm_pass(into, families, depth, cap):
     ``(upper, value, starts)`` carries the row vectors ``starts[v]`` along
     the walks from ``v``, multiplying by each matrix in turn, and takes the
     maximum of ``value`` over the last vectors when ``upper``, else the
-    minimum (None where no walk exists). Layer by layer, each family keeps
-    at each vertex the frontier of the vectors carried into it, pruned by
-    ``_prune``: ``value`` is nondecreasing in every entry and every matrix is
-    nonnegative, so a dominated vector leads only to values its dominator
-    matches or beats, and dropping it keeps the extreme of full enumeration.
-    The last layer's products fold into each extreme edge by edge, unpruned
-    and unstored. Within a layer each distinct matrix (one object, as a
-    built graph's equal matrices are) multiplies each distinct vector once,
-    for every family and every edge of that matrix that carries it; its
-    products are dropped after its last edge of the layer.
+    minimum (None where no walk exists). Layer by layer, the vectors carried
+    into each vertex become its frontier. On an inner layer ``_prune`` drops
+    the dominated ones: ``value`` is nondecreasing in every entry and every
+    matrix is nonnegative, so a dominated vector leads only to values its
+    dominator matches or beats. The last layer is only read, so each vertex
+    keeps just its first vector of extreme ``value``. Within a layer each
+    distinct matrix (one object, as a built graph's equal matrices are)
+    multiplies each distinct vector once, for every family and every edge
+    of that matrix that carries it; its products are dropped after its last
+    edge of the layer.
     A layer that leaves a family's frontier unchanged (the same vectors in
     the same order at every vertex) settles it: every later layer would
-    repeat it, so the family takes no more products or prunes. Its extreme,
-    and every family's where the sweep stops, is read from the frontier it
-    holds, whose pruned-away vectors each have a kept dominator, so this is
-    the value a fold of that layer would give. A family is charged one unit
-    per (frontier vector, out-edge) pair before each layer's products, and
-    the pass charges its largest family total. A family's frontier holds at
-    most one vector per walk, so this never exceeds the number of walk
-    prefixes, and on a simple loop equals it.
+    repeat it, so the family takes no more products or prunes. After the
+    sweep, whether it ran every layer or stopped at ``cap``, each family's
+    extreme is read from the frontier it holds, settled or not: each vector
+    dropped on the way leaves a kept one whose value matches or beats its
+    own, so this is the extreme of enumerating every walk. A family is
+    charged one unit per (frontier vector, out-edge) pair before each
+    layer's products, and the pass charges its largest family total. A
+    family's frontier holds at most one vector per walk, so this never
+    exceeds the number of walk prefixes, and on a simple loop equals it.
     """
     outdeg = Counter(v for sources in into.values() for v, _ in sources)
     # each matrix's last edge in the sweep's order, counted from 0
@@ -587,15 +589,8 @@ def _norm_pass(into, families, depth, cap):
     frontiers = [{v: _prune(vecs, upper) for v, vecs in starts.items()}
                  for upper, _, starts in families]
     charges = [0] * len(families)
-    bests = [None] * len(families)
     settled = [False] * len(families)
     reached = 0
-
-    def fold(i, vecs):
-        pick = max if families[i][0] else min
-        x = pick(map(families[i][1], vecs))
-        bests[i] = x if bests[i] is None else pick(bests[i], x)
-
     for step in range(depth):
         totals = [charge + sum(len(vecs) * outdeg[v]
                                for v, vecs in frontier.items())
@@ -624,23 +619,17 @@ def _norm_pass(into, families, depth, cap):
                         cand.append(p)
                 if last_edge[id(matrix)] == k:
                     del memos[id(matrix)]
-                if last:
-                    for i, cand in zip(live, cands):
-                        if cand:
-                            fold(i, cand)
-                            cand.clear()
-            if not last:
-                for i, cand in zip(live, cands):
-                    if cand:
-                        layers[i][w] = _prune(cand, families[i][0])
-        if not last:
-            for i in live:
-                settled[i] = layers[i] == frontiers[i]
+            for i, cand in zip(live, cands):
+                if cand:
+                    upper, value, _ = families[i]
+                    layers[i][w] = ([(max if upper else min)(cand, key=value)]
+                                    if last else _prune(cand, upper))
+        for i in live:
+            settled[i] = layers[i] == frontiers[i]
         frontiers = layers
-    # a live family's frontier is empty after the last layer's fold
-    for i, frontier in enumerate(frontiers):
-        if frontier:
-            fold(i, [u for vecs in frontier.values() for u in vecs])
+    bests = [(max if upper else min)(
+        (value(u) for vecs in frontier.values() for u in vecs), default=None)
+        for (upper, value, _), frontier in zip(families, frontiers)]
     return bests, reached, max(charges)
 
 

@@ -386,8 +386,9 @@ def test_outer_range_holds_the_class_point_at_extreme_weights(tmp_path,
 
 
 def test_extreme_point_is_reported_at_its_class_value(tmp_path, capsys):
-    # at 1 : 10^40 : 1 the simple loops [19] and [25] carry the point
-    # 1.797486806e-13, which a 12-digit rounding would report as 0
+    # at 1 : 10^40 : 1 the simple loops [19] and [25] have dimension 0,
+    # enclosed in [0, 9.7e-13] after the clamp at 0; they carry its midpoint
+    # 4.835411448e-13, which a 12-digit rounding would report as 0
     n = 10 ** 40
     path = _weighted(tmp_path, [1, n, 1], name="golden_square")
     doc = _report(path, "--cycle-len=1")
@@ -395,10 +396,10 @@ def test_extreme_point_is_reported_at_its_class_value(tmp_path, capsys):
                  if p["classes"] == [[19], [25]])
     exact = {c["exact_point"] for c in doc["classes"]
              if c["members"] in ([19], [25])}
-    assert exact == {point["value"]} == {1.797486806e-13}
+    assert exact == {point["value"]} == {4.835411448e-13}
     assert run(["analyze", "--input", str(path), "--cycle-len=1",
                 "--text"]) == 0
-    assert ("UNDECIDED point: 1.797486806e-13 lies"
+    assert ("UNDECIDED point: 4.835411448e-13 lies"
             in capsys.readouterr().out)
 
 

@@ -302,8 +302,22 @@ def test_dims_pad_encloses_the_true_dimension(golden_model,
                 x, L = Fraction(num, den), rng.randint(1, 12)
                 lo, hi = dimcalc._dims(model, x, x, L)
                 for lr in log_rhos:
-                    d = (log_p0 + _dec(x).ln() / L) / lr
+                    # past x = p_0 ** -L the formula goes below 0, and
+                    # _dims clamps both ends at 0
+                    d = max((log_p0 + _dec(x).ln() / L) / lr, 0)
                     assert Decimal(lo) <= d <= Decimal(hi), (x, L)
+
+
+def test_dimension_ends_are_never_negative():
+    # at depth 1 golden_square's largest per-step value is 4 = 1 / p_0, whose
+    # dimension is exactly 0; the outward pad alone would put that end below
+    graph = catalog_graph("golden_square")
+    report = assemble_report(graph.model, graph, bound_len=1)
+    assert max(cs.outer.max_norm for cs in report.classes) == 4
+    assert 1 / graph.model.probabilities[0] == 4
+    ends = [x for cs in report.classes for x in cs.dim_outer]
+    ends += [x for span in report.global_outer for x in span]
+    assert min(ends) == 0.0
 
 
 def test_golden_essential_unit_cycle(golden_model, golden_graph):
@@ -1406,7 +1420,7 @@ def test_inner_extremes_and_points_lie_in_the_outer_bounds_exactly(
                 assert lo.sp_hi ** d >= nb.min_norm ** lo.L, (name, cs.members)
                 assert hi.sp_lo ** d <= nb.max_norm ** hi.L, (name, cs.members)
                 pairs += 1
-    assert pairs == 50 + 34  # every class's extremes, every loop's point
+    assert pairs == 67 + 46  # every class's extremes, every loop's point
 
 
 def test_reported_extremes_rebuild_from_their_edge_paths(catalog_reports):

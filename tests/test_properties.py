@@ -10,8 +10,8 @@ import pytest
 from finitype.netgraph import build_graph
 
 import invariants as inv
-from conftest import bernoulli_ifs, catalog_model, golden_ifs, \
-    golden_square_ifs
+from conftest import bernoulli_ifs, catalog_graph, catalog_model, \
+    golden_ifs, golden_square_ifs
 
 from fractions import Fraction
 
@@ -91,15 +91,13 @@ def test_report_invariants(graphs):
 
 
 def test_essential_class_always_positive():
-    from finitype.catalog import SLOW_EXAMPLES, example_names, load_document
-    from finitype.cli import parse_document
+    from finitype.catalog import SLOW_EXAMPLES, example_names
     from finitype.loopclasses import Positivity, essential_class, \
         positivity_certificate
 
     for name in example_names():
         if name in SLOW_EXAMPLES:
             continue
-        model = validate(parse_document(load_document(name)))
-        g = build_graph(model)
+        g = catalog_graph(name)
         res = positivity_certificate(g, essential_class(g).members)
         assert res.verdict is Positivity.POSITIVE, name
