@@ -384,8 +384,13 @@ def _build_parser():
 
     an = sub.add_parser("analyze", help="full graph + dimension analysis")
     an.add_argument("--input", required=True, help="input document (JSON)")
-    an.add_argument("--max-cvs", type=int, default=10000)
-    an.add_argument("--cycle-len", type=int, default=10)
+    an.add_argument("--max-cvs", type=int, default=10000,
+                    help="most vertices the graph closure may reach; past "
+                         "it the analysis stops with exit code 2")
+    an.add_argument("--cycle-len", type=int, default=10,
+                    help="longest closed walk the cycle search covers for "
+                         "the inner ranges; past its work budget the search "
+                         "stops and the class is marked cycles_truncated")
     an.add_argument("--bound-len", type=int, default=8,
                     help="maximum length of the norm-bound products; the "
                          "report gives the length their work budget allows")

@@ -27,8 +27,11 @@ exact L-step value into dimension ends padded outward for rounding, and
 ``per_step`` into a per-step value for display. Float logs (``_flog``) rank
 the certified walks, and the logs of each walk's smallest and largest column
 sum screen which cycles the search certifies; neither becomes a reported
-value. The search returns its walks as plain edge paths and certifies no
-others.
+value. With the class's least and greatest one-step column sums, the same
+screen bounds every completion of a prefix, and the search expands no
+prefix whose completions all fall strictly inside the certified range at
+both ends. The search returns the walks it screened as plain edge paths
+and certifies no others.
 
 Norm bounds never walk every admissible path. Each row- or column-sum
 functional is monotone in the row vector carried along a walk, and every
@@ -295,7 +298,8 @@ def periodic_dimension(cycle_edges) -> CycleDim:
 
 @dataclass(frozen=True)
 class CycleEnumeration:
-    cycles: tuple[tuple[int, ...], ...]   # edge paths, generation order
+    cycles: tuple[tuple[int, ...], ...]   # screened walks' edge paths,
+                                          # generation order
     truncated: bool
     min_cycle: CycleDim | None            # least and greatest per-step
     max_cycle: CycleDim | None            # value; None when none certified
@@ -330,8 +334,10 @@ def _steps_home(s, into):
 
 def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
                      budget: int = 2_000_000) -> CycleEnumeration:
-    """All closed edge walks of length <= max_len inside the class, counting
-    parallel edges as distinct steps, one per class of cyclic rotations.
+    """The closed edge walks of length <= max_len inside the class that could
+    set an extreme of its per-step spectral values, counting parallel edges
+    as distinct steps, one per class of cyclic rotations, and the certified
+    walks of least and of greatest value among them.
 
     The search from each member ``s`` walks through members ``>= s`` only,
     so ``s`` is the smallest vertex of every walk it finds, and it generates
@@ -361,12 +367,39 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
     each certified walk's per-step logs lie within the margin of each other.
     The extremes are the certified walks of least ``_flog(sp_lo) / L`` and
     of greatest ``_flog(sp_hi) / L``; of walks with equal float logs, the
-    first generated wins. ``cycles`` holds every walk found
-    as an edge-index path, in generation order; the walks left out of the
-    screen cost no product and no enclosure. Certifying a walk
-    (``periodic_dimension``) costs one ``vec_mat`` per step when its column
-    sums are all equal, their common value being its exact spectral radius,
-    and otherwise its exact product and ``spectral_radius``.
+    first generated wins.
+
+    The same rule prunes prefixes. Let m1 and N1 be the least and the
+    greatest column sum of the class's edge matrices. For nonnegative P and
+    Q, mincol(PQ) >= mincol(P) mincol(Q) and maxcol(PQ) <= maxcol(P)
+    maxcol(Q), so a walk that extends an l-step prefix with column sums c by
+    k steps has a lower screen >= (log min c + k log m1) / (l + k) and an
+    upper screen <= (log max c + k log N1) / (l + k). Since log min c / l >=
+    log m1 and log max c / l <= log N1, both are weighted averages that
+    loosen as k grows, so one check per end at k = r = max_len - l covers
+    every completion. ``low`` and ``high`` are the least upper and the
+    greatest lower screen of the walks found so far; a prefix is not
+    expanded when its lower bound at k = r exceeds low + 2 margin and its
+    upper bound is below high - 2 margin, and a closed walk is recorded
+    before its prefix is tested. Each float, a bound or a screen, is within
+    half the margin of its exact value (the margin's premise), and a
+    completion's exact screen is at least the prefix's exact bound, so a
+    dropped walk's lower screen exceeds low + margin and its upper screen
+    is below high - margin. ``low`` only falls, during the search and in
+    the minimum's loop, so that loop stops before any dropped walk, and no
+    dropped walk has the smallest upper screen it starts from; the maximum's
+    loop mirrors this. The loops therefore certify the same walks as with no
+    pruning, in the same order, and return the same extremes. A column sum
+    of 0 has log -inf, which only loosens a lower bound; r >= 1 and N1 > 0,
+    so no bound is NaN.
+
+    ``cycles`` holds the walks the search screened, every closed walk that
+    no pruned prefix leads to, as edge-index paths in generation order; the
+    walks left out of the certification cost no product and no enclosure.
+    Certifying a walk (``periodic_dimension``) costs one ``vec_mat`` per
+    step when its column sums are all equal, their common value being its
+    exact spectral radius, and otherwise its exact product and
+    ``spectral_radius``.
 
     Precondition: no edge matrix of the class has an all-zero row, as in
     every built graph (``netgraph.children`` rejects one), so no product
@@ -376,14 +409,23 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
         raise ValueError("max_len must be >= 1")
     ms = sorted(set(members))
     out_internal = graph.internal_out(ms)
-    if any(not any(row) for v in ms for _, e in out_internal[v]
-           for row in e.matrix):
+    matrices = {id(e.matrix): e.matrix for v in ms
+                for _, e in out_internal[v]}.values()
+    if any(not any(row) for m in matrices for row in m):
         raise ZeroRow("an edge matrix of the class has an all-zero row")
 
     found = []    # edge paths
     screens = []  # beside found: the walk's screen
     steps = 0
     truncated = False
+    # the least upper and the greatest lower screen of the walks found so
+    # far, and the cuts past which a prefix's completions are all beaten
+    low, high = math.inf, -math.inf
+    low_cut, high_cut = low, high
+    # logs of the least and the greatest one-step column sum in the class
+    col_sums = [sum(col) for m in matrices for col in zip(*m)]
+    log_m1 = _flog(min(col_sums, default=1))
+    log_n1 = _flog(max(col_sums, default=1))
 
     into = {v: set() for v in ms}
     for v in ms:
@@ -417,9 +459,18 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
                     if all(new_path <= new_path[a:] + new_path[:a]
                            for a in still):
                         found.append(new_path)
-                        screens.append(_screen(n + 1, new_sums))
+                        lo, hi = _screen(n + 1, new_sums)
+                        screens.append((lo, hi))
+                        if hi < low:
+                            low, low_cut = hi, hi + 2 * _SCREEN_MARGIN
+                        if lo > high:
+                            high, high_cut = lo, lo - 2 * _SCREEN_MARGIN
                     still.append(n + 1)
-                if n + 1 < max_len:
+                r = max_len - n - 1  # steps left to the longest completion
+                if r and ((_flog(min(new_sums)) + r * log_m1) / max_len
+                          <= low_cut
+                          or (_flog(max(new_sums)) + r * log_n1) / max_len
+                          >= high_cut):
                     stack.append((e.child, new_path, tuple(still), new_sums))
         if truncated:
             break
@@ -433,13 +484,11 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
 
     # most promising first; stop at the first screen that cannot come
     # within the margin of the best value so far (screened or certified)
-    low = min((hi for _, hi in screens), default=math.inf)
     for i in sorted(range(len(found)), key=lambda i: screens[i][0]):
         if screens[i][0] > low + _SCREEN_MARGIN:
             break
         c = certify(i)
         low = min(low, _flog(c.sp_lo) / c.L)
-    high = max((lo for lo, _ in screens), default=-math.inf)
     for i in sorted(range(len(found)), key=lambda i: screens[i][1],
                     reverse=True):
         if screens[i][1] + _SCREEN_MARGIN < high:

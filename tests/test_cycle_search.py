@@ -1,12 +1,12 @@
-"""Cycle search: necklace generation and the screen against the exhaustive
-search it replaced.
+"""Cycle search: necklace generation, prefix pruning and the screen against
+the exhaustive search it replaced.
 
-``_reference_enumerate`` is the exhaustive algorithm, kept here only as a
+``_reference_walks`` is the exhaustive algorithm, kept here only as a
 reference: it walks every closed edge path, drops rotations through a set of
 canonical keys, and certifies every cycle it keeps through
-``periodic_dimension``. It picks the extremes as the search does: over the
-certified walks, the smallest ``_flog(sp_lo) / L`` and the largest
-``_flog(sp_hi) / L``, the first generated on ties.
+``periodic_dimension``. ``_reference_enumerate`` picks the extremes as the
+search does: over the certified walks, the smallest ``_flog(sp_lo) / L`` and
+the largest ``_flog(sp_hi) / L``, the first generated on ties.
 """
 
 import math
@@ -20,7 +20,7 @@ from finitype import dimcalc
 from finitype.dimcalc import CycleEnumeration, enumerate_cycles
 from finitype.errors import ZeroRow
 from finitype.loopclasses import classify_all, essential_class
-from finitype.netgraph import build_graph, compile_matrix
+from finitype.netgraph import build_graph, compile_matrix, vec_mat
 
 from conftest import (
     catalog_model,
@@ -44,7 +44,14 @@ def _canonical_rotation(edge_path, graph, start):
     return min(edge_path[a:] + edge_path[:a] for a in anchors)
 
 
-def _reference_enumerate(graph, members, max_len):
+def _necklace_key(graph, edge_path):
+    """A closed edge path up to rotation among its returns to its start."""
+    start = graph.edges[edge_path[0]].parent
+    return _canonical_rotation(edge_path, graph, start)
+
+
+def _reference_walks(graph, members, max_len):
+    """Every closed walk, one per necklace, and its certified ``CycleDim``."""
     ms = sorted(set(members))
     out_internal = graph.internal_out(ms)
     seen_keys = set()
@@ -69,6 +76,14 @@ def _reference_enumerate(graph, members, max_len):
     # walk's per-step logs
     margin = dimcalc._SCREEN_MARGIN
     assert all(hi - lo <= margin for lo, hi in map(_logs, dims))
+    return found, dims
+
+
+def _reference_enumerate(graph, members, max_len):
+    return _reference_extremes(*_reference_walks(graph, members, max_len))
+
+
+def _reference_extremes(found, dims):
     if not dims:
         return CycleEnumeration(tuple(found), False, None, None)
     return CycleEnumeration(
@@ -106,25 +121,69 @@ def graph(request):
     return build_graph(request.getfixturevalue(request.param))
 
 
+def _assert_matches_reference(graph, members, max_len):
+    """The search screens some of the closed walks and prunes the rest: each
+    pruned walk's certified per-step logs lie strictly inside the extremes'
+    by more than the margin, and the extremes are the exhaustive search's."""
+    margin = dimcalc._SCREEN_MARGIN
+    got = enumerate_cycles(graph, members, max_len)
+    found, dims = _reference_walks(graph, members, max_len)
+    ref = _reference_extremes(found, dims)
+    screened = Counter(_necklace_key(graph, p) for p in got.cycles)
+    assert not screened - Counter(_necklace_key(graph, p) for p in found)
+    assert got.truncated == ref.truncated
+    assert (got.min_cycle is None) == (ref.min_cycle is None)
+    if got.min_cycle is None:
+        return
+    assert inner_values(graph.model, got) == inner_values(graph.model, ref)
+    for field in ("min_cycle", "max_cycle"):
+        g, r = getattr(got, field), getattr(ref, field)
+        assert (g.vertices, g.sp_lo, g.sp_hi) == \
+            (r.vertices, r.sp_lo, r.sp_hi), field
+    least, greatest = _logs(got.min_cycle)[0], _logs(got.max_cycle)[1]
+    for path, c in zip(found, dims):
+        if _necklace_key(graph, path) not in screened:
+            lo, hi = _logs(c)
+            assert least + margin < lo and hi < greatest - margin, path
+
+
 @pytest.mark.parametrize("max_len", range(1, 7))
 def test_matches_exhaustive_search(graph, max_len):
     for lc in classify_all(graph):
-        got = enumerate_cycles(graph, lc.members, max_len)
-        ref = _reference_enumerate(graph, lc.members, max_len)
-        assert len(got.cycles) == len(ref.cycles)
-        assert (Counter(_necklace(walk_vertices(graph, p))
-                        for p in got.cycles)
-                == Counter(_necklace(walk_vertices(graph, p))
-                           for p in ref.cycles))
-        assert got.truncated == ref.truncated
-        assert (got.min_cycle is None) == (ref.min_cycle is None)
-        if got.min_cycle is not None:
-            assert (inner_values(graph.model, got)
-                    == inner_values(graph.model, ref))
-            for field in ("min_cycle", "max_cycle"):
-                g, r = getattr(got, field), getattr(ref, field)
-                assert (g.vertices, g.sp_lo, g.sp_hi) == \
-                    (r.vertices, r.sp_lo, r.sp_hi), field
+        _assert_matches_reference(graph, lc.members, max_len)
+
+
+def test_pruning_bounds_the_longest_completion(golden_model):
+    # the walk of least per-step value has five steps; a bound on a prefix
+    # taken at its shortest completion, one step, in place of its longest
+    # would prune it
+    graph = _one_vertex_graph(golden_model, (
+        ((13, 13), (1, 0)), ((2, 0), (1, 1)), ((0, 3), (1, 8)),
+        ((5, 8), (1, 5))))
+    _assert_matches_reference(graph, (1,), max_len=5)
+
+
+def test_column_sums_lie_between_powers_of_the_one_step_sums(graph):
+    # the bound that prunes prefixes: every L-step walk in a class has its
+    # column sums in [m1^L, N1^L], m1 and N1 the least and the greatest
+    # column sum of the class's edge matrices; checked exactly on every walk
+    # of length <= 6
+    for lc in classify_all(graph):
+        ms = sorted(set(lc.members))
+        out_internal = graph.internal_out(ms)
+        edges = [e for v in ms for _, e in out_internal[v]]
+        if not edges:
+            continue
+        one_step = [sum(col) for e in edges for col in zip(*e.matrix)]
+        m1, n1 = min(one_step), max(one_step)
+        stack = [(e.child, [sum(col) for col in zip(*e.matrix)], 1)
+                 for e in edges]
+        while stack:
+            v, sums, L = stack.pop()
+            assert m1 ** L <= min(sums) and max(sums) <= n1 ** L
+            if L < 6:
+                stack.extend((e.child, vec_mat(sums, e.sparse), L + 1)
+                             for _, e in out_internal[v])
 
 
 @pytest.fixture()
@@ -151,12 +210,14 @@ def test_ties_are_all_certified(cantor5_uniform_model, certified):
 
 def test_len_certifies_nothing_and_iteration_certifies_once(
         cantor5_binomial_model, certified):
-    # the search certifies the screened walks only; the rest stay edge paths
+    # the search certifies some of the screened walks only; the rest stay
+    # edge paths, and the 3 of the 231 closed walks that pruned prefixes lead
+    # to are not screened
     graph = build_graph(cantor5_binomial_model)
     enum = enumerate_cycles(graph, essential_class(graph).members, max_len=6)
     eager = len(certified)
     assert 0 < eager < len(enum.cycles)
-    assert len(enum.cycles) == 231
+    assert len(enum.cycles) == 228
     assert len(certified) == eager
 
 
@@ -256,7 +317,7 @@ def test_search_multiplies_only_certified_walks(cantor5_binomial_model,
 
     monkeypatch.setattr(dimcalc, "mat_mul", counted)
     enum = enumerate_cycles(graph, essential_class(graph).members, max_len=6)
-    assert len(calls) < len(enum.cycles) == 231
+    assert len(calls) < len(enum.cycles) == 228
 
 
 def test_certified_values_lie_inside_the_column_screen(graph, monkeypatch):
