@@ -4,7 +4,7 @@ the exhaustive search it replaced.
 ``_reference_walks`` is the exhaustive algorithm, kept here only as a
 reference: it walks every closed edge path, drops rotations through a set of
 canonical keys, and certifies every cycle it keeps through
-``periodic_dimension``. ``_reference_enumerate`` picks the extremes as the
+``periodic_dimension``. ``_reference_extremes`` picks the extremes as the
 search does: over the certified walks, the smallest ``_flog(sp_lo) / L`` and
 the largest ``_flog(sp_hi) / L``, the first generated on ties.
 """
@@ -27,7 +27,6 @@ from conftest import (
     certify_walk,
     cycle_dims,
     inner_values,
-    walk_vertices,
 )
 
 
@@ -92,12 +91,6 @@ def _reference_extremes(found, dims):
         max_cycle=max(dims, key=lambda c: _logs(c)[1]))
 
 
-def _necklace(vertices):
-    """A closed vertex sequence up to rotation."""
-    ring = vertices[:-1]
-    return min(ring[i:] + ring[:i] for i in range(len(ring)))
-
-
 @pytest.fixture(scope="module")
 def cantor3_uniform_model():
     return catalog_model("cantor_r3_m3_uniform")
@@ -154,9 +147,9 @@ def test_matches_exhaustive_search(graph, max_len):
 
 
 def test_pruning_bounds_the_longest_completion(golden_model):
-    # the walk of least per-step value has five steps; a bound on a prefix
-    # taken at its shortest completion, one step, in place of its longest
-    # would prune it
+    # the walk of least per-step value has five steps: the third loop, the
+    # first, then the second three times; a bound on a prefix taken at its
+    # shortest completion, one step, in place of its longest would prune it
     graph = _one_vertex_graph(golden_model, (
         ((13, 13), (1, 0)), ((2, 0), (1, 1)), ((0, 3), (1, 8)),
         ((5, 8), (1, 5))))
