@@ -11,8 +11,7 @@ from .netgraph import CharacteristicVector, TransitionEdge, TransitionGraph, \
 from .loopclasses import LoopClass, Positivity, maximal_loop_classes, \
     essential_class, positivity_certificate, classify_all
 from .dimcalc import spectral_radius, periodic_dimension, enumerate_cycles, \
-    pseudo_norm, norm_bounds, assemble_report, DimensionReport, NormKind, \
-    dim_at_zero
+    norm_bounds, assemble_report, DimensionReport, dim_at_zero
 from .closedforms import CantorParams, bhm_min_formula, bhm_max_formula, \
     isolated_point_bound
 from .oracle import brute_level, check_graph_against_oracle
@@ -26,8 +25,7 @@ __all__ = [
     "LoopClass", "Positivity", "maximal_loop_classes", "essential_class",
     "positivity_certificate", "classify_all",
     "spectral_radius", "periodic_dimension", "enumerate_cycles",
-    "pseudo_norm", "norm_bounds", "assemble_report", "DimensionReport",
-    "NormKind", "dim_at_zero",
+    "norm_bounds", "assemble_report", "DimensionReport", "dim_at_zero",
     "CantorParams", "bhm_min_formula", "bhm_max_formula", "isolated_point_bound",
     "brute_level", "check_graph_against_oracle",
 ]

@@ -433,6 +433,8 @@ def _load_json(path):
         raise InputDocumentError(f"cannot read {path}: {e}")
     except ValueError as e:  # JSONDecodeError and UnicodeDecodeError too
         raise InputDocumentError(f"{path} is not valid JSON: {e}")
+    except RecursionError:
+        raise InputDocumentError(f"{path} is not valid JSON: nested too deeply")
 
 
 def _require_at_least(*checks):

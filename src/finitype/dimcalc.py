@@ -61,7 +61,6 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .errors import (
@@ -508,40 +507,6 @@ def enumerate_cycles(graph: TransitionGraph, members, max_len: int,
 # pseudo-norms and certified outer bounds
 # ----------------------------------------------------------------------------
 
-class NormKind(Enum):
-    MIN_ROW = "MIN_ROW"
-    MAX_ROW = "MAX_ROW"
-    MIN_COL = "MIN_COL"
-    MAX_COL = "MAX_COL"
-    SUBSET_MIN = "SUBSET_MIN"
-    TOTAL = "TOTAL"
-
-
-def pseudo_norm(matrix, kind: NormKind, subset=None):
-    """Row/column sum functionals used for product bounds; subset indices are
-    1-based positions into both the row and column index sets."""
-    if kind is NormKind.MIN_ROW:
-        return min(sum(row) for row in matrix)
-    if kind is NormKind.MAX_ROW:
-        return max(sum(row) for row in matrix)
-    if kind is NormKind.MIN_COL:
-        return min(sum(row[k] for row in matrix) for k in range(len(matrix[0])))
-    if kind is NormKind.MAX_COL:
-        return max(sum(row[k] for row in matrix) for k in range(len(matrix[0])))
-    if kind is NormKind.TOTAL:
-        return sum(sum(row) for row in matrix)
-    if kind is NormKind.SUBSET_MIN:
-        if not subset:
-            raise SubsetInvalidForClass("subset required for SUBSET_MIN")
-        J, K = len(matrix), len(matrix[0])
-        idx = sorted(set(subset))
-        if idx[0] < 1 or idx[-1] > min(J, K):
-            raise SubsetInvalidForClass(
-                f"subset {tuple(subset)} out of range for a {J}x{K} matrix")
-        return min(sum(matrix[j - 1][k - 1] for j in idx) for k in idx)
-    raise ValueError(kind)
-
-
 @dataclass(frozen=True)
 class NormBounds:
     depth: int
@@ -706,6 +671,7 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subsets=(),
     """Confine the class's per-step spectral range with exact pseudo-norms of
     every admissible product of ``depth`` primitive matrices, or of fewer
     where ``path_budget`` stops the sweep; None when not even one step fits.
+    Every member needs an internal out-edge, as in a loop class.
 
     Because row-sum and column-sum functionals are sound simultaneously
     (min flavors are supermultiplicative lower tools, max flavors
@@ -758,8 +724,8 @@ def norm_bounds(graph: TransitionGraph, members, depth: int, subsets=(),
             checked.append(idx)
 
     internal = graph.internal_out(ms)
-    if not any(internal.values()):
-        raise ValueError("class has no internal edges")
+    if not all(internal.values()):
+        raise ValueError("a member has no internal out-edge")
     col_into = {v: [] for v in ms}
     for v in ms:
         for _, e in internal[v]:

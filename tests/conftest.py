@@ -1,18 +1,23 @@
-"""Shared model fixtures built from exact data, and a per-test time limit."""
+"""Shared model fixtures built from exact data, the catalog's CLI reports,
+and a per-test time limit."""
 
+import contextlib
+import io
+import json
 import signal
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import pytest
 
-from finitype import dimcalc
+from finitype import cli, dimcalc
 from finitype.catalog import load_document
-from finitype.cli import parse_document
+from finitype.cli import parse_document, run
 from finitype.dimcalc import _dims, per_step, periodic_dimension
 from finitype.exactfield import NumberField
 from finitype.ifsmodel import Ifs, uniform_probabilities, validate
-from finitype.netgraph import build_graph
+from finitype.netgraph import TransitionGraph, build_graph
 
 
 # Wall-clock seconds a test may run before it fails; the slowest test takes
@@ -142,6 +147,62 @@ def record_bisections(mp):
 
     mp.setattr(dimcalc, "largest_root", recorded)
     return calls
+
+
+def record_reports(mp):
+    """Hook ``cli.assemble_report`` through the MonkeyPatch ``mp``; the
+    returned list gets the (report, graph) of each call."""
+    made = []
+    real = cli.assemble_report
+
+    def recorded(model, graph, *args, **kwargs):
+        report = real(model, graph, *args, **kwargs)
+        made.append((report, graph))
+        return report
+
+    mp.setattr(cli, "assemble_report", recorded)
+    return made
+
+
+def report_bytes(name, workdir):
+    """The bytes ``finitype analyze --json --text`` writes for a catalog
+    example: the JSON file and the text on stdout."""
+    doc_path = workdir / f"{name}.json"
+    doc_path.write_text(json.dumps(load_document(name)))
+    out_path = workdir / f"{name}.report.json"
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        code = run(["analyze", "--input", str(doc_path),
+                    "--json", str(out_path), "--text"])
+    assert code == 0, name
+    return out_path.read_bytes(), text.getvalue().encode("utf-8")
+
+
+class CliRun(NamedTuple):
+    json: bytes                       # the JSON report file
+    text: bytes                       # the text report on stdout
+    bisections: int                   # spectral brackets bisected on the way
+    report: dimcalc.DimensionReport   # what cli.assemble_report returned
+    graph: TransitionGraph            # the graph it was given
+
+
+@pytest.fixture(scope="session")
+def cli_reports(tmp_path_factory):
+    """``finitype analyze --json --text`` of catalog examples by name, each
+    run once per session, as a ``CliRun``."""
+    workdir = tmp_path_factory.mktemp("golden")
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            with pytest.MonkeyPatch.context() as mp:
+                calls = record_bisections(mp)
+                made = record_reports(mp)
+                files = report_bytes(name, workdir)
+            (report, graph), = made
+            cache[name] = CliRun(*files, len(calls), report, graph)
+        return cache[name]
+    return get
 
 
 @pytest.fixture(scope="session")

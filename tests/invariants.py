@@ -1,26 +1,63 @@
-"""Randomized structural invariants shared by the property and acceptance suites.
+"""Randomized structural invariants shared by the property and acceptance suites,
+and the brute-force pseudo-norms that ``norm_bounds`` is checked against.
 
 Each checker returns the number of individual cases it verified, so callers
 can tally coverage. All randomness is seeded by the caller.
 """
 
 import math
+from enum import Enum
 from fractions import Fraction
 
 from conftest import walk_vertices
 from finitype.dimcalc import (
-    NormKind,
     assemble_report,
     dim_at_zero,
     enumerate_cycles,
     mat_mul,
     product_along,
-    pseudo_norm,
     spectral_radius,
 )
+from finitype.errors import SubsetInvalidForClass
 from finitype.loopclasses import essential_class, positivity_certificate
 from finitype.netgraph import compile_matrix
 from finitype.oracle import brute_level
+
+
+# The row, column and window functionals of one product matrix, computed
+# directly: the reference for the frontier sweep of ``dimcalc.norm_bounds``.
+class NormKind(Enum):
+    MIN_ROW = "MIN_ROW"
+    MAX_ROW = "MAX_ROW"
+    MIN_COL = "MIN_COL"
+    MAX_COL = "MAX_COL"
+    SUBSET_MIN = "SUBSET_MIN"
+    TOTAL = "TOTAL"
+
+
+def pseudo_norm(matrix, kind: NormKind, subset=None):
+    """Row/column sum functionals used for product bounds; subset indices are
+    1-based positions into both the row and column index sets."""
+    if kind is NormKind.MIN_ROW:
+        return min(sum(row) for row in matrix)
+    if kind is NormKind.MAX_ROW:
+        return max(sum(row) for row in matrix)
+    if kind is NormKind.MIN_COL:
+        return min(sum(row[k] for row in matrix) for k in range(len(matrix[0])))
+    if kind is NormKind.MAX_COL:
+        return max(sum(row[k] for row in matrix) for k in range(len(matrix[0])))
+    if kind is NormKind.TOTAL:
+        return sum(sum(row) for row in matrix)
+    if kind is NormKind.SUBSET_MIN:
+        if not subset:
+            raise SubsetInvalidForClass("subset required for SUBSET_MIN")
+        J, K = len(matrix), len(matrix[0])
+        idx = sorted(set(subset))
+        if idx[0] < 1 or idx[-1] > min(J, K):
+            raise SubsetInvalidForClass(
+                f"subset {tuple(subset)} out of range for a {J}x{K} matrix")
+        return min(sum(matrix[j - 1][k - 1] for j in idx) for k in idx)
+    raise ValueError(kind)
 
 
 def random_path(graph, rng, length, start=None):

@@ -315,6 +315,24 @@ def test_non_utf8_input_exits_1(tmp_path, capsys, command):
     _one_error_line(capsys.readouterr().err, "InputDocumentError")
 
 
+@pytest.mark.parametrize("command", ["analyze", "rescale"])
+def test_deeply_nested_input_exits_1(tmp_path, command):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    proc = _cli_process(command, "--input", str(p))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "nested too deeply" in _one_error_line(proc.stderr,
+                                                  "InputDocumentError")
+
+
+def test_star_import_binds_exactly_the_export_list():
+    namespace = {}
+    exec("from finitype import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(finitype.__all__)
+
+
 def _report(path, *flags):
     """The JSON report of ``analyze`` on ``path`` with ``flags``."""
     out = Path(path).parent / "report.json"

@@ -31,7 +31,6 @@ from finitype.dimcalc import (
     ClassDimSet,
     IsolatedPoint,
     NormBounds,
-    NormKind,
     _auto_subsets,
     _norm_pass,
     _quotient_extremes,
@@ -45,7 +44,6 @@ from finitype.dimcalc import (
     per_step,
     periodic_dimension,
     product_along,
-    pseudo_norm,
     spectral_radius,
 )
 from finitype.errors import (
@@ -57,6 +55,7 @@ from finitype.errors import (
 from finitype.ifsmodel import Ifs, validate
 from finitype.loopclasses import essential_class
 from finitype.netgraph import build_graph, compile_matrix, vec_mat
+from invariants import NormKind, pseudo_norm
 
 
 @pytest.fixture(scope="module")
@@ -542,6 +541,16 @@ def test_single_edge_class_degenerate_outer(golden_model, golden_graph):
     dim_lo, dim_hi = norm_dims(golden_model, nb)
     assert abs(dim_lo - dim_at_zero(golden_model)) < 1e-9
     assert abs(dim_hi - dim_at_zero(golden_model)) < 1e-9
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_norm_bounds_reject_a_member_without_internal_out_edge(golden_graph,
+                                                                depth):
+    # 1 -> 3 is the only edge inside (1, 3), so the set holds no closed
+    # walk for the two bounds to enclose
+    assert [len(golden_graph.internal_out((1, 3))[v]) for v in (1, 3)] == [1, 0]
+    with pytest.raises(ValueError, match="no internal out-edge"):
+        norm_bounds(golden_graph, (1, 3), depth)
 
 
 def test_norm_bounds_monotone_width(golden_model, golden_graph):
@@ -1397,12 +1406,12 @@ def test_inner_within_outer(golden_model, golden_graph, cantor5_binomial_model,
 
 
 @pytest.fixture(scope="module")
-def catalog_reports():
+def catalog_reports(cli_reports):
     """The default report of every catalog document outside SLOW_EXAMPLES,
-    with its graph, by name."""
-    return {name: (assemble_report(g.model, g), g)
+    with its graph, by name: those ``finitype analyze`` made and was given."""
+    return {name: (r.report, r.graph)
             for name in example_names() if name not in SLOW_EXAMPLES
-            for g in [catalog_graph(name)]}
+            for r in [cli_reports(name)]}
 
 
 def test_inner_extremes_and_points_lie_in_the_outer_bounds_exactly(

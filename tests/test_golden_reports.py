@@ -11,8 +11,6 @@ unchanged. After a deliberate change of the report, regenerate both with
     PYTHONPATH=src python tests/test_golden_reports.py
 """
 
-import contextlib
-import io
 import json
 import pathlib
 import sys
@@ -20,9 +18,7 @@ import tempfile
 
 import pytest
 
-from conftest import catalog_graph, record_bisections
-from finitype.catalog import load_document
-from finitype.cli import run
+from conftest import catalog_graph, report_bytes
 from finitype.loopclasses import classify_all
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -51,51 +47,21 @@ GOLDEN_NAMES = (
 )
 
 
-def report_bytes(name: str, workdir: pathlib.Path) -> tuple[bytes, bytes]:
-    """The bytes ``finitype analyze --json --text`` writes for a catalog
-    example: the JSON file and the text on stdout."""
-    doc_path = workdir / f"{name}.json"
-    doc_path.write_text(json.dumps(load_document(name)))
-    out_path = workdir / f"{name}.report.json"
-    text = io.StringIO()
-    with contextlib.redirect_stdout(text):
-        code = run(["analyze", "--input", str(doc_path),
-                    "--json", str(out_path), "--text"])
-    assert code == 0, name
-    return out_path.read_bytes(), text.getvalue().encode("utf-8")
-
-
-@pytest.fixture(scope="module")
-def reports(tmp_path_factory):
-    """Both reports of every golden example, each computed once, and the
-    number of spectral brackets bisected on the way."""
-    workdir = tmp_path_factory.mktemp("golden")
-    cache = {}
-
-    def get(name):
-        if name not in cache:
-            with pytest.MonkeyPatch.context() as mp:
-                calls = record_bisections(mp)
-                cache[name] = (*report_bytes(name, workdir), len(calls))
-        return cache[name]
-    return get
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_golden_report_unchanged(name, cli_reports):
+    assert cli_reports(name).json == (GOLDEN_DIR / f"{name}.json").read_bytes()
 
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
-def test_golden_report_unchanged(name, reports):
-    assert reports(name)[0] == (GOLDEN_DIR / f"{name}.json").read_bytes()
+def test_golden_text_report_unchanged(name, cli_reports):
+    assert cli_reports(name).text == (GOLDEN_DIR / f"{name}.txt").read_bytes()
 
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
-def test_golden_text_report_unchanged(name, reports):
-    assert reports(name)[1] == (GOLDEN_DIR / f"{name}.txt").read_bytes()
-
-
-@pytest.mark.parametrize("name", GOLDEN_NAMES)
-def test_golden_enclosures_converge_without_bisection(name, reports):
+def test_golden_enclosures_converge_without_bisection(name, cli_reports):
     """The power iteration alone encloses every catalog spectral radius, so
     the Sturm bisection never moves a golden number."""
-    assert reports(name)[2] == 0
+    assert cli_reports(name).bisections == 0
 
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
