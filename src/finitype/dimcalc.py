@@ -8,13 +8,6 @@ a per-step value s translates into the local dimension
 (log p_0 + log s) / log rho. Since log rho < 0, larger spectral values mean
 smaller dimensions.
 
-Products are taken with ``netgraph.vec_mat`` on compiled matrices
-(``netgraph.SparseMatrix``: per row, the ``(column, entry)`` pairs of the
-nonzero entries). An edge's compiled matrix is its ``sparse`` attribute,
-built once per distinct matrix of the graph, so edges with equal matrices
-share it; a matrix formed here, such as a shifted block, is compiled once
-where it is formed. Products come back dense, as row tuples.
-
 Spectral radii come with certified rational enclosures of relative width at
 most ``_REL_TOL``: Collatz-Wielandt quotients of an exact integer iteration
 on each irreducible diagonal block, with a unit shift to kill periodicity,
@@ -69,10 +62,11 @@ from .errors import (
     SubsetInvalidForClass,
     ZeroRow,
 )
-from .exactfield import largest_root
+from .exactfield import (char_poly, compile_matrix, largest_root, mat_mul,
+                         vec_mat)
 from .ifsmodel import Model
 from .loopclasses import LoopClass, classify_all, strongly_connected_components
-from .netgraph import SparseMatrix, TransitionGraph, compile_matrix, vec_mat
+from .netgraph import TransitionGraph
 
 _REL_TOL = Fraction(1, 10 ** 10)   # relative width of a converged enclosure
 
@@ -80,31 +74,6 @@ _REL_TOL = Fraction(1, 10 ** 10)   # relative width of a converged enclosure
 # ----------------------------------------------------------------------------
 # small exact matrix helpers
 # ----------------------------------------------------------------------------
-
-def mat_mul(A, B: SparseMatrix):
-    """Product of a row-tuple matrix and a compiled matrix, as row tuples."""
-    return tuple([tuple(vec_mat(row, B)) for row in A])
-
-
-def char_poly(matrix):
-    """Ascending coefficients of det(xI - matrix), exactly, by
-    Faddeev-LeVerrier: M_1 = I, M_k = A M_(k-1) + c_(n-k+1) I and
-    c_(n-k) = -tr(A M_k) / k, with c_n = 1. Integral coefficients are
-    ints, so an integer block's are all ints."""
-    n = len(matrix)
-    S = compile_matrix(matrix)
-    coeffs = [0] * n + [1]
-    AM = [[0] * n] * n  # A M_0
-    for k in range(1, n + 1):
-        c = coeffs[n - k + 1]
-        AM = mat_mul([[x + c if i == j else x for j, x in enumerate(row)]
-                      for i, row in enumerate(AM)], S)
-        c = -Fraction(sum(AM[i][i] for i in range(n)), k)
-        # an integral coefficient stays int, so an integer block's products
-        # stay integer products
-        coeffs[n - k] = c.numerator if c.denominator == 1 else c
-    return coeffs
-
 
 def _check_admissible(edges):
     for e, f in zip(edges, edges[1:]):
@@ -210,8 +179,6 @@ def spectral_radius(matrix):
     best_lo = best_hi = Fraction(0)
     for comp in comps:
         idx = [v - 1 for v in comp]
-        if len(idx) == 1 and not matrix[idx[0]][idx[0]]:
-            continue  # transient vertex, contributes 0
         block = tuple(tuple(matrix[i][j] for j in idx) for i in idx)
         lo, hi = _block_spectral_bounds(block)
         best_lo, best_hi = max(best_lo, lo), max(best_hi, hi)
@@ -582,8 +549,7 @@ def _norm_pass(into, families, depth, cap):
     keeps just its first vector of extreme ``value``. Within a layer each
     distinct matrix (one object, as a built graph's equal matrices are)
     multiplies each distinct vector once, for every family and every edge
-    of that matrix that carries it; its products are dropped after its last
-    edge of the layer.
+    of that matrix that carries it.
     A layer that leaves a family's frontier unchanged (the same vectors in
     the same order at every vertex) settles it: every later layer would
     repeat it, so the family takes no more products or prunes. After the
@@ -597,9 +563,6 @@ def _norm_pass(into, families, depth, cap):
     exceeds the number of walk prefixes, and on a simple loop equals it.
     """
     outdeg = Counter(v for sources in into.values() for v, _ in sources)
-    # each matrix's last edge in the sweep's order, counted from 0
-    last_edge = {id(matrix): k for k, (_, matrix) in enumerate(
-        e for sources in into.values() for e in sources)}
     frontiers = [{v: _prune(vecs, upper) for v, vecs in starts.items()}
                  for upper, _, starts in families]
     charges = [0] * len(families)
@@ -617,11 +580,9 @@ def _norm_pass(into, families, depth, cap):
         layers = [frontier if done else {}
                   for frontier, done in zip(frontiers, settled)]
         memos = {}  # id(matrix) -> {vector: vector times matrix}
-        k = -1
         for w, sources in into.items():
             cands = [[] for _ in live]
             for v, matrix in sources:
-                k += 1
                 products = memos.get(id(matrix))
                 if products is None:
                     products = memos[id(matrix)] = {}
@@ -631,8 +592,6 @@ def _norm_pass(into, families, depth, cap):
                         if p is None:
                             p = products[u] = tuple(vec_mat(u, matrix))
                         cand.append(p)
-                if last_edge[id(matrix)] == k:
-                    del memos[id(matrix)]
             for i, cand in zip(live, cands):
                 if cand:
                     upper, value, _ = families[i]

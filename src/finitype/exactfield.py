@@ -24,11 +24,21 @@ at the root. A sign the enclosure leaves undecided is therefore first checked
 exactly: gcd(minpoly, element) from the remainder sequence, and if that gcd
 changes sign across the enclosure, the element vanishes at rho and
 NotIrreducible is raised. Otherwise the value is nonzero and bisection ends.
+A bisection step that meets the root exactly has found a rational root, and
+above degree 1 that too raises NotIrreducible.
 
 Square-freeness comes from the Sturm chain the field builds once for its root
 counts: the chain's last member is gcd(p, p') up to a constant. A sign, once
 decided, is exact, so the sign cache survives every refinement of the
 enclosure.
+
+One product kernel serves all exact matrix algebra: the graph closure's, the
+dimension code's and the oracle's. ``compile_matrix`` turns a dense
+row-tuple matrix into a ``SparseMatrix``: its column count and, per row, the
+``(column, entry)`` pairs of the nonzero entries, columns ascending.
+``vec_mat`` multiplies a row vector by one, ``mat_mul`` a row-tuple matrix,
+and ``char_poly``, Faddeev-LeVerrier on ``mat_mul``, gives ``largest_root``
+the characteristic polynomial it bisects.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add, sub
+from typing import NamedTuple
 
 from .errors import (
     MultipleRootsInInterval,
@@ -215,6 +226,69 @@ def largest_root(poly, lo, hi, rel):
 
 
 # ----------------------------------------------------------------------------
+# exact matrix algebra on the one product kernel
+# ----------------------------------------------------------------------------
+
+class SparseMatrix(NamedTuple):
+    """A matrix compiled for ``vec_mat``: the column count, and per row the
+    ``(column, entry)`` pairs of its nonzero entries, columns ascending."""
+
+    ncols: int
+    rows: tuple[tuple[tuple[int, Fraction | int], ...], ...]
+
+    def transposed(self) -> SparseMatrix:
+        """The compiled transpose, built from the nonzero pairs alone."""
+        cols = [[] for _ in range(self.ncols)]
+        for j, row in enumerate(self.rows):
+            for k, x in row:
+                cols[k].append((j, x))
+        return SparseMatrix(len(self.rows), tuple(map(tuple, cols)))
+
+
+def compile_matrix(M) -> SparseMatrix:
+    """The ``SparseMatrix`` of a dense row-tuple matrix."""
+    return SparseMatrix(len(M[0]), tuple(
+        tuple((k, x) for k, x in enumerate(row) if x) for row in M))
+
+
+def vec_mat(v, S: SparseMatrix):
+    """Row vector times a compiled matrix, exactly; the one product kernel.
+    Terms are added in the order of a dense row-by-row product."""
+    ncols, rows = S
+    acc = [0] * ncols
+    for x, row in zip(v, rows):
+        if x:
+            for k, a in row:
+                acc[k] += x * a
+    return acc
+
+
+def mat_mul(A, B: SparseMatrix):
+    """Product of a row-tuple matrix and a compiled matrix, as row tuples."""
+    return tuple([tuple(vec_mat(row, B)) for row in A])
+
+
+def char_poly(matrix):
+    """Ascending coefficients of det(xI - matrix), exactly, by
+    Faddeev-LeVerrier: M_1 = I, M_k = A M_(k-1) + c_(n-k+1) I and
+    c_(n-k) = -tr(A M_k) / k, with c_n = 1. Integral coefficients are
+    ints, so an integer block's are all ints."""
+    n = len(matrix)
+    S = compile_matrix(matrix)
+    coeffs = [0] * n + [1]
+    AM = [[0] * n] * n  # A M_0
+    for k in range(1, n + 1):
+        c = coeffs[n - k + 1]
+        AM = mat_mul([[x + c if i == j else x for j, x in enumerate(row)]
+                      for i, row in enumerate(AM)], S)
+        c = -Fraction(sum(AM[i][i] for i in range(n)), k)
+        # an integral coefficient stays int, so an integer block's products
+        # stay integer products
+        coeffs[n - k] = c.numerator if c.denominator == 1 else c
+    return coeffs
+
+
+# ----------------------------------------------------------------------------
 # the field
 # ----------------------------------------------------------------------------
 
@@ -292,7 +366,8 @@ class NumberField:
         return self._lo, self._hi
 
     def refine(self, steps=32):
-        """Bisect the isolating interval ``steps`` times (or until exact)."""
+        """Bisect the isolating interval ``steps`` times (or until exact,
+        which only a degree-1 field's rational root may be)."""
         mp = self.minpoly
         lo, hi = self._lo, self._hi
         if lo == hi:
@@ -302,6 +377,9 @@ class NumberField:
             mid = (lo + hi) / 2
             v = _eval_poly(mp, mid)
             if v == 0:
+                if self.degree > 1:
+                    raise NotIrreducible(f"{_poly_str(mp, 'x', '')} is "
+                                         f"reducible: it has the root {mid}")
                 lo = hi = mid
                 break
             if (1 if v > 0 else -1) == slo:

@@ -149,8 +149,6 @@ def positivity_certificate(graph: TransitionGraph, members,
     """
     out_internal = graph.internal_out(members)
     start = min(members)
-    if not any(out_internal.values()):
-        return PositivityResult(Positivity.NOT_POSITIVE, exhausted_length=0)
 
     # one pattern per distinct matrix and one mask per distinct row: a
     # built graph's equal matrices and rows are one object each

@@ -34,13 +34,10 @@ matrix row, and each matrix by the tuple of its rows' ids, so equal rows and
 equal matrices in the graph are one object each. Every entry is int 0 or one
 of the table's canonical weights, so equal rows have equal entry types.
 
-Products are taken on compiled matrices. ``compile_matrix`` turns a dense
-row-tuple matrix into a ``SparseMatrix``: its column count and, per row, the
-``(column, entry)`` pairs of the nonzero entries, columns ascending.
-``vec_mat``, the one product kernel, multiplies a row vector by one. A
-matrix is compiled the first time ``TransitionEdge.sparse`` is read on one
-of its edges, once per distinct matrix of the graph, so a graph that is only
-built and classified holds no compiled form.
+A matrix is compiled for ``exactfield``'s product kernel (see there) the
+first time ``TransitionEdge.sparse`` is read on one of its edges, once per
+distinct matrix of the graph, so a graph that is only built and classified
+holds no compiled form.
 """
 
 from __future__ import annotations
@@ -49,11 +46,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
 
 from .errors import CapExceeded, InternalInconsistency
 from .ifsmodel import Model
-from .exactfield import FieldElement, canonical, minus, plus
+from .exactfield import (FieldElement, SparseMatrix, canonical,
+                         compile_matrix, minus, plus, vec_mat)
 
 
 @dataclass(frozen=True)
@@ -110,40 +107,6 @@ class TransitionEdge:
         if S is None:
             S = self.compiled[id(self.matrix)] = compile_matrix(self.matrix)
         return S
-
-
-class SparseMatrix(NamedTuple):
-    """A matrix compiled for ``vec_mat``: the column count, and per row the
-    ``(column, entry)`` pairs of its nonzero entries, columns ascending."""
-
-    ncols: int
-    rows: tuple[tuple[tuple[int, Fraction | int], ...], ...]
-
-    def transposed(self) -> SparseMatrix:
-        """The compiled transpose, built from the nonzero pairs alone."""
-        cols = [[] for _ in range(self.ncols)]
-        for j, row in enumerate(self.rows):
-            for k, x in row:
-                cols[k].append((j, x))
-        return SparseMatrix(len(self.rows), tuple(map(tuple, cols)))
-
-
-def compile_matrix(M) -> SparseMatrix:
-    """The ``SparseMatrix`` of a dense row-tuple matrix."""
-    return SparseMatrix(len(M[0]), tuple(
-        tuple((k, x) for k, x in enumerate(row) if x) for row in M))
-
-
-def vec_mat(v, S: SparseMatrix):
-    """Row vector times a compiled matrix, exactly; the one product kernel.
-    Terms are added in the order of a dense row-by-row product."""
-    ncols, rows = S
-    acc = [0] * ncols
-    for x, row in zip(v, rows):
-        if x:
-            for k, a in row:
-                acc[k] += x * a
-    return acc
 
 
 class TransitionGraph:

@@ -8,7 +8,8 @@ agreement between the two is meaningful. Points and neighbour offsets are
 ordered by a comparison sort on exact sign tests (``compare``), not by the
 graph closure's value table and its ``sort_unique``. The graph side,
 ``expand_graph``, multiplies by each edge's compiled matrix with
-``netgraph.vec_mat``, the product kernel the dimension code uses too.
+``exactfield.vec_mat``, the product kernel the graph closure and the
+dimension code use too (see ``exactfield``).
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from .errors import BudgetExceeded, Mismatch
-from .exactfield import FieldElement, compare
+from .exactfield import FieldElement, compare, vec_mat
 from .ifsmodel import Model
-from .netgraph import TransitionGraph, vec_mat
+from .netgraph import TransitionGraph
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,12 @@ from finitype.dimcalc import (
     assemble_report,
     dim_at_zero,
     enumerate_cycles,
-    mat_mul,
     product_along,
     spectral_radius,
 )
 from finitype.errors import SubsetInvalidForClass
+from finitype.exactfield import compile_matrix, mat_mul
 from finitype.loopclasses import essential_class, positivity_certificate
-from finitype.netgraph import compile_matrix
 from finitype.oracle import brute_level
 
 

@@ -268,7 +268,9 @@ def _one_error_line(stderr, name):
     ([-1, 2, 3], ["1/4", "1/2"], [["0"], ["2/3"]]),
     # (x^2 + x - 1)(x^2 + 1): rho is the golden ratio's reciprocal
     ([-1, 1, 0, 1, 1], ["1/2", "7/10"], [["0"], ["1", "-1"]]),
-], ids=["rational-factor", "quadratic-factor"])
+    # (2x - 1)(x^2 + x - 1): the field's bisection lands on its root 1/2
+    ([1, -3, 1, 2], ["9/20", "11/20"], [[0], [1, -1]]),
+], ids=["rational-factor", "quadratic-factor", "bisected-rational-root"])
 def test_reducible_minpoly_exits_1(tmp_path, minpoly, interval, translations):
     p = tmp_path / "reducible.json"
     p.write_text(json.dumps({

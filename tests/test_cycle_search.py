@@ -19,8 +19,9 @@ import pytest
 from finitype import dimcalc
 from finitype.dimcalc import CycleEnumeration, enumerate_cycles
 from finitype.errors import ZeroRow
+from finitype.exactfield import compile_matrix, vec_mat
 from finitype.loopclasses import classify_all, essential_class
-from finitype.netgraph import build_graph, compile_matrix, vec_mat
+from finitype.netgraph import build_graph
 
 from conftest import (
     catalog_model,

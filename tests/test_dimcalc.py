@@ -39,7 +39,6 @@ from finitype.dimcalc import (
     assemble_report,
     dim_at_zero,
     enumerate_cycles,
-    mat_mul,
     norm_bounds,
     per_step,
     periodic_dimension,
@@ -52,9 +51,10 @@ from finitype.errors import (
     SubsetInvalidForClass,
     ZeroRow,
 )
+from finitype.exactfield import char_poly, compile_matrix, mat_mul, vec_mat
 from finitype.ifsmodel import Ifs, validate
 from finitype.loopclasses import essential_class
-from finitype.netgraph import build_graph, compile_matrix, vec_mat
+from finitype.netgraph import build_graph
 from invariants import NormKind, pseudo_norm
 
 
@@ -130,6 +130,12 @@ def test_spectral_radius_reducible():
     assert lo <= 3 <= hi and hi - lo < 1e-9
 
 
+def test_spectral_radius_transient_vertex_adds_nothing():
+    # vertex 1 has no self-loop: its one-vertex block's value is 0, so the
+    # radius is block {2}'s, exactly
+    assert spectral_radius(((0, 1), (0, 2))) == (2, 2)
+
+
 def test_spectral_radius_matches_numpy_randomized():
     rng = np.random.default_rng(7)
     for _ in range(40):
@@ -197,7 +203,7 @@ def test_char_poly_matches_numpy():
         m = rng.integers(0, 5, size=(n, n))
         block = tuple(tuple(Fraction(int(x), 3) for x in row) for row in m)
         ref = np.poly(np.array(block, dtype=float))[::-1]
-        assert np.allclose([float(c) for c in dimcalc.char_poly(block)], ref)
+        assert np.allclose([float(c) for c in char_poly(block)], ref)
 
 
 def _det_at(block, x):
@@ -223,13 +229,13 @@ def _det_at(block, x):
 def test_char_poly_of_an_integer_block_is_all_int():
     # the coefficients are the characteristic polynomial's, checked at n + 1
     # points against an elimination determinant, and every one is an int
-    assert dimcalc.char_poly(((1, 1), (1, 0))) == [-1, -1, 1]
+    assert char_poly(((1, 1), (1, 0))) == [-1, -1, 1]
     rng = random.Random(7)
     for _ in range(30):
         n = rng.randint(1, 7)
         block = tuple(tuple(rng.randint(0, 9) for _ in range(n))
                       for _ in range(n))
-        coeffs = dimcalc.char_poly(block)
+        coeffs = char_poly(block)
         assert all(type(c) is int for c in coeffs)
         for x in range(n + 1):
             assert sum(c * x ** k for k, c in enumerate(coeffs)) == \

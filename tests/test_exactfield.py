@@ -1,8 +1,10 @@
 """Exact field arithmetic: construction, ordering, rendering, algebra laws."""
 
+import ast
 import math
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,11 +18,11 @@ from finitype.errors import (
     NotSquareFree,
     RootNotInUnitInterval,
 )
-from finitype import netgraph
+from finitype import exactfield, netgraph
 from finitype.exactfield import (
     EQ, GT, LT,
     NumberField, _poly_deriv, _poly_divmod, _poly_trim, _sturm_chain,
-    compare, count_roots, to_decimal,
+    compare, compile_matrix, count_roots, mat_mul, to_decimal, vec_mat,
 )
 from finitype.ifsmodel import validate
 
@@ -80,6 +82,22 @@ def test_reducible_minpoly_sign_raises():
     # a value that is nonzero at rho still gets its exact sign
     assert (f.rho() - Fraction(1, 4)).sign() == GT
     assert (f.rho() - Fraction(1, 3) + Fraction(1, 10 ** 30)).sign() == GT
+
+
+def test_bisection_onto_a_rational_root_raises():
+    # (2x - 1)(x^2 + x - 1) isolating rho = 1/2: the field's first bisection
+    # of (9/20, 11/20) lands on 1/2 itself, a rational root of a cubic
+    with pytest.raises(NotIrreducible, match="root 1/2"):
+        NumberField([1, -3, 1, 2], (Fraction(9, 20), Fraction(11, 20)))
+    # a degree-1 field keeps its exact root
+    f = NumberField([-1, 2], (Fraction(9, 20), Fraction(11, 20)))
+    assert f.enclosure() == (Fraction(1, 2),) * 2
+    assert f.rho() == Fraction(1, 2)
+    # (3x - 1)(x^2 + x - 1): bisection never meets 1/3, and the gcd test of
+    # an undecided sign finds it
+    f = NumberField([1, -4, 2, 3], (Fraction(3, 10), Fraction(7, 20)))
+    with pytest.raises(NotIrreducible):
+        (f.rho() - Fraction(1, 3)).sign()
 
 
 def test_make_field_interval_outside_unit():
@@ -402,3 +420,80 @@ def test_canonical_zero_iff_all_zero_coeffs():
     z = r * r + r - 1  # minimal polynomial evaluated at rho
     assert z.is_zero()
     assert z.coeffs == (0, 0)
+
+
+# ------------------------------------------------------- the product kernel
+
+def _dense_times(v, M):
+    """Row vector ``v`` times the dense matrix ``M``, from the definition:
+    the nonzero terms added row by row, left to right."""
+    acc = [0] * len(M[0])
+    for x, row in zip(v, M):
+        for k, a in enumerate(row):
+            if x and a:
+                acc[k] += x * a
+    return acc
+
+
+# zero-heavy, with Fraction entries like those of golden_square_skewed
+_ENTRIES = st.sampled_from([0, 0, 0, 1, 1, 2, 5,
+                            Fraction(3, 2), Fraction(2, 7)])
+_COORDS = st.one_of(st.integers(0, 3), st.integers(0, 2 ** 70),
+                    st.sampled_from([Fraction(0), Fraction(1, 3),
+                                     Fraction(7, 2)]))
+
+
+def _matrices(rows, cols):
+    row = st.lists(_ENTRIES, min_size=cols, max_size=cols).map(tuple)
+    return st.lists(row, min_size=rows, max_size=rows).map(tuple)
+
+
+@st.composite
+def _products(draw):
+    """Vectors of lengths J and K, and two chained rectangular matrices
+    (J x K, K x L)."""
+    J, K, L = (draw(st.integers(1, 5)) for _ in range(3))
+    v = draw(st.lists(_COORDS, min_size=J, max_size=J))
+    u = draw(st.lists(_COORDS, min_size=K, max_size=K))
+    return v, u, draw(_matrices(J, K)), draw(_matrices(K, L))
+
+
+def _typed(values):
+    return [(type(x), x) for x in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_products())
+def test_compiled_kernel_matches_dense_reference(case):
+    v, u, A, B = case
+    SA = compile_matrix(A)
+    assert SA.ncols == len(A[0]) and len(SA.rows) == len(A)
+    # same values and the same int/Fraction types as the dense product
+    assert _typed(vec_mat(v, SA)) == _typed(_dense_times(v, A))
+    AT = tuple(zip(*A))
+    assert SA.transposed() == compile_matrix(AT)
+    assert _typed(vec_mat(u, SA.transposed())) == _typed(_dense_times(u, AT))
+    AB = mat_mul(A, compile_matrix(B))
+    assert type(AB) is tuple and all(type(row) is tuple for row in AB)
+    assert [_typed(row) for row in AB] == \
+        [_typed(_dense_times(row, B)) for row in A]
+
+
+# ------------------------------------------------------------------ layering
+
+def test_exactfield_imports_only_errors_from_the_package():
+    # the algebra layer sits below graphs and dimensions
+    tree = ast.parse(Path(exactfield.__file__).read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["finitype" * bool(node.level),
+                                          node.module]))
+            names = ([f"{base}.{a.name}" for a in node.names]
+                     if base == "finitype" else [base])
+        else:
+            continue
+        modules |= {n for n in names if n.split(".")[0] == "finitype"}
+    assert modules == {"finitype.errors"}

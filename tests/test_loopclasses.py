@@ -96,6 +96,13 @@ def test_trivial_selfloop_positive(golden_graph):
     assert res.witness == (2, 2)
 
 
+def test_member_without_internal_edge_is_not_positive(golden_graph):
+    # vertex 1 has no edge back to itself: the first layer is empty, so the
+    # search exhausts at length 0 having explored no state
+    assert positivity_certificate(golden_graph, (1,)) == PositivityResult(
+        Positivity.NOT_POSITIVE, explored_states=0, exhausted_length=0)
+
+
 def test_classify_all_golden(golden_graph):
     classes = classify_all(golden_graph)
     by_members = {c.members: c for c in classes}

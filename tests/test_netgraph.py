@@ -11,22 +11,25 @@ from hypothesis import strategies as st
 
 from finitype import netgraph
 from finitype.catalog import example_names
-from finitype.dimcalc import mat_mul
 from finitype.errors import CapExceeded, InternalInconsistency
-from finitype.exactfield import NumberField, canonical, compare
+from finitype.exactfield import (
+    NumberField,
+    canonical,
+    compare,
+    compile_matrix,
+    vec_mat,
+)
 from finitype.ifsmodel import Ifs, uniform_probabilities, validate
 from finitype.loopclasses import classify_all
 from finitype.netgraph import (
     CharacteristicVector,
     build_graph,
     children,
-    compile_matrix,
     export_dot,
-    vec_mat,
 )
 
 from conftest import bernoulli_ifs, catalog_graph, catalog_model, golden_ifs
-from test_exactfield import _float_defeating_pair
+from test_exactfield import _float_defeating_pair, _typed
 from test_graph_fingerprints import FINGERPRINT_NAMES
 
 
@@ -235,63 +238,6 @@ def test_export_dot_single_map_degenerate():
     g = build_graph(model)
     dot = export_dot(g, classes=None)
     assert dot.strip().endswith("}")
-
-
-# ------------------------------------------------------- the product kernel
-
-def _dense_times(v, M):
-    """Row vector ``v`` times the dense matrix ``M``, from the definition:
-    the nonzero terms added row by row, left to right."""
-    acc = [0] * len(M[0])
-    for x, row in zip(v, M):
-        for k, a in enumerate(row):
-            if x and a:
-                acc[k] += x * a
-    return acc
-
-
-# zero-heavy, with Fraction entries like those of golden_square_skewed
-_ENTRIES = st.sampled_from([0, 0, 0, 1, 1, 2, 5,
-                            Fraction(3, 2), Fraction(2, 7)])
-_COORDS = st.one_of(st.integers(0, 3), st.integers(0, 2 ** 70),
-                    st.sampled_from([Fraction(0), Fraction(1, 3),
-                                     Fraction(7, 2)]))
-
-
-def _matrices(rows, cols):
-    row = st.lists(_ENTRIES, min_size=cols, max_size=cols).map(tuple)
-    return st.lists(row, min_size=rows, max_size=rows).map(tuple)
-
-
-@st.composite
-def _products(draw):
-    """Vectors of lengths J and K, and two chained rectangular matrices
-    (J x K, K x L)."""
-    J, K, L = (draw(st.integers(1, 5)) for _ in range(3))
-    v = draw(st.lists(_COORDS, min_size=J, max_size=J))
-    u = draw(st.lists(_COORDS, min_size=K, max_size=K))
-    return v, u, draw(_matrices(J, K)), draw(_matrices(K, L))
-
-
-def _typed(values):
-    return [(type(x), x) for x in values]
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=_products())
-def test_compiled_kernel_matches_dense_reference(case):
-    v, u, A, B = case
-    SA = compile_matrix(A)
-    assert SA.ncols == len(A[0]) and len(SA.rows) == len(A)
-    # same values and the same int/Fraction types as the dense product
-    assert _typed(vec_mat(v, SA)) == _typed(_dense_times(v, A))
-    AT = tuple(zip(*A))
-    assert SA.transposed() == compile_matrix(AT)
-    assert _typed(vec_mat(u, SA.transposed())) == _typed(_dense_times(u, AT))
-    AB = mat_mul(A, compile_matrix(B))
-    assert type(AB) is tuple and all(type(row) is tuple for row in AB)
-    assert [_typed(row) for row in AB] == \
-        [_typed(_dense_times(row, B)) for row in A]
 
 
 def test_edges_compile_lazily_once(golden_square_skewed_model):
